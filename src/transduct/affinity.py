@@ -1,8 +1,14 @@
 """Sparse k-nearest-neighbor affinity graph over unit-norm embeddings.
 
-Exact construction: all pairwise cosines are evaluated in fixed-size row
-blocks (O(N^2 d) time, O(block * N) transient memory), then truncated to
-the k most similar other rows. Weights are cosines clipped at zero.
+Exact construction: all pairwise cosines are evaluated blockwise as
+``data[lo:hi] @ data.T`` (O(N^2 d) time), with the row count of a block
+set by a byte budget so one block of similarities stays near 32 MiB
+whatever N is (at most 512 rows). Within a block each row keeps its k
+most similar other rows: a linear-time partition picks k candidates, which
+are then ordered by (descending cosine, ascending index). A row whose k-th
+best cosine is tied with a row outside the candidates falls back to a full
+stable sort, so ties always resolve to the lower index and the result
+equals a stable sort of every row. Weights are cosines clipped at zero.
 """
 
 from __future__ import annotations
@@ -11,7 +17,24 @@ import numpy as np
 
 from .types import AffinityGraph, EmbeddingMatrix
 
-_BLOCK_ROWS = 512
+_MAX_BLOCK_ROWS = 512
+# bytes of float64 similarities per row block
+_BLOCK_BYTES = 32 * 2**20
+
+
+def _top_k(neg_sims: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``neg_sims``,
+    ordered by (value, index): the first k of a stable argsort, without
+    sorting whole rows unless the k-th value is tied past the k-th place."""
+    cand = np.sort(np.argpartition(neg_sims, k - 1, axis=1)[:, :k], axis=1)
+    cand_vals = np.take_along_axis(neg_sims, cand, axis=1)
+    # stable on index-sorted candidates, so equal values keep index order
+    order = np.take_along_axis(cand, np.argsort(cand_vals, axis=1, kind="stable"), axis=1)
+    kth = cand_vals.max(axis=1, keepdims=True)
+    tied = np.flatnonzero(np.count_nonzero(neg_sims <= kth, axis=1) > k)
+    if tied.size:
+        order[tied] = np.argsort(neg_sims[tied], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> AffinityGraph:
@@ -20,7 +43,8 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
     Neighbors are selected by raw cosine (ties to the lower index) and
     stored by descending weight max(0, cosine). Self-edges are excluded;
     k >= N-1 degrades to the full graph. With symmetrize=True the edge set
-    is the union of both directions, so per-node lists may reach 2k.
+    is the union of both directions: a node keeps its k out-edges plus
+    every in-edge, so a hub's list may hold up to N-1 entries.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -39,14 +63,15 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
 
     neighbor_idx = np.empty((n, k_eff), dtype=np.int64)
     neighbor_w = np.empty((n, k_eff))
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        sims = data[lo:hi] @ data.T
-        sims[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
-        # stable sort so equal similarities resolve to the lower index
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :k_eff]
+    block = max(1, min(_MAX_BLOCK_ROWS, _BLOCK_BYTES // (8 * n)))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        neg_sims = data[lo:hi] @ data.T
+        np.negative(neg_sims, out=neg_sims)
+        neg_sims[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        order = _top_k(neg_sims, k_eff)
         neighbor_idx[lo:hi] = order
-        neighbor_w[lo:hi] = np.maximum(0.0, np.take_along_axis(sims, order, axis=1))
+        neighbor_w[lo:hi] = np.maximum(0.0, -np.take_along_axis(neg_sims, order, axis=1))
 
     if not symmetrize:
         return AffinityGraph(
@@ -76,14 +101,13 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
         indices=dst2,
         weights=w2,
         n_nodes=n,
-        max_degree=2 * k_eff,
+        max_degree=n - 1,
     )
 
 
 def dump_edges(graph: AffinityGraph, path) -> None:
     """Write one 'i j w' line per stored edge, in storage order."""
+    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    edges = zip(src.tolist(), graph.indices.tolist(), graph.weights.tolist())
     with open(path, "w", encoding="ascii") as fh:
-        for i in range(graph.n_nodes):
-            idx, w = graph.neighbors(i)
-            for j, weight in zip(idx, w):
-                fh.write(f"{i} {j} {weight:.9g}\n")
+        fh.writelines(map("%d %d %.9g\n".__mod__, edges))

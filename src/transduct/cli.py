@@ -12,9 +12,12 @@ top-8 confident initialization, support-weight grid 0.002/0.01/0.02/0.2).
 Any flag can also be supplied via ``--config file`` holding ``key=value``
 lines; explicit command-line flags win over the file.
 
-Determinism: outputs are byte-identical for any ``--threads`` value (row
-blocks are fixed and, when threadpoolctl is available, BLAS pools are
-pinned while solving).
+Determinism: outputs are byte-identical for any ``--threads`` value, since
+row blocks are fixed. Across BLAS thread counts they are byte-identical
+only when threadpoolctl is available to pin BLAS pools while solving;
+without it, probabilities may differ in the last bits (predicted classes
+did not change in testing), so fix ``OPENBLAS_NUM_THREADS`` when bytes
+must match.
 """
 
 from __future__ import annotations
@@ -207,6 +210,7 @@ def cmd_run_fs(args) -> int:
             validation_pool=pool,
             seed=args.seed,
             threads=args.threads,
+            record_trace=bool(args.trace),
         )
     fileio.write_predictions(result.assignments, args.out)
     if args.score_table:

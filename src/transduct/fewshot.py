@@ -143,13 +143,15 @@ def run_fewshot(
     validation_pool: Optional[SupportSet] = None,
     seed: int = 0,
     threads: int = 1,
+    record_trace: bool = True,
 ) -> FewShotResult:
     """Few-shot pipeline: pick the support weight, then solve on the full
     support set.
 
     An explicit ``gamma`` skips the search. Otherwise shots are split per
     ``split_shots`` and the weight is selected on the held-out samples; the
-    final solve then uses every provided support shot.
+    final solve then uses every provided support shot, and records the
+    objective trace only when ``record_trace`` is set.
     """
     spec = validate_task(spec)
     if spec.support is None:
@@ -170,7 +172,7 @@ def run_fewshot(
         train_support = spec.support
 
     final_spec = spec.with_hyper(support_weight=gamma)
-    assignments, state = run(final_spec, threads=threads)
+    assignments, state = run(final_spec, threads=threads, record_trace=record_trace)
     return FewShotResult(
         assignments=assignments,
         state=state,

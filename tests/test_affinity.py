@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import oracles
+from transduct import affinity, oracles
 from transduct.affinity import build_knn, dump_edges
 from transduct.types import EmbeddingMatrix
 from helpers import unit_rows
@@ -110,3 +111,88 @@ def test_dump_edges_format(rng, tmp_path):
     i, j, w = lines[0].split()
     assert int(i) == 0 and 0 <= int(j) < 4
     assert 0.0 <= float(w) <= 1.0 + 1e-9
+
+
+def _tied_rows(r, n, d=16, pool=60):
+    """n unit rows drawn with repetition from a pool of quantized rows.
+
+    Pool rows have either 4 entries of +-1/2 or d entries of +-1/4, so every
+    cosine is a multiple of 1/16 and exact under any summation order. The
+    repeated rows and the coarse cosines make ties at every rank.
+    """
+    rows = np.zeros((pool, d))
+    for p in range(pool):
+        signs = r.choice([-1.0, 1.0], size=d)
+        if p % 2:
+            rows[p] = 0.25 * signs
+        else:
+            cols = r.choice(d, size=4, replace=False)
+            rows[p, cols] = 0.5 * signs[:4]
+    return rows[r.integers(0, pool, size=n)]
+
+
+def _stable_reference(data, k, symmetrize):
+    """Per-row (indices, weights) from a stable argsort of every full row."""
+    n = data.shape[0]
+    sims = data @ data.T
+    np.fill_diagonal(sims, -np.inf)
+    order = np.argsort(-sims, axis=1, kind="stable")[:, : min(k, n - 1)]
+    if not symmetrize:
+        return [(row, np.maximum(0.0, sims[i, row])) for i, row in enumerate(order)]
+    linked = np.zeros((n, n), dtype=bool)
+    linked[np.repeat(np.arange(n), order.shape[1]), order.reshape(-1)] = True
+    linked |= linked.T
+    out = []
+    for i in range(n):
+        cols = np.flatnonzero(linked[i])
+        w = np.maximum(0.0, sims[i, cols])
+        keep = np.lexsort((cols, -w))
+        out.append((cols[keep], w[keep]))
+    return out
+
+
+def _assert_matches_reference(g, data, k, symmetrize):
+    for i, (exp_idx, exp_w) in enumerate(_stable_reference(data, k, symmetrize)):
+        idx, w = g.neighbors(i)
+        np.testing.assert_array_equal(idx, exp_idx)
+        np.testing.assert_allclose(w, exp_w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("symmetrize", [False, True])
+@pytest.mark.parametrize("k_from_n", [lambda n: 1, lambda n: 3, lambda n: n - 2,
+                                      lambda n: n - 1, lambda n: n + 2],
+                         ids=["1", "3", "n-2", "n-1", "n+2"])
+@pytest.mark.parametrize("n", [700, 1300])
+def test_ties_across_row_blocks_match_stable_sort(n, k_from_n, symmetrize):
+    r = np.random.default_rng(n)
+    data = EmbeddingMatrix(_tied_rows(r, n))
+    k = k_from_n(n)
+    g = build_knn(data, k=k, symmetrize=symmetrize)
+    _assert_matches_reference(g, data.data, k, symmetrize)
+
+
+def test_one_row_blocks_give_the_same_graph(monkeypatch):
+    r = np.random.default_rng(11)
+    data = EmbeddingMatrix(_tied_rows(r, 600))
+    monkeypatch.setattr(affinity, "_BLOCK_BYTES", 1)
+    for k in (1, 3, 598):
+        g = build_knn(data, k=k)
+        _assert_matches_reference(g, data.data, k, symmetrize=False)
+
+
+def test_dump_edges_matches_per_edge_format(rng, tmp_path):
+    rows = unit_rows(rng, 40, 3)
+    # a cosine of about 1e-6 exercises the exponent form of %.9g
+    ortho = rows[1] - (rows[1] @ rows[0]) * rows[0]
+    rows[1] = ortho / np.linalg.norm(ortho) + 1e-6 * rows[0]
+    # k = 25 of 39 reaches negative cosines, so zero weights appear too
+    g = build_knn(EmbeddingMatrix(rows), k=25, symmetrize=True)
+    expected = "".join(
+        f"{i} {j} {weight:.9g}\n"
+        for i in range(g.n_nodes)
+        for j, weight in zip(*g.neighbors(i))
+    )
+    assert " 0\n" in expected and "e-" in expected
+    out = tmp_path / "edges.txt"
+    dump_edges(g, out)
+    assert out.read_bytes() == expected.encode("ascii")

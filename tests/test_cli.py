@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from transduct import fileio
+from transduct import fileio, solver
 from transduct.cli import main
 from helpers import unit_rows
 
@@ -102,6 +102,29 @@ class TestRunFs:
         assert rc == 0
         parsed = fileio.read_score_table(table)
         assert [g for g, _ in parsed] == [0.002, 0.01, 0.02, 0.2]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_objective_is_evaluated_only_with_trace(self, task_dir, tmp_path, monkeypatch, traced):
+        calls = []
+        objective_terms = solver._objective_terms
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return objective_terms(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_objective_terms", counting)
+        trace = tmp_path / "trace.csv"
+        rc = main(self._fs_args(task_dir, tmp_path / "pred.csv", [
+            "--validation", str(task_dir / "validation.emb"),
+            "--validation-labels", str(task_dir / "validation.labels"),
+            *(["--trace", str(trace)] if traced else []),
+        ]))
+        assert rc == 0
+        if traced:
+            _, *rows = trace.read_text().strip().split("\n")
+            assert len(rows) == len(calls) == 71
+        else:
+            assert calls == [] and not trace.exists()
 
     def test_missing_support_labels_exits_one(self, task_dir, tmp_path, capsys):
         args = [
