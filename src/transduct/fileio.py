@@ -35,6 +35,9 @@ _MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
 # Declared payloads above this are treated as corrupt headers.
 _MAX_BYTES = 1 << 30
+# Values formatted per write_predictions block: bounds the Python floats
+# and the block string alive at once.
+_WRITE_BLOCK_VALUES = 1 << 14
 
 
 def write_embeddings(matrix, path) -> None:
@@ -153,17 +156,30 @@ def write_predictions(assignments: SimplexAssignments, path) -> None:
     """Write per-sample predictions as CSV.
 
     Columns: row index, argmax class, its probability, then the full
-    probability row, all probabilities at 9 significant digits.
+    probability row, all probabilities at 9 significant digits. Rows are
+    formatted in blocks of about ``_WRITE_BLOCK_VALUES`` values, each block
+    with one ``%``-format of ``%d,%d,%.9g,`` plus one ``%.9g`` per class.
     """
     z = assignments.z
+    n, k = z.shape
     preds = np.argmax(z, axis=1)
-    header = "index,pred,conf," + ",".join(f"p_{k}" for k in range(z.shape[1]))
+    header = "index,pred,conf," + ",".join(f"p_{c}" for c in range(k))
+    line = "%d,%d,%.9g," + ",".join(["%.9g"] * k) + "\n"
+    rows_per_block = max(1, _WRITE_BLOCK_VALUES // (k + 3))
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(header + "\n")
-            for i, row in enumerate(z):
-                probs = ",".join(f"{p:.9g}" for p in row)
-                fh.write(f"{i},{preds[i]},{row[preds[i]]:.9g},{probs}\n")
+            for lo in range(0, n, rows_per_block):
+                hi = min(lo + rows_per_block, n)
+                # float64 holds every row index and class exactly, and %d
+                # prints them as integers
+                rows = np.arange(lo, hi)
+                block = np.empty((hi - lo, k + 3))
+                block[:, 0] = rows
+                block[:, 1] = preds[lo:hi]
+                block[:, 2] = z[rows, preds[lo:hi]]
+                block[:, 3:] = z[lo:hi]
+                fh.write((line * (hi - lo)) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

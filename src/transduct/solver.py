@@ -25,10 +25,23 @@ Log-density values omit the constant -(d/2) log(2 pi): it cancels in every
 row softmax and offsets both objectives by an assignment-independent
 constant, so tests compare objective differences rather than absolute
 likelihoods.
+
+Work that does not change between calls is cached on ``SolverState``:
+
+* the GMM log-densities and the sweep-invariant part of the assignment
+  logits, ``kl_weight * log prior + log-densities``, built by the first
+  sweep of an outer iteration and reused by the others. Both are cleared
+  by ``invalidate_log_probs``, which callers run after replacing ``gmm``;
+* the support/query moments that the mean and variance updates share,
+  computed once per outer iteration by ``mu_step`` and reused by
+  ``sigma_step``. They are keyed on the ``z`` object and the support
+  weight, so replacing ``state.z`` recomputes them;
+* the log prior, which depends only on the soft labels.
 """
 
 from __future__ import annotations
 
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -45,12 +58,7 @@ from .types import (
     TaskSpec,
     validate_task,
 )
-from .zeroshot import (
-    compute_soft_labels,
-    init_prototypes_support,
-    init_prototypes_topk,
-    row_softmax,
-)
+from .zeroshot import compute_soft_labels, init_prototypes_support, init_prototypes_topk
 
 # Floor applied inside log() so exactly-zero prior entries stay finite.
 PRIOR_LOG_FLOOR = 1e-300
@@ -91,6 +99,10 @@ class SolverState:
     trace: list = field(default_factory=list)
     _log_probs: Optional[np.ndarray] = None
     _log_prior: Optional[np.ndarray] = None
+    # (kl_weight, array) for base_logits
+    _base_logits: Optional[tuple] = None
+    # (weak reference to z, support_weight, moments) for _group_moments
+    _moments: Optional[tuple] = None
 
     @property
     def objective_trace(self) -> list:
@@ -110,8 +122,18 @@ class SolverState:
             self._log_prior = np.log(np.maximum(self.soft_labels.z, PRIOR_LOG_FLOOR))
         return self._log_prior
 
+    def base_logits(self, kl_weight: float, threads: int = 1) -> np.ndarray:
+        """The sweep-invariant part of the query logits:
+        ``kl_weight * log prior + log-densities`` of the query rows."""
+        if self._base_logits is None or self._base_logits[0] != kl_weight:
+            base = kl_weight * self.log_prior()
+            base += self.log_probs(threads)[self.n_support :]
+            self._base_logits = (kl_weight, base)
+        return self._base_logits[1]
+
     def invalidate_log_probs(self) -> None:
         self._log_probs = None
+        self._base_logits = None
 
 
 def _map_row_chunks(apply, n_rows: int, threads: int) -> None:
@@ -163,20 +185,22 @@ def z_step(state: SolverState, spec: TaskSpec, threads: int = 1) -> SimplexAssig
     rows contribute their one-hot labels). The softmax is the exact
     minimizer of the per-row convex surrogate, so each sweep cannot
     increase the surrogate objective. Support rows are returned untouched.
+    The first two terms come from ``state.base_logits``; only the neighbor
+    sum is computed afresh.
     """
     n_s = state.n_support
     z_prev = state.z.z
-    neighbor = state.graph.propagate(z_prev)
-    logits = (
-        spec.hyper.kl_weight * state.log_prior()
-        + state.log_probs(threads)[n_s:]
-        + neighbor[n_s:]
-    )
+    base = state.base_logits(spec.hyper.kl_weight, threads)
+    logits = state.graph.propagate(z_prev)[n_s:]
+    logits += base
     z_new = np.empty_like(z_prev)
     z_new[:n_s] = z_prev[:n_s]
 
     def fill(lo, hi):
-        z_new[n_s + lo : n_s + hi] = row_softmax(logits[lo:hi])
+        rows, out = logits[lo:hi], z_new[n_s + lo : n_s + hi]
+        np.subtract(rows, rows.max(axis=1, keepdims=True), out=out)
+        np.exp(out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
 
     _map_row_chunks(fill, logits.shape[0], threads)
     return SimplexAssignments(z_new)
@@ -185,11 +209,18 @@ def z_step(state: SolverState, spec: TaskSpec, threads: int = 1) -> SimplexAssig
 def _group_moments(state: SolverState, spec: TaskSpec):
     """Support- and query-weighted first moments shared by the mean and
     variance updates. Returns (weighted z-mass per class, weighted z'F,
-    weighted sum of z row-sums times f^2)."""
+    weighted sum of z row-sums times f^2).
+
+    The result is cached on the state, keyed on the ``z`` object and the
+    support weight, so the variance update reuses the mean update's pass.
+    """
+    gamma = spec.hyper.support_weight
+    cached = state._moments
+    if cached is not None and cached[0]() is state.z and cached[1] == gamma:
+        return cached[2]
     z = state.z.z
     feats = state.features
     n_s, n_q = state.n_support, state.n_query
-    gamma = spec.hyper.support_weight
 
     zq, fq = z[n_s:], feats[n_s:]
     mass = zq.sum(axis=0) / n_q
@@ -202,6 +233,7 @@ def _group_moments(state: SolverState, spec: TaskSpec):
         mass = mass + w * zs.sum(axis=0)
         first = first + w * (zs.T @ fs)
         sq = sq + w * (zs.sum(axis=1) @ (fs * fs))
+    state._moments = (weakref.ref(state.z), gamma, (mass, first, sq))
     return mass, first, sq
 
 
@@ -222,7 +254,8 @@ def sigma_step(state: SolverState, spec: TaskSpec) -> np.ndarray:
     """Closed-form shared-variance update, floored at VAR_FLOOR.
 
     Expects the means in ``state.gmm`` to be the ones produced this outer
-    iteration (block order: assignments, means, variances).
+    iteration (block order: assignments, means, variances). The moments
+    come from the preceding ``mu_step`` when ``state.z`` is unchanged.
     """
     mass, first, sq = _group_moments(state, spec)
     means = state.gmm.means

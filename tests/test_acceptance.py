@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from transduct import fileio, oracles
+from transduct import fileio
 from transduct.cli import main
 from transduct.solver import (
     SolverState,
@@ -30,6 +30,7 @@ from transduct.types import GmmParams
 from transduct.zeroshot import compute_soft_labels, hard_predict
 from transduct.fewshot import run_fewshot
 from helpers import random_task
+import oracles
 
 # ---------------------------------------------------------------------------
 # frozen golden values (first build, seed 7 reference geometry)

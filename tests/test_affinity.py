@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import affinity, oracles
+from transduct import affinity
 from transduct.affinity import build_knn, dump_edges
 from transduct.types import EmbeddingMatrix
 from helpers import unit_rows
+import oracles
 
 
 def test_two_nodes_link_to_each_other(rng):
@@ -78,27 +79,29 @@ def test_tie_break_prefers_lower_index():
 
 
 def test_symmetrize_gives_union_of_directions(rng):
-    data = EmbeddingMatrix(unit_rows(rng, 12, 3))
-    directed = build_knn(data, k=2)
-    sym = build_knn(data, k=2, symmetrize=True)
-    directed_edges = set()
-    for i in range(12):
-        idx, _ = directed.neighbors(i)
-        directed_edges.update((i, int(j)) for j in idx)
-    sym_edges = set()
-    for i in range(12):
-        idx, w = sym.neighbors(i)
-        assert len(idx) <= 4  # at most 2k after the union
-        sym_edges.update((i, int(j)) for j in idx)
-    assert sym_edges == directed_edges | {(j, i) for i, j in directed_edges}
-    # weights agree in both directions
-    lookup = {}
-    for i in range(12):
-        idx, w = sym.neighbors(i)
-        for j, wt in zip(idx, w):
-            lookup[(i, int(j))] = float(wt)
-    for (i, j), wt in lookup.items():
-        assert lookup[(j, i)] == wt
+    # the 200-node input has hubs, whose lists grow past 2k
+    longest = {}
+    for n, d, k in ((12, 3, 2), (200, 16, 3)):
+        data = EmbeddingMatrix(unit_rows(rng, n, d))
+        directed = build_knn(data, k=k)
+        sym = build_knn(data, k=k, symmetrize=True)
+        out_edges = {i: {int(j) for j in directed.neighbors(i)[0]} for i in range(n)}
+        in_edges = {i: set() for i in range(n)}
+        for i, targets in out_edges.items():
+            for j in targets:
+                in_edges[j].add(i)
+        lookup = {}
+        for i in range(n):
+            idx, w = sym.neighbors(i)
+            # k out-edges plus the in-edges that are not already out-edges
+            assert len(idx) == k + len(in_edges[i] - out_edges[i])
+            assert set(idx.tolist()) == out_edges[i] | in_edges[i]
+            lookup.update(((i, int(j)), float(wt)) for j, wt in zip(idx, w))
+        longest[n] = max(len(sym.neighbors(i)[0]) for i in range(n))
+        # weights agree in both directions
+        for (i, j), wt in lookup.items():
+            assert lookup[(j, i)] == wt
+    assert longest[200] > 2 * 3
 
 
 def test_dump_edges_format(rng, tmp_path):

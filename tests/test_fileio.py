@@ -175,6 +175,78 @@ class TestPredictions:
             fileio.read_predictions(path)
 
 
+def _per_value_predictions(z: np.ndarray) -> bytes:
+    """The predictions CSV as written one f-string per value."""
+    preds = np.argmax(z, axis=1)
+    out = "index,pred,conf," + ",".join(f"p_{k}" for k in range(z.shape[1])) + "\n"
+    for i, row in enumerate(z):
+        probs = ",".join(f"{p:.9g}" for p in row)
+        out += f"{i},{preds[i]},{row[preds[i]]:.9g},{probs}\n"
+    return out.encode("ascii")
+
+
+# Rows whose entries stress %.9g: exact 0 and 1, subnormals, values that
+# round at the 9th significant digit (up to "1"), and argmax ties.
+_EDGE_ROWS = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 5e-324, 1e-310, 0.0],
+        [0.1234567895, 0.8765432105, 0.0, 0.0],
+        [0.9999999995, 4.99999999e-10, 5e-324, 0.0],
+        [0.5, 0.5, 0.0, 0.0],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.333333333, 0.333333333, 0.333333334, 0.0],
+        [1.000000005e-5, 0.99998999999, 0.0, 0.0],
+    ]
+)
+
+
+def _edge_matrix(rng, n):
+    """n rows: the edge rows in turn, then softmax rows spanning ~300 decades."""
+    logits = rng.standard_normal((n, 4)) * 150.0
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    z /= z.sum(axis=1, keepdims=True)
+    z[: min(n, len(_EDGE_ROWS))] = _EDGE_ROWS[:n]
+    return z
+
+
+class TestPredictionBytes:
+    """write_predictions formats blockwise; the bytes must equal the
+    per-value f-string output."""
+
+    def _check(self, z, tmp_path):
+        path = tmp_path / "p.csv"
+        fileio.write_predictions(SimplexAssignments(z), path)
+        assert path.read_bytes() == _per_value_predictions(SimplexAssignments(z).z)
+
+    def test_edge_values(self, tmp_path, rng):
+        z = _edge_matrix(rng, 40)
+        assert np.any((z > 0) & (z < np.finfo(np.float64).tiny))
+        self._check(z, tmp_path)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_single_class(self, tmp_path, n):
+        self._check(np.ones((n, 1)), tmp_path)
+
+    def test_single_row(self, tmp_path):
+        self._check(_EDGE_ROWS[2:3], tmp_path)
+
+    def test_one_hot_rows(self, tmp_path, rng):
+        self._check(SimplexAssignments.one_hot(rng.integers(0, 9, size=50), 9).z, tmp_path)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_rows_across_small_blocks(self, tmp_path, rng, monkeypatch, blocks, extra):
+        # 7 values per row of K = 4, so a 21-value budget gives 3-row blocks
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK_VALUES", 21)
+        self._check(_edge_matrix(rng, 3 * blocks + extra), tmp_path)
+
+    def test_rows_across_default_blocks(self, tmp_path, rng):
+        rows_per_block = fileio._WRITE_BLOCK_VALUES // (4 + 3)
+        self._check(_edge_matrix(rng, 2 * rows_per_block + 1), tmp_path)
+
+
 class TestConfig:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "c.txt"

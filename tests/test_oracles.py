@@ -1,6 +1,6 @@
 import numpy as np
 
-from transduct import oracles
+import oracles
 
 
 class TestEmReference:

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 from scipy.stats import norm
 
-from transduct import oracles
 from transduct.solver import (
+    PRIOR_LOG_FLOOR,
+    SolverState,
     gmm_log_probs,
     init_state,
     mu_step,
@@ -15,6 +17,7 @@ from transduct.solver import (
     z_step,
 )
 from transduct.types import (
+    VAR_FLOOR,
     AffinityGraph,
     EmbeddingMatrix,
     GmmParams,
@@ -23,8 +26,9 @@ from transduct.types import (
     SupportSet,
     TaskSpec,
 )
-from transduct.zeroshot import compute_soft_labels, hard_predict
+from transduct.zeroshot import compute_soft_labels, hard_predict, row_softmax
 from helpers import random_task, unit_rows
+import oracles
 
 
 class TestGmmLogProbs:
@@ -431,3 +435,145 @@ class TestEmEquivalence:
                 )
                 assert np.abs(resp - state.z.z).max() <= 1e-10
                 assert np.abs(em_means - state.gmm.means).max() <= 1e-10
+
+
+def _old_moments(z, feats, n_s, gamma):
+    """Support- and query-weighted moments, computed afresh on every call."""
+    n_q = z.shape[0] - n_s
+    zq, fq = z[n_s:], feats[n_s:]
+    mass = zq.sum(axis=0) / n_q
+    first = (zq.T @ fq) / n_q
+    sq = (zq.sum(axis=1) @ (fq * fq)) / n_q
+    if n_s and gamma > 0:
+        zs, fs = z[:n_s], feats[:n_s]
+        w = gamma / n_s
+        mass = mass + w * zs.sum(axis=0)
+        first = first + w * (zs.T @ fs)
+        sq = sq + w * (zs.sum(axis=1) @ (fs * fs))
+    return mass, first, sq
+
+
+def _old_sweep(state, spec):
+    """One assignment sweep with the logits rebuilt from scratch."""
+    n_s, z = state.n_support, state.z.z
+    log_prior = np.log(np.maximum(state.soft_labels.z, PRIOR_LOG_FLOOR))
+    logits = (
+        spec.hyper.kl_weight * log_prior
+        + gmm_log_probs(state.features, state.gmm)[n_s:]
+        + state.graph.propagate(z)[n_s:]
+    )
+    return np.concatenate([z[:n_s], row_softmax(logits)])
+
+
+def _old_mu(state, spec):
+    mass, first, _ = _old_moments(state.z.z, state.features, state.n_support,
+                                  spec.hyper.support_weight)
+    means = state.gmm.means.copy()
+    live = mass >= 1e-12
+    means[live] = first[live] / mass[live, None]
+    return means
+
+
+def _old_sigma(state, spec):
+    gamma = spec.hyper.support_weight
+    mass, first, sq = _old_moments(state.z.z, state.features, state.n_support, gamma)
+    means = state.gmm.means
+    scatter = sq - 2.0 * np.einsum("kd,kd->d", means, first) + np.einsum(
+        "kd,kd,k->d", means, means, mass
+    )
+    return np.maximum(scatter / (gamma + 1.0), VAR_FLOOR)
+
+
+def _reference_run(spec):
+    """run() as a plain loop that caches nothing between block updates."""
+    state = init_state(spec)
+    trace = [objective(state, spec)]
+    for _ in range(spec.hyper.outer_iters):
+        for _ in range(spec.hyper.inner_z_iters):
+            state.z = SimplexAssignments(_old_sweep(state, spec))
+            trace.append(objective(state, spec))
+        means = _old_mu(state, spec)
+        state.gmm = GmmParams(means, state.gmm.variances)
+        state.invalidate_log_probs()
+        trace.append(objective(state, spec))
+        state.gmm = GmmParams(means, _old_sigma(state, spec))
+        state.invalidate_log_probs()
+        trace.append(objective(state, spec))
+    return state, trace
+
+
+def _fresh(state):
+    """A copy of the state with every cache empty."""
+    return SolverState(z=state.z, gmm=state.gmm, soft_labels=state.soft_labels,
+                       graph=state.graph, features=state.features, n_support=state.n_support)
+
+
+class TestCachedBlocks:
+    """run() caches the sweep-invariant logits and the moments shared by the
+    mean and variance updates; its results must equal, bit for bit, a loop
+    that recomputes both on every call."""
+
+    @pytest.mark.parametrize(
+        "shots, hyper",
+        [
+            (0, {}),
+            (0, {"outer_iters": 0}),
+            (0, {"inner_z_iters": 0}),
+            (0, {"k_nn": 0}),
+            (0, {"kl_weight": 0.0, "outer_iters": 3}),
+            (2, {"support_weight": 0.0, "kl_weight": 0.5}),
+            (3, {"support_weight": 0.2, "kl_weight": 0.5}),
+            (2, {"support_weight": 0.01, "k_nn": 0, "inner_z_iters": 0}),
+            (1, {"support_weight": 0.1, "outer_iters": 0}),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_run_matches_uncached_loop(self, seed, shots, hyper):
+        r = np.random.default_rng(900 + seed)
+        spec = random_task(r, n_query=int(r.integers(15, 60)), n_classes=int(r.integers(2, 7)),
+                           dim=int(r.integers(3, 12)), shots_per_class=shots, **hyper)
+        _, got = run(spec)
+        want, want_trace = _reference_run(spec)
+        assert got.z.z.tobytes() == want.z.z.tobytes()
+        assert got.gmm.means.tobytes() == want.gmm.means.tobytes()
+        assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
+        assert got.objective_trace == want_trace
+
+    def test_replacing_gmm_gives_fresh_logits(self, rng):
+        spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=1,
+                           support_weight=0.1)
+        state = init_state(spec)
+        state.z = z_step(state, spec)
+        state.gmm = GmmParams(_old_mu(state, spec), state.gmm.variances * 0.5)
+        state.invalidate_log_probs()
+        assert z_step(state, spec).z.tobytes() == _old_sweep(state, spec).tobytes()
+        # another kl_weight on the same state rebuilds the cached part too
+        other = spec.with_hyper(kl_weight=0.25)
+        assert z_step(state, other).z.tobytes() == _old_sweep(state, other).tobytes()
+
+    def test_replacing_z_gives_fresh_moments(self, rng):
+        spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=2,
+                           support_weight=0.3)
+        state = init_state(spec)
+        for _ in range(20):
+            z_next = z_step(state, spec).z
+            mu_step(state, spec)
+            # drop the z the moments were computed from before building the
+            # next one: CPython then often reuses its address, so a cache
+            # keyed on id() would hand back stale moments
+            state.z = None
+            state.z = SimplexAssignments(z_next)
+            assert mu_step(state, spec).tobytes() == _old_mu(state, spec).tobytes()
+            assert sigma_step(state, spec).tobytes() == _old_sigma(state, spec).tobytes()
+        # another support weight on the same z recomputes the moments
+        other = spec.with_hyper(support_weight=0.7)
+        assert sigma_step(state, other).tobytes() == _old_sigma(state, other).tobytes()
+
+    def test_sigma_step_reuses_the_mean_step_pass(self, rng):
+        spec = random_task(rng, n_query=20, n_classes=3, dim=5)
+        state = init_state(spec)
+        mu_step(state, spec)
+        moments = state._moments[2]
+        got = sigma_step(state, spec)
+        assert state._moments[2] is moments
+        assert got.tobytes() == sigma_step(_fresh(state), spec).tobytes()
