@@ -12,19 +12,18 @@ top-8 confident initialization, support-weight grid 0.002/0.01/0.02/0.2).
 Any flag can also be supplied via ``--config file`` holding ``key=value``
 lines; explicit command-line flags win over the file.
 
-Determinism: outputs are byte-identical for any ``--threads`` value, since
-row blocks are fixed. Across BLAS thread counts they are byte-identical
-only when threadpoolctl is available to pin BLAS pools while solving;
-without it, probabilities may differ in the last bits (predicted classes
-did not change in testing), so fix ``OPENBLAS_NUM_THREADS`` when bytes
-must match.
+Determinism: the solver starts no threads of its own, and for a fixed
+BLAS thread count the outputs are byte-identical across reruns. Across
+BLAS thread counts they are byte-identical only when threadpoolctl is
+available to pin BLAS pools while solving; without it, probabilities may
+differ in the last bits (predicted classes did not change in testing), so
+fix ``OPENBLAS_NUM_THREADS`` when bytes must match.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 
 import numpy as np
@@ -38,10 +37,6 @@ from .types import GAMMA_GRID, Hyperparams, SupportSet, TaskSpec
 from .zeroshot import hard_predict
 
 _GRID_DEFAULT = ",".join(str(g) for g in GAMMA_GRID)
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("TRANSDUCT_THREADS", "1"))
 
 
 def _pinned_blas():
@@ -70,8 +65,6 @@ def _add_common_solver_flags(p: argparse.ArgumentParser, kl_default: float) -> N
                    help="confident samples averaged per class at initialization")
     p.add_argument("--symmetrize-graph", action="store_true",
                    help="use the union of both edge directions in the graph")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="row-block worker threads (env TRANSDUCT_THREADS)")
     p.add_argument("--trace", help="write objective trace CSV here")
     p.add_argument("--dump-graph", help="write graph edges as 'i j w' lines here")
     p.add_argument("--config", help="key=value file of defaults for these flags")
@@ -171,7 +164,7 @@ def cmd_run_zs(args) -> int:
         hyper=_hyper_from_args(args),
     )
     with _pinned_blas():
-        assignments, state = run(spec, threads=args.threads, record_trace=bool(args.trace))
+        assignments, state = run(spec, record_trace=bool(args.trace))
     fileio.write_predictions(assignments, args.out)
     _report_accuracies(args, state, assignments)
     return 0
@@ -209,7 +202,6 @@ def cmd_run_fs(args) -> int:
             kl_weight=args.kl_weight,
             validation_pool=pool,
             seed=args.seed,
-            threads=args.threads,
             record_trace=bool(args.trace),
         )
     fileio.write_predictions(result.assignments, args.out)

@@ -102,7 +102,6 @@ def search_gamma(
     spec_base: TaskSpec,
     validation: SupportSet,
     grid: Sequence[float] = GAMMA_GRID,
-    threads: int = 1,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Grid-search the support weight by validation accuracy.
 
@@ -115,9 +114,7 @@ def search_gamma(
     table: list[tuple[float, float]] = []
     for gamma in grid:
         assignments, _ = run(
-            spec_base.with_hyper(support_weight=float(gamma)),
-            threads=threads,
-            record_trace=False,
+            spec_base.with_hyper(support_weight=float(gamma)), record_trace=False
         )
         table.append((float(gamma), _nearest_query_accuracy(assignments, spec_base, validation)))
     best_acc = max(acc for _, acc in table)
@@ -142,7 +139,6 @@ def run_fewshot(
     kl_weight: float = FEWSHOT_KL_WEIGHT,
     validation_pool: Optional[SupportSet] = None,
     seed: int = 0,
-    threads: int = 1,
     record_trace: bool = True,
 ) -> FewShotResult:
     """Few-shot pipeline: pick the support weight, then solve on the full
@@ -165,14 +161,14 @@ def run_fewshot(
             spec.support, spec.n_classes, seed=seed, validation_pool=validation_pool
         )
         search_spec = replace(spec, support=train)
-        gamma, table = search_gamma(search_spec, validation, grid=grid, threads=threads)
+        gamma, table = search_gamma(search_spec, validation, grid=grid)
         train_support = train
     else:
         gamma = float(gamma)
         train_support = spec.support
 
     final_spec = spec.with_hyper(support_weight=gamma)
-    assignments, state = run(final_spec, threads=threads, record_trace=record_trace)
+    assignments, state = run(final_spec, record_trace=record_trace)
     return FewShotResult(
         assignments=assignments,
         state=state,

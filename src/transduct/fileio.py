@@ -11,10 +11,14 @@ separated decimal numbers, uniform column count.
 
 Labels: one non-negative integer per line; a trailing final newline is
 optional, interior blank lines are errors.
+
+Every reader and writer reports an OS error (missing file or directory,
+permissions, a full disk) as IoFailure("cannot read|write PATH: reason").
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from typing import Iterable, Sequence
 
@@ -40,18 +44,33 @@ _MAX_BYTES = 1 << 30
 _WRITE_BLOCK_VALUES = 1 << 14
 
 
+@contextlib.contextmanager
+def _io_failure(action: str, path):
+    """Turn an OSError raised in the body into IoFailure("cannot {action} {path}: ...")."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"cannot {action} {path}: {exc}") from exc
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of an ASCII text file, minus the empty one after a final newline."""
+    with _io_failure("read", path), open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def write_embeddings(matrix, path) -> None:
     """Write a matrix (EmbeddingMatrix or array) in the EMB1 binary format."""
     data = matrix.data if isinstance(matrix, EmbeddingMatrix) else np.asarray(matrix)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {data.shape}")
     payload = np.ascontiguousarray(data, dtype="<f4")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, data.shape[0], data.shape[1]))
-            fh.write(payload.tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _io_failure("write", path), open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, data.shape[0], data.shape[1]))
+        fh.write(payload.tobytes())
 
 
 def read_matrix(path) -> np.ndarray:
@@ -62,27 +81,24 @@ def read_matrix(path) -> np.ndarray:
     """
     if str(path).endswith(".csv"):
         return _read_csv(path)
-    try:
-        with open(path, "rb") as fh:
-            header = fh.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise TruncatedFile(f"{path}: missing header")
-            magic, n_rows, dim = _HEADER.unpack(header)
-            if magic != _MAGIC:
-                raise BadMagic(f"{path}: expected {_MAGIC!r} magic, got {magic!r}")
-            n_bytes = n_rows * dim * 4
-            if n_bytes > _MAX_BYTES:
-                raise TruncatedFile(
-                    f"{path}: header declares {n_bytes} payload bytes, above the "
-                    f"{_MAX_BYTES} sanity cap"
-                )
-            payload = fh.read(n_bytes)
-            if len(payload) < n_bytes:
-                raise TruncatedFile(
-                    f"{path}: payload has {len(payload)} bytes, header declares {n_bytes}"
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with _io_failure("read", path), open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TruncatedFile(f"{path}: missing header")
+        magic, n_rows, dim = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise BadMagic(f"{path}: expected {_MAGIC!r} magic, got {magic!r}")
+        n_bytes = n_rows * dim * 4
+        if n_bytes > _MAX_BYTES:
+            raise TruncatedFile(
+                f"{path}: header declares {n_bytes} payload bytes, above the "
+                f"{_MAX_BYTES} sanity cap"
+            )
+        payload = fh.read(n_bytes)
+        if len(payload) < n_bytes:
+            raise TruncatedFile(
+                f"{path}: payload has {len(payload)} bytes, header declares {n_bytes}"
+            )
     flat = np.frombuffer(payload, dtype="<f4")
     return flat.reshape(n_rows, dim)
 
@@ -93,13 +109,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
 
 
 def _read_csv(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty CSV")
     rows = []
@@ -124,15 +134,8 @@ def _read_csv(path) -> np.ndarray:
 
 def read_labels(path) -> np.ndarray:
     """Read newline-separated non-negative integer class labels."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if lines and lines[-1] == "":
-        lines.pop()
     labels = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         try:
             value = int(line, 10)
         except ValueError as exc:
@@ -144,12 +147,9 @@ def read_labels(path) -> np.ndarray:
 
 
 def write_labels(labels: Iterable[int], path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            for value in labels:
-                fh.write(f"{int(value)}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
+        for value in labels:
+            fh.write(f"{int(value)}\n")
 
 
 def write_predictions(assignments: SimplexAssignments, path) -> None:
@@ -166,33 +166,24 @@ def write_predictions(assignments: SimplexAssignments, path) -> None:
     header = "index,pred,conf," + ",".join(f"p_{c}" for c in range(k))
     line = "%d,%d,%.9g," + ",".join(["%.9g"] * k) + "\n"
     rows_per_block = max(1, _WRITE_BLOCK_VALUES // (k + 3))
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(header + "\n")
-            for lo in range(0, n, rows_per_block):
-                hi = min(lo + rows_per_block, n)
-                # float64 holds every row index and class exactly, and %d
-                # prints them as integers
-                rows = np.arange(lo, hi)
-                block = np.empty((hi - lo, k + 3))
-                block[:, 0] = rows
-                block[:, 1] = preds[lo:hi]
-                block[:, 2] = z[rows, preds[lo:hi]]
-                block[:, 3:] = z[lo:hi]
-                fh.write((line * (hi - lo)) % tuple(block.ravel().tolist()))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _io_failure("write", path), open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, rows_per_block):
+            hi = min(lo + rows_per_block, n)
+            # float64 holds every row index and class exactly, and %d
+            # prints them as integers
+            rows = np.arange(lo, hi)
+            block = np.empty((hi - lo, k + 3))
+            block[:, 0] = rows
+            block[:, 1] = preds[lo:hi]
+            block[:, 2] = z[rows, preds[lo:hi]]
+            block[:, 3:] = z[lo:hi]
+            fh.write((line * (hi - lo)) % tuple(block.ravel().tolist()))
 
 
 def read_predictions(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a predictions CSV back into (argmax classes, probability rows)."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith("index,pred,conf"):
         raise ParseError(f"{path}: missing predictions header")
     preds = []
@@ -211,23 +202,15 @@ def read_predictions(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_config(values: dict, path) -> None:
     """Write a flat key=value config file, one entry per line."""
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            for key, value in values.items():
-                fh.write(f"{key}={value}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
+        for key, value in values.items():
+            fh.write(f"{key}={value}\n")
 
 
 def read_config(path) -> dict:
     """Read a flat key=value config file; '#' lines and blanks are skipped."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -240,39 +223,18 @@ def read_config(path) -> dict:
 
 def write_trace(rows: Sequence, path) -> None:
     """Write the solver objective trace as CSV."""
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("iteration,block,normalized,update_consistent\n")
-            for row in rows:
-                fh.write(
-                    f"{row.iteration},{row.block},"
-                    f"{row.normalized:.17g},{row.update_consistent:.17g}\n"
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
+        fh.write("iteration,block,normalized,update_consistent\n")
+        for row in rows:
+            fh.write(
+                f"{row.iteration},{row.block},"
+                f"{row.normalized:.17g},{row.update_consistent:.17g}\n"
+            )
 
 
 def write_score_table(table: Sequence[tuple[float, float]], path) -> None:
     """Write the support-weight search results as CSV."""
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("gamma,validation_accuracy\n")
-            for gamma, acc in table:
-                fh.write(f"{gamma:.9g},{acc:.9g}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def read_score_table(path) -> list[tuple[float, float]]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln for ln in fh.read().split("\n") if ln]
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != "gamma,validation_accuracy":
-        raise ParseError(f"{path}: missing score-table header")
-    out = []
-    for line in lines[1:]:
-        gamma, _, acc = line.partition(",")
-        out.append((float(gamma), float(acc)))
-    return out
+    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
+        fh.write("gamma,validation_accuracy\n")
+        for gamma, acc in table:
+            fh.write(f"{gamma:.9g},{acc:.9g}\n")

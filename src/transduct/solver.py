@@ -21,6 +21,16 @@ The two differ by a positive rescaling of the likelihood terms relative to
 the graph and prior terms, so they share the mean/variance stationary
 points but weigh the assignment trade-off differently.
 
+The solver works on plain float64 arrays. Assignments are validated as
+``SimplexAssignments`` where they enter (the soft labels and the support
+one-hot rows) and once where they leave (the query rows ``run`` returns);
+the sweeps in between produce row softmaxes, which lie on the simplex by
+construction. ``state.z`` is always a read-only array, and each sweep
+replaces it rather than writing into it. Everything runs in the calling
+thread. ``gmm_log_probs`` walks the rows in fixed blocks of
+``_CHUNK_ROWS`` to bound its temporaries; the block boundaries are part
+of the output bits of larger tasks.
+
 Log-density values omit the constant -(d/2) log(2 pi): it cancels in every
 row softmax and offsets both objectives by an assignment-independent
 constant, so tests compare objective differences rather than absolute
@@ -42,7 +52,6 @@ Work that does not change between calls is cached on ``SolverState``:
 from __future__ import annotations
 
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,8 +72,9 @@ from .zeroshot import compute_soft_labels, init_prototypes_support, init_prototy
 # Floor applied inside log() so exactly-zero prior entries stay finite.
 PRIOR_LOG_FLOOR = 1e-300
 
-# Rows are processed in fixed-size chunks regardless of the thread count,
-# so results are bitwise identical for any --threads value.
+# gmm_log_probs works through the rows in blocks of this many, which bounds
+# its rows x d temporary. Changing it can change the last bits of the output
+# for tasks with more rows than this.
 _CHUNK_ROWS = 8192
 
 # Classes whose mean-update denominator falls below this keep their
@@ -84,13 +94,14 @@ class TraceRow:
 class SolverState:
     """Everything the block updates read and write.
 
-    Rows 0..n_support-1 of ``z`` are the one-hot support labels and are
-    never modified; the remaining rows are the query assignments.
+    ``z`` is a read-only float64 array. Rows 0..n_support-1 are the one-hot
+    support labels and are never modified; the remaining rows are the query
+    assignments.
     ``features`` stacks support embeddings above query embeddings in the
     same order as ``z`` and the graph nodes.
     """
 
-    z: SimplexAssignments
+    z: np.ndarray
     gmm: GmmParams
     soft_labels: SimplexAssignments
     graph: AffinityGraph
@@ -112,9 +123,9 @@ class SolverState:
     def n_query(self) -> int:
         return self.features.shape[0] - self.n_support
 
-    def log_probs(self, threads: int = 1) -> np.ndarray:
+    def log_probs(self) -> np.ndarray:
         if self._log_probs is None:
-            self._log_probs = gmm_log_probs(self.features, self.gmm, threads=threads)
+            self._log_probs = gmm_log_probs(self.features, self.gmm)
         return self._log_probs
 
     def log_prior(self) -> np.ndarray:
@@ -122,12 +133,12 @@ class SolverState:
             self._log_prior = np.log(np.maximum(self.soft_labels.z, PRIOR_LOG_FLOOR))
         return self._log_prior
 
-    def base_logits(self, kl_weight: float, threads: int = 1) -> np.ndarray:
+    def base_logits(self, kl_weight: float) -> np.ndarray:
         """The sweep-invariant part of the query logits:
         ``kl_weight * log prior + log-densities`` of the query rows."""
         if self._base_logits is None or self._base_logits[0] != kl_weight:
             base = kl_weight * self.log_prior()
-            base += self.log_probs(threads)[self.n_support :]
+            base += self.log_probs()[self.n_support :]
             self._base_logits = (kl_weight, base)
         return self._base_logits[1]
 
@@ -136,22 +147,7 @@ class SolverState:
         self._base_logits = None
 
 
-def _map_row_chunks(apply, n_rows: int, threads: int) -> None:
-    """Run apply(lo, hi) over fixed chunk boundaries, optionally in parallel.
-
-    Chunk boundaries never depend on the thread count; each call writes a
-    disjoint output slice, so the merged result is deterministic.
-    """
-    bounds = [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
-    if threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            apply(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: apply(*b), bounds))
-
-
-def gmm_log_probs(features, gmm: GmmParams, threads: int = 1) -> np.ndarray:
+def gmm_log_probs(features, gmm: GmmParams) -> np.ndarray:
     """Per-sample, per-class Gaussian log-densities under a shared diagonal
     covariance, without the 2*pi constant.
 
@@ -163,18 +159,21 @@ def gmm_log_probs(features, gmm: GmmParams, threads: int = 1) -> np.ndarray:
     scaled_means = gmm.means * inv_var
     mean_sq = np.einsum("kd,kd->k", gmm.means, scaled_means)
     out = np.empty((data.shape[0], gmm.n_classes))
-
-    def fill(lo, hi):
-        block = data[lo:hi]
+    for lo in range(0, data.shape[0], _CHUNK_ROWS):
+        block = data[lo : lo + _CHUNK_ROWS]
         feat_sq = np.einsum("nd,d->n", block * block, inv_var)
-        cross = block @ scaled_means.T
-        out[lo:hi] = -0.5 * (log_det + feat_sq[:, None] - 2.0 * cross + mean_sq[None, :])
-
-    _map_row_chunks(fill, data.shape[0], threads)
+        # -0.5 * (log_det + feat_sq - 2 * cross + mean_sq), built in place in
+        # the output rows so no N x K temporary is allocated
+        rows = out[lo : lo + _CHUNK_ROWS]
+        np.matmul(block, scaled_means.T, out=rows)
+        rows *= 2.0
+        np.subtract((log_det + feat_sq)[:, None], rows, out=rows)
+        rows += mean_sq
+        rows *= -0.5
     return out
 
 
-def z_step(state: SolverState, spec: TaskSpec, threads: int = 1) -> SimplexAssignments:
+def z_step(state: SolverState, spec: TaskSpec) -> np.ndarray:
     """One simultaneous sweep of the query assignments.
 
     Every query row i becomes the softmax over classes of
@@ -186,24 +185,21 @@ def z_step(state: SolverState, spec: TaskSpec, threads: int = 1) -> SimplexAssig
     minimizer of the per-row convex surrogate, so each sweep cannot
     increase the surrogate objective. Support rows are returned untouched.
     The first two terms come from ``state.base_logits``; only the neighbor
-    sum is computed afresh.
+    sum is computed afresh. The softmax runs in place in the fresh neighbor
+    sum, which becomes the new read-only ``z``.
     """
     n_s = state.n_support
-    z_prev = state.z.z
-    base = state.base_logits(spec.hyper.kl_weight, threads)
-    logits = state.graph.propagate(z_prev)[n_s:]
+    # the cached part first: building it is the sweep's largest allocation
+    base = state.base_logits(spec.hyper.kl_weight)
+    z_new = state.graph.propagate(state.z)
+    z_new[:n_s] = state.z[:n_s]
+    logits = z_new[n_s:]
     logits += base
-    z_new = np.empty_like(z_prev)
-    z_new[:n_s] = z_prev[:n_s]
-
-    def fill(lo, hi):
-        rows, out = logits[lo:hi], z_new[n_s + lo : n_s + hi]
-        np.subtract(rows, rows.max(axis=1, keepdims=True), out=out)
-        np.exp(out, out=out)
-        out /= out.sum(axis=1, keepdims=True)
-
-    _map_row_chunks(fill, logits.shape[0], threads)
-    return SimplexAssignments(z_new)
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    z_new.setflags(write=False)
+    return z_new
 
 
 def _group_moments(state: SolverState, spec: TaskSpec):
@@ -218,7 +214,7 @@ def _group_moments(state: SolverState, spec: TaskSpec):
     cached = state._moments
     if cached is not None and cached[0]() is state.z and cached[1] == gamma:
         return cached[2]
-    z = state.z.z
+    z = state.z
     feats = state.features
     n_s, n_q = state.n_support, state.n_query
 
@@ -276,7 +272,7 @@ def _objective_terms(state: SolverState, spec: TaskSpec):
     support likelihood. The graph term sums w_ij z_i . z_j over the stored
     directed edges (each ordered pair once)."""
     n_s = state.n_support
-    z = state.z.z
+    z = state.z
     zq = z[n_s:]
     log_p = state.log_probs()
 
@@ -310,7 +306,7 @@ def objective(state: SolverState, spec: TaskSpec, which: str = "update_consisten
     return _assemble(_objective_terms(state, spec), state, spec, which)
 
 
-def init_state(spec: TaskSpec, threads: int = 1) -> SolverState:
+def init_state(spec: TaskSpec) -> SolverState:
     """Build the initial solver state for a validated task.
 
     Soft labels come from the temperature softmax of query/text cosines;
@@ -330,17 +326,18 @@ def init_state(spec: TaskSpec, threads: int = 1) -> SolverState:
         z0 = np.concatenate(
             [SimplexAssignments.one_hot(spec.support.labels, spec.n_classes).z, soft.z]
         )
+        z0.setflags(write=False)
     else:
         features = spec.query.data
         means = init_prototypes_topk(spec.query, soft, spec.hyper.init_top_m)
-        z0 = soft.z.copy()
+        z0 = soft.z  # already read-only
 
     graph = build_knn(
         EmbeddingMatrix(features), spec.hyper.k_nn, symmetrize=spec.hyper.symmetrize_graph
     )
     variances = np.full(spec.query.dim, 1.0 / spec.query.dim)
     return SolverState(
-        z=SimplexAssignments(z0),
+        z=z0,
         gmm=GmmParams(means, variances),
         soft_labels=soft,
         graph=graph,
@@ -351,7 +348,6 @@ def init_state(spec: TaskSpec, threads: int = 1) -> SolverState:
 
 def run(
     spec: TaskSpec,
-    threads: int = 1,
     record_trace: bool = True,
     block_callback: Optional[Callable[[str, int, SolverState], None]] = None,
 ) -> tuple[SimplexAssignments, SolverState]:
@@ -360,9 +356,10 @@ def run(
     Runs ``outer_iters`` rounds of ``inner_z_iters`` assignment sweeps
     followed by one mean and one variance refresh. With record_trace, both
     objective flavors are logged after every block update. The final
-    prediction for query row i is the argmax of its assignment row.
+    prediction for query row i is the argmax of its assignment row. The
+    returned assignments are validated; ``state.z`` is the plain array.
     """
-    state = init_state(spec, threads=threads)
+    state = init_state(spec)
 
     def record(iteration: int, block: str) -> None:
         if record_trace:
@@ -381,7 +378,7 @@ def run(
     record(0, "init")
     for it in range(1, spec.hyper.outer_iters + 1):
         for _ in range(spec.hyper.inner_z_iters):
-            state.z = z_step(state, spec, threads=threads)
+            state.z = z_step(state, spec)
             record(it, "z")
         means = mu_step(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
@@ -392,5 +389,5 @@ def run(
         state.invalidate_log_probs()
         record(it, "sigma")
 
-    query_assignments = SimplexAssignments(state.z.z[state.n_support :])
+    query_assignments = SimplexAssignments(state.z[state.n_support :])
     return query_assignments, state

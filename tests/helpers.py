@@ -31,3 +31,11 @@ def random_task(
         temperature=temperature,
         hyper=Hyperparams(**hyper_kwargs),
     )
+
+
+def read_score_table(path) -> list[tuple[float, float]]:
+    """Parse a score-table CSV written by ``fileio.write_score_table``."""
+    with open(path, encoding="ascii") as fh:
+        header, *rows = [ln for ln in fh.read().split("\n") if ln]
+    assert header == "gamma,validation_accuracy"
+    return [(float(g), float(acc)) for g, acc in (row.split(",") for row in rows)]

@@ -3,7 +3,7 @@ import pytest
 
 from transduct import fileio, solver
 from transduct.cli import main
-from helpers import unit_rows
+from helpers import read_score_table, unit_rows
 
 
 @pytest.fixture
@@ -67,9 +67,9 @@ class TestRunZs:
 
     def test_byte_identical_across_reruns_and_threads(self, task_dir, tmp_path):
         outputs = []
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "3")):
+        for name in ("a", "b", "c"):
             out = tmp_path / f"{name}.csv"
-            assert main(_zs_args(task_dir, out, ["--threads", threads])) == 0
+            assert main(_zs_args(task_dir, out)) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -100,7 +100,7 @@ class TestRunFs:
             "--score-table", str(table),
         ]))
         assert rc == 0
-        parsed = fileio.read_score_table(table)
+        parsed = read_score_table(table)
         assert [g for g, _ in parsed] == [0.002, 0.01, 0.02, 0.2]
 
     @pytest.mark.parametrize("traced", [False, True])
@@ -217,14 +217,6 @@ class TestConfigFile:
         fileio.write_config({"bogus": 1}, cfg)
         assert main(_zs_args(task_dir, tmp_path / "p.csv", ["--config", str(cfg)])) == 1
         assert "bogus" in capsys.readouterr().err
-
-
-def test_threads_env_fallback(monkeypatch):
-    from transduct.cli import build_parser
-
-    monkeypatch.setenv("TRANSDUCT_THREADS", "7")
-    args = build_parser().parse_args(["run-zs", "--query", "q", "--text", "t", "--out", "o"])
-    assert args.threads == 7
 
 
 class TestHelp:

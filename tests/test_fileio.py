@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from transduct import fileio
 from transduct.errors import (
     BadMagic,
+    IoFailure,
     NegativeLabel,
     NonFiniteValue,
     ParseError,
@@ -13,7 +15,7 @@ from transduct.errors import (
     TruncatedFile,
 )
 from transduct.types import SimplexAssignments
-from helpers import unit_rows
+from helpers import read_score_table, unit_rows
 
 
 class TestEmb1:
@@ -279,4 +281,40 @@ class TestTraceAndScoreTable:
         path = tmp_path / "s.csv"
         table = [(0.002, 0.5), (0.2, 0.55)]
         fileio.write_score_table(table, path)
-        assert fileio.read_score_table(path) == table
+        assert read_score_table(path) == table
+
+
+class TestIoFailure:
+    """Every reader and writer reports an OS error as IoFailure naming the path."""
+
+    @pytest.mark.parametrize(
+        "reader, name",
+        [
+            (fileio.read_matrix, "m.emb"),
+            (fileio.read_matrix, "m.csv"),
+            (fileio.read_embeddings, "m.emb"),
+            (fileio.read_labels, "x.labels"),
+            (fileio.read_predictions, "p.csv"),
+            (fileio.read_config, "run.cfg"),
+        ],
+    )
+    def test_missing_file(self, tmp_path, reader, name):
+        path = tmp_path / name
+        with pytest.raises(IoFailure, match=f"^cannot read {re.escape(str(path))}: "):
+            reader(path)
+
+    @pytest.mark.parametrize(
+        "writer, value",
+        [
+            (fileio.write_embeddings, np.ones((1, 2))),
+            (fileio.write_labels, [0, 1]),
+            (fileio.write_predictions, SimplexAssignments(np.ones((1, 1)))),
+            (fileio.write_config, {"knn": 3}),
+            (fileio.write_trace, []),
+            (fileio.write_score_table, [(0.01, 0.5)]),
+        ],
+    )
+    def test_missing_directory(self, tmp_path, writer, value):
+        path = tmp_path / "absent" / "out"
+        with pytest.raises(IoFailure, match=f"^cannot write {re.escape(str(path))}: "):
+            writer(value, path)

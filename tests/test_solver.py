@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from transduct import solver
 from transduct.solver import (
     PRIOR_LOG_FLOOR,
     SolverState,
@@ -75,7 +76,7 @@ class TestZStep:
         )
         state.invalidate_log_probs()
         out = z_step(state, spec)
-        np.testing.assert_allclose(out.z, state.soft_labels.z, atol=1e-12)
+        np.testing.assert_allclose(out, state.soft_labels.z, atol=1e-12)
 
     def test_no_prior_and_no_graph_is_density_posterior(self, rng):
         spec = random_task(rng, n_query=6, n_classes=3, dim=4, k_nn=0, kl_weight=0.0)
@@ -84,7 +85,7 @@ class TestZStep:
         log_p = gmm_log_probs(spec.query, state.gmm)
         want = np.exp(log_p - log_p.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.z, want, atol=1e-12)
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_matches_projected_gradient_minimizer(self, rng):
         # the query row's surrogate is z.a + z.log z with the coefficients
@@ -94,13 +95,13 @@ class TestZStep:
         idx, w = state.graph.neighbors(query_node)
         neighbor_sum = np.zeros(2)
         for j, wt in zip(idx, w):
-            neighbor_sum += wt * state.z.z[j]
+            neighbor_sum += wt * state.z[j]
         a = -(
             spec.hyper.kl_weight * np.log(state.soft_labels.z[0])
             + gmm_log_probs(spec.query, state.gmm)[0]
             + neighbor_sum
         )
-        got = z_step(state, spec).z[query_node]
+        got = z_step(state, spec)[query_node]
         pg = oracles.simplex_pg_minimize(a)
         np.testing.assert_allclose(got, pg, atol=1e-6)
         closed = np.exp(-a - (-a).max())
@@ -109,16 +110,16 @@ class TestZStep:
 
     def test_support_rows_untouched(self, rng):
         spec, state = _single_query_state(rng)
-        before = state.z.z[: spec.n_support].tobytes()
+        before = state.z[: spec.n_support].tobytes()
         out = z_step(state, spec)
-        assert out.z[: spec.n_support].tobytes() == before
+        assert out[: spec.n_support].tobytes() == before
 
     def test_rows_stay_on_simplex(self, rng):
         spec = random_task(rng, n_query=40, n_classes=7, dim=9)
         state = init_state(spec)
         for _ in range(4):
             state.z = z_step(state, spec)
-            z = state.z.z
+            z = state.z
             assert np.all(z >= 0)
             np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-9)
 
@@ -127,11 +128,11 @@ class TestZStep:
         # reference in any order matches the vectorized sweep bitwise
         spec = random_task(rng, n_query=12, n_classes=4, dim=6)
         state = init_state(spec)
-        swept = z_step(state, spec).z
+        swept = z_step(state, spec)
 
         log_p = state.log_probs()
         prior = spec.hyper.kl_weight * np.log(state.soft_labels.z)
-        z_prev = state.z.z
+        z_prev = state.z
         for order in (range(12), reversed(range(12))):
             ref = z_prev.copy()
             for i in order:
@@ -172,7 +173,7 @@ class TestMuStep:
         spec = random_task(rng, n_query=9, n_classes=3, dim=5, k_nn=0)
         state = init_state(spec)
         labels = np.repeat(np.arange(3), 3)
-        state.z = SimplexAssignments.one_hot(labels, 3)
+        state.z = SimplexAssignments.one_hot(labels, 3).z
         means = mu_step(state, spec)
         for cls in range(3):
             np.testing.assert_allclose(
@@ -209,9 +210,9 @@ class TestMuStep:
         state.z = z_step(state, spec)
         means = mu_step(state, spec)
         want = _fraction_weighted_mean(
-            state.z.z[:2].tolist(),
+            state.z[:2].tolist(),
             support.embeddings.data.tolist(),
-            state.z.z[2:].tolist(),
+            state.z[2:].tolist(),
             spec.query.data.tolist(),
             gamma,
         )
@@ -222,7 +223,7 @@ class TestMuStep:
         state = init_state(spec)
         z = np.zeros((4, 3))
         z[:, 0] = 1.0  # classes 1 and 2 get zero mass
-        state.z = SimplexAssignments(z)
+        state.z = z
         before = state.gmm.means.copy()
         means = mu_step(state, spec)
         np.testing.assert_array_equal(means[1:], before[1:])
@@ -288,10 +289,10 @@ class TestSigmaStep:
         state.invalidate_log_probs()
         got = sigma_step(state, spec)
         want = _fraction_shared_variance(
-            state.z.z[:2].tolist(),
+            state.z[:2].tolist(),
             support.embeddings.data.tolist(),
             means.tolist(),
-            state.z.z[2:].tolist(),
+            state.z[2:].tolist(),
             spec.query.data.tolist(),
             gamma,
         )
@@ -323,7 +324,7 @@ class TestObjective:
         spec = random_task(rng, n_query=n, n_classes=k, dim=d, k_nn=0, kl_weight=0.0)
         state = init_state(spec)
         labels = rng.integers(0, k, size=n)
-        state.z = SimplexAssignments.one_hot(labels, k)
+        state.z = SimplexAssignments.one_hot(labels, k).z
         got = objective(state, spec, "normalized")
 
         nll = 0.0
@@ -376,7 +377,7 @@ class TestRun:
         spec = random_task(rng, n_query=10, n_classes=1, dim=4)
         seen = []
         assignments, _ = run(
-            spec, block_callback=lambda blk, it, st: seen.append(st.z.z.copy())
+            spec, block_callback=lambda blk, it, st: seen.append(st.z.copy())
         )
         assert np.array_equal(hard_predict(assignments), np.zeros(10, dtype=int))
         for z in seen:
@@ -387,7 +388,7 @@ class TestRun:
                            support_weight=0.1)
         one_hot = SimplexAssignments.one_hot(spec.support.labels, 4).z.tobytes()
         _, state = run(spec)
-        assert state.z.z[: spec.n_support].tobytes() == one_hot
+        assert state.z[: spec.n_support].tobytes() == one_hot
 
     def test_trace_layout(self, rng):
         spec = random_task(rng, n_query=8, n_classes=3, dim=5)
@@ -398,8 +399,8 @@ class TestRun:
 
     def test_deterministic_across_runs_and_threads(self, rng):
         spec = random_task(rng, n_query=60, n_classes=6, dim=12)
-        a1, s1 = run(spec, threads=1)
-        a2, s2 = run(spec, threads=4)
+        a1, s1 = run(spec)
+        a2, s2 = run(spec)
         assert a1.z.tobytes() == a2.z.tobytes()
         assert s1.objective_trace == s2.objective_trace
 
@@ -413,6 +414,52 @@ class TestRun:
             z = assignments.z
             assert np.all(z >= 0)
             np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestPlainArrays:
+    """The solver keeps assignments as read-only arrays and works through
+    gmm_log_probs in _CHUNK_ROWS blocks, which no task in the suite is large
+    enough to fill, so the block size is shrunk here."""
+
+    @pytest.mark.parametrize("shots", [0, 1])
+    def test_z_is_read_only(self, rng, shots):
+        # the moments cache is keyed on the z object, so an in-place write
+        # would hand stale moments to the mean and variance updates
+        spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots,
+                           support_weight=0.1)
+        state = init_state(spec)
+        for z in (state.z, z_step(state, spec), run(spec, record_trace=False)[1].z):
+            assert isinstance(z, np.ndarray) and not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[-1, 0] = 0.5
+
+    def test_small_blocks_cover_every_row(self, rng, monkeypatch):
+        feats = unit_rows(rng, 50, 6)
+        gmm = GmmParams(unit_rows(rng, 4, 6), rng.uniform(0.5, 2.0, size=6))
+        monkeypatch.setattr(solver, "_CHUNK_ROWS", 7)
+        got = gmm_log_probs(feats, gmm)
+        diff = feats[:, None, :] - gmm.means[None, :, :]
+        want = -0.5 * (np.log(gmm.variances).sum() + (diff**2 / gmm.variances).sum(axis=2))
+        assert got.shape == (50, 4)
+        assert np.abs(got - want).max() <= 1e-12
+        # the in-place arithmetic is the expanded formula, bit for bit
+        inv_var = 1.0 / gmm.variances
+        scaled = gmm.means * inv_var
+        mean_sq = np.einsum("kd,kd->k", gmm.means, scaled)
+        for lo in range(0, 50, 7):
+            block = feats[lo : lo + 7]
+            feat_sq = np.einsum("nd,d->n", block * block, inv_var)
+            expanded = -0.5 * (float(np.log(gmm.variances).sum()) + feat_sq[:, None]
+                               - 2.0 * (block @ scaled.T) + mean_sq[None, :])
+            assert got[lo : lo + 7].tobytes() == expanded.tobytes()
+
+    def test_small_blocks_give_the_same_run(self, rng, monkeypatch):
+        spec = random_task(rng, n_query=50, n_classes=5, dim=8)
+        want, _ = run(spec, record_trace=False)
+        monkeypatch.setattr(solver, "_CHUNK_ROWS", 7)
+        got, _ = run(spec, record_trace=False)
+        np.testing.assert_array_equal(hard_predict(got), hard_predict(want))
+        assert np.abs(got.z - want.z).max() <= 1e-12
 
 
 class TestEmEquivalence:
@@ -433,7 +480,7 @@ class TestEmEquivalence:
                 resp, em_means = oracles.em_reference(
                     spec.query.data, 4, mu0, var0, it
                 )
-                assert np.abs(resp - state.z.z).max() <= 1e-10
+                assert np.abs(resp - state.z).max() <= 1e-10
                 assert np.abs(em_means - state.gmm.means).max() <= 1e-10
 
 
@@ -455,7 +502,7 @@ def _old_moments(z, feats, n_s, gamma):
 
 def _old_sweep(state, spec):
     """One assignment sweep with the logits rebuilt from scratch."""
-    n_s, z = state.n_support, state.z.z
+    n_s, z = state.n_support, state.z
     log_prior = np.log(np.maximum(state.soft_labels.z, PRIOR_LOG_FLOOR))
     logits = (
         spec.hyper.kl_weight * log_prior
@@ -466,7 +513,7 @@ def _old_sweep(state, spec):
 
 
 def _old_mu(state, spec):
-    mass, first, _ = _old_moments(state.z.z, state.features, state.n_support,
+    mass, first, _ = _old_moments(state.z, state.features, state.n_support,
                                   spec.hyper.support_weight)
     means = state.gmm.means.copy()
     live = mass >= 1e-12
@@ -476,7 +523,7 @@ def _old_mu(state, spec):
 
 def _old_sigma(state, spec):
     gamma = spec.hyper.support_weight
-    mass, first, sq = _old_moments(state.z.z, state.features, state.n_support, gamma)
+    mass, first, sq = _old_moments(state.z, state.features, state.n_support, gamma)
     means = state.gmm.means
     scatter = sq - 2.0 * np.einsum("kd,kd->d", means, first) + np.einsum(
         "kd,kd,k->d", means, means, mass
@@ -490,7 +537,7 @@ def _reference_run(spec):
     trace = [objective(state, spec)]
     for _ in range(spec.hyper.outer_iters):
         for _ in range(spec.hyper.inner_z_iters):
-            state.z = SimplexAssignments(_old_sweep(state, spec))
+            state.z = _old_sweep(state, spec)
             trace.append(objective(state, spec))
         means = _old_mu(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
@@ -534,7 +581,7 @@ class TestCachedBlocks:
                            dim=int(r.integers(3, 12)), shots_per_class=shots, **hyper)
         _, got = run(spec)
         want, want_trace = _reference_run(spec)
-        assert got.z.z.tobytes() == want.z.z.tobytes()
+        assert got.z.tobytes() == want.z.tobytes()
         assert got.gmm.means.tobytes() == want.gmm.means.tobytes()
         assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
         assert got.objective_trace == want_trace
@@ -546,23 +593,23 @@ class TestCachedBlocks:
         state.z = z_step(state, spec)
         state.gmm = GmmParams(_old_mu(state, spec), state.gmm.variances * 0.5)
         state.invalidate_log_probs()
-        assert z_step(state, spec).z.tobytes() == _old_sweep(state, spec).tobytes()
+        assert z_step(state, spec).tobytes() == _old_sweep(state, spec).tobytes()
         # another kl_weight on the same state rebuilds the cached part too
         other = spec.with_hyper(kl_weight=0.25)
-        assert z_step(state, other).z.tobytes() == _old_sweep(state, other).tobytes()
+        assert z_step(state, other).tobytes() == _old_sweep(state, other).tobytes()
 
     def test_replacing_z_gives_fresh_moments(self, rng):
         spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=2,
                            support_weight=0.3)
         state = init_state(spec)
         for _ in range(20):
-            z_next = z_step(state, spec).z
+            z_next = z_step(state, spec)
             mu_step(state, spec)
             # drop the z the moments were computed from before building the
             # next one: CPython then often reuses its address, so a cache
             # keyed on id() would hand back stale moments
             state.z = None
-            state.z = SimplexAssignments(z_next)
+            state.z = z_next.copy()
             assert mu_step(state, spec).tobytes() == _old_mu(state, spec).tobytes()
             assert sigma_step(state, spec).tobytes() == _old_sigma(state, spec).tobytes()
         # another support weight on the same z recomputes the moments
