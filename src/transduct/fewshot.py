@@ -5,6 +5,16 @@ value and scoring each run on held-out labeled samples with a 1-nearest-
 neighbor rule: every validation embedding inherits the transduced class of
 its most cosine-similar query sample. Validation samples are never part of
 the query or support sets of those search runs.
+
+The support weight only reweights the labeled-shot likelihood term, so the
+candidates share one ``solver.prepare`` record: one set of soft labels, one
+kNN graph and one set of initial means for the whole search, and one
+validation-to-query nearest-neighbor index. With a validation pool no shot
+is carved out, the search runs on the full support set, and the winning
+search run is the final result; it is solved again on the same record only
+when the objective trace is requested. When shots are carved, the final
+solve prepares the full-support task once more, so a few-shot run builds
+at most two graphs.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientShots
-from .solver import SolverState, run
+from .solver import PreparedTask, SolverState, prepare, run
 from .types import (
     FEWSHOT_KL_WEIGHT,
     GAMMA_GRID,
@@ -44,7 +54,8 @@ def split_shots(
     otherwise they are carved out of the support itself, shrinking the
     effective shot count. Raises InsufficientShots when a class cannot
     supply the requested counts (carving needs at least one leftover
-    training shot per class).
+    training shot per class). With a validation pool nothing is carved and
+    the returned training set is ``support`` itself.
     """
     rng = np.random.default_rng(seed)
     labels = support.labels
@@ -62,7 +73,6 @@ def split_shots(
                     f"validation pool has {pool_rows.size} samples for class {cls}, "
                     f"need {n_val}"
                 )
-            train_idx.append(rows)
             val_idx.append(rng.choice(pool_rows, size=n_val, replace=False))
         else:
             if rows.size - n_val < 1:
@@ -74,13 +84,16 @@ def split_shots(
             val_idx.append(picked)
             train_idx.append(np.setdiff1d(rows, picked))
 
-    train_rows = np.sort(np.concatenate(train_idx))
+    if validation_pool is not None:
+        train, source = support, validation_pool
+    else:
+        train_rows = np.sort(np.concatenate(train_idx))
+        train = SupportSet(
+            embeddings=type(support.embeddings)(support.embeddings.data[train_rows]),
+            labels=labels[train_rows],
+        )
+        source = support
     val_rows = np.sort(np.concatenate(val_idx))
-    source = validation_pool if validation_pool is not None else support
-    train = SupportSet(
-        embeddings=type(support.embeddings)(support.embeddings.data[train_rows]),
-        labels=labels[train_rows],
-    )
     validation = SupportSet(
         embeddings=type(source.embeddings)(source.embeddings.data[val_rows]),
         labels=source.labels[val_rows],
@@ -88,38 +101,38 @@ def split_shots(
     return train, validation
 
 
-def _nearest_query_accuracy(
-    assignments: SimplexAssignments, spec: TaskSpec, validation: SupportSet
-) -> float:
-    """Score transduced assignments on validation samples via 1-NN cosine."""
-    preds = hard_predict(assignments)
-    sims = validation.embeddings.data @ spec.query.data.T
-    nearest = np.argmax(sims, axis=1)  # ties resolve to the lower query index
-    return float(np.mean(preds[nearest] == validation.labels))
-
-
 def search_gamma(
     spec_base: TaskSpec,
     validation: SupportSet,
     grid: Sequence[float] = GAMMA_GRID,
-) -> tuple[float, list[tuple[float, float]]]:
+    prepared: Optional[PreparedTask] = None,
+) -> tuple[float, list[tuple[float, float]], tuple[SimplexAssignments, SolverState]]:
     """Grid-search the support weight by validation accuracy.
 
-    Runs the solver once per candidate, scores it with the 1-NN rule, and
-    returns the best value (ties go to the smaller weight) plus the full
-    score table in grid order.
+    Runs the solver once per candidate on one shared ``prepared`` record
+    (built here when None), scores each run with the 1-NN rule, and returns
+    the best value (ties go to the smaller weight, whatever the grid
+    order), the full score table in grid order, and the best candidate's
+    ``(assignments, state)``. Only the best run so far is kept alive.
     """
     if len(grid) == 0:
         raise ValueError("support-weight grid must be non-empty")
+    if prepared is None:
+        prepared = prepare(spec_base)
+    # each validation sample's most cosine-similar query; ties go to the lower index
+    nearest = np.argmax(validation.embeddings.data @ spec_base.query.data.T, axis=1)
     table: list[tuple[float, float]] = []
-    for gamma in grid:
-        assignments, _ = run(
-            spec_base.with_hyper(support_weight=float(gamma)), record_trace=False
+    best_gamma, best_acc, best = 0.0, -1.0, None
+    for gamma in map(float, grid):
+        result = run(
+            spec_base.with_hyper(support_weight=gamma), record_trace=False, prepared=prepared
         )
-        table.append((float(gamma), _nearest_query_accuracy(assignments, spec_base, validation)))
-    best_acc = max(acc for _, acc in table)
-    best_gamma = min(g for g, acc in table if acc == best_acc)
-    return best_gamma, table
+        acc = float(np.mean(hard_predict(result[0])[nearest] == validation.labels))
+        table.append((gamma, acc))
+        if acc > best_acc or (acc == best_acc and gamma < best_gamma):
+            best_gamma, best_acc, best = gamma, acc, result
+        del result
+    return best_gamma, table, best
 
 
 @dataclass
@@ -145,9 +158,11 @@ def run_fewshot(
     support set.
 
     An explicit ``gamma`` skips the search. Otherwise shots are split per
-    ``split_shots`` and the weight is selected on the held-out samples; the
-    final solve then uses every provided support shot, and records the
-    objective trace only when ``record_trace`` is set.
+    ``split_shots`` and the weight is selected on the held-out samples. The
+    final solve uses every provided support shot and records the objective
+    trace only when ``record_trace`` is set. When the search already ran on
+    the full support set (a validation pool) and no trace is requested, the
+    winning search run is the final result.
     """
     spec = validate_task(spec)
     if spec.support is None:
@@ -156,19 +171,28 @@ def run_fewshot(
 
     validation = None
     table: list[tuple[float, float]] = []
+    train_support = spec.support
+    prepared = final = None
     if gamma is None:
-        train, validation = split_shots(
+        train_support, validation = split_shots(
             spec.support, spec.n_classes, seed=seed, validation_pool=validation_pool
         )
-        search_spec = replace(spec, support=train)
-        gamma, table = search_gamma(search_spec, validation, grid=grid)
-        train_support = train
+        search_spec = replace(spec, support=train_support)
+        prepared = prepare(search_spec)
+        gamma, table, best = search_gamma(search_spec, validation, grid=grid, prepared=prepared)
+        if train_support is not spec.support:
+            prepared = None  # the final task gets the carved shots back
+        elif not record_trace:
+            final = best  # the winning search run solved the final task
+        del best  # a re-solve starts with no search run alive
     else:
         gamma = float(gamma)
-        train_support = spec.support
 
-    final_spec = spec.with_hyper(support_weight=gamma)
-    assignments, state = run(final_spec, record_trace=record_trace)
+    if final is None:
+        final = run(
+            spec.with_hyper(support_weight=gamma), record_trace=record_trace, prepared=prepared
+        )
+    assignments, state = final
     return FewShotResult(
         assignments=assignments,
         state=state,

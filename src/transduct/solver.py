@@ -36,7 +36,15 @@ row softmax and offsets both objectives by an assignment-independent
 constant, so tests compare objective differences rather than absolute
 likelihoods.
 
-Work that does not change between calls is cached on ``SolverState``:
+Work that does not depend on the term weights is done once per task by
+``prepare``: the soft labels, the stacked support-then-query features, the
+kNN graph, the starting assignments and the initial means. It returns a
+frozen ``PreparedTask`` that ``run`` and ``init_state`` accept, so solves
+that differ only in ``support_weight`` (the few-shot grid search) share
+one graph. Without a record, ``init_state`` prepares the task itself.
+
+Work that does not change between calls of one solve is cached on
+``SolverState``:
 
 * the GMM log-densities and the sweep-invariant part of the assignment
   logits, ``kl_weight * log prior + log-densities``, built by the first
@@ -306,20 +314,66 @@ def objective(state: SolverState, spec: TaskSpec, which: str = "update_consisten
     return _assemble(_objective_terms(state, spec), state, spec, which)
 
 
-def init_state(spec: TaskSpec) -> SolverState:
-    """Build the initial solver state for a validated task.
+@dataclass(frozen=True, eq=False)
+class PreparedTask:
+    """The task-invariant part of a solve, shared by solves that differ only
+    in the term weights or iteration counts.
+
+    ``features`` stacks support rows above query rows; ``z0`` is the starting
+    assignment (one-hot support rows, then the soft labels) and ``means`` the
+    initial class means. Every array is read-only. ``task`` is the spec the
+    record was made from; ``init_state`` checks a spec against it.
+    """
+
+    features: np.ndarray
+    soft_labels: SimplexAssignments
+    z0: np.ndarray
+    means: np.ndarray
+    graph: AffinityGraph
+    n_support: int
+    task: TaskSpec
+
+    def matches(self, spec: TaskSpec) -> bool:
+        """Whether ``spec`` is the task this record was made from: the same
+        query, text and support objects and the same temperature, graph and
+        initialization settings."""
+        task = self.task
+        return (
+            spec.query is task.query
+            and spec.text is task.text
+            and spec.support is task.support
+            and spec.temperature == task.temperature
+            and spec.hyper.k_nn == task.hyper.k_nn
+            and spec.hyper.symmetrize_graph == task.hyper.symmetrize_graph
+            and spec.hyper.init_top_m == task.hyper.init_top_m
+        )
+
+
+def prepare(spec: TaskSpec) -> PreparedTask:
+    """Validate a task and build the task-invariant inputs of its solves.
 
     Soft labels come from the temperature softmax of query/text cosines;
     the graph spans support-then-query rows; means start from labeled
     class averages (few-shot) or each class's most confident queries
-    (zero-shot); every variance starts at 1/d; query assignments start at
-    the soft labels and support rows at their one-hot labels.
+    (zero-shot); query assignments start at the soft labels and support
+    rows at their one-hot labels. None of these depend on the term
+    weights, so one record serves every support-weight candidate.
     """
     spec = validate_task(spec)
-    soft = compute_soft_labels(spec.query, spec.text, spec.temperature)
-
     if spec.support is not None:
         features = np.concatenate([spec.support.embeddings.data, spec.query.data])
+        features.setflags(write=False)
+    else:
+        features = spec.query.data
+    # The graph comes first: its row blocks are the largest temporaries of a
+    # solve, and the arrays made after it reuse the heap space they free.
+    # Built last, that space stays resident beside them: with glibc malloc
+    # the zero-shot peak RSS at 5000 x 100 x 128 rose by about 4 MiB.
+    graph = build_knn(
+        EmbeddingMatrix(features), spec.hyper.k_nn, symmetrize=spec.hyper.symmetrize_graph
+    )
+    soft = compute_soft_labels(spec.query, spec.text, spec.temperature)
+    if spec.support is not None:
         means = init_prototypes_support(
             spec.support.embeddings, spec.support.labels, spec.n_classes
         )
@@ -328,21 +382,41 @@ def init_state(spec: TaskSpec) -> SolverState:
         )
         z0.setflags(write=False)
     else:
-        features = spec.query.data
         means = init_prototypes_topk(spec.query, soft, spec.hyper.init_top_m)
         z0 = soft.z  # already read-only
+    means.setflags(write=False)
 
-    graph = build_knn(
-        EmbeddingMatrix(features), spec.hyper.k_nn, symmetrize=spec.hyper.symmetrize_graph
+    return PreparedTask(
+        features=features,
+        soft_labels=soft,
+        z0=z0,
+        means=means,
+        graph=graph,
+        n_support=spec.n_support,
+        task=spec,
     )
+
+
+def init_state(spec: TaskSpec, prepared: Optional[PreparedTask] = None) -> SolverState:
+    """Build the initial solver state for a validated task.
+
+    The task-invariant inputs come from ``prepared``, or from a fresh
+    ``prepare(spec)`` when it is None; a record that matches ``spec`` was
+    made from a validated task. Every variance starts at 1/d. Raises
+    ValueError when ``prepared`` was made from a different task.
+    """
+    if prepared is None:
+        prepared = prepare(spec)
+    elif not prepared.matches(spec):
+        raise ValueError("prepared task was made from a different task")
     variances = np.full(spec.query.dim, 1.0 / spec.query.dim)
     return SolverState(
-        z=z0,
-        gmm=GmmParams(means, variances),
-        soft_labels=soft,
-        graph=graph,
-        features=features,
-        n_support=spec.n_support,
+        z=prepared.z0,
+        gmm=GmmParams(prepared.means, variances),
+        soft_labels=prepared.soft_labels,
+        graph=prepared.graph,
+        features=prepared.features,
+        n_support=prepared.n_support,
     )
 
 
@@ -350,6 +424,7 @@ def run(
     spec: TaskSpec,
     record_trace: bool = True,
     block_callback: Optional[Callable[[str, int, SolverState], None]] = None,
+    prepared: Optional[PreparedTask] = None,
 ) -> tuple[SimplexAssignments, SolverState]:
     """Full transduction pipeline; returns query assignments and final state.
 
@@ -358,8 +433,9 @@ def run(
     objective flavors are logged after every block update. The final
     prediction for query row i is the argmax of its assignment row. The
     returned assignments are validated; ``state.z`` is the plain array.
+    ``prepared`` is passed on to ``init_state``.
     """
-    state = init_state(spec)
+    state = init_state(spec, prepared)
 
     def record(iteration: int, block: str) -> None:
         if record_trace:

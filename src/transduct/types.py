@@ -34,9 +34,21 @@ ROW_SUM_TOL = 1e-9
 VAR_FLOOR = 1e-12
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+# normalize_rows checks and measures rows in blocks of about this many
+# bytes, which bounds its temporaries; a row's norm does not depend on the
+# block it is in.
+_NORM_BLOCK_BYTES = 256 * 1024
+
+
+def _freeze(arr: np.ndarray, source=None) -> np.ndarray:
+    """Read-only C-contiguous `arr`, copied unless it is a new array.
+
+    With `source`, the caller's input that `arr` was derived from, the copy
+    is made only when `arr` may share memory with it; otherwise `arr` is
+    taken to be the caller's and always copied.
+    """
     out = np.ascontiguousarray(arr)
-    if out is arr:
+    if out is arr and (source is None or np.may_share_memory(out, source)):
         out = arr.copy()
     out.setflags(write=False)
     return out
@@ -47,14 +59,21 @@ def normalize_rows(data: np.ndarray) -> np.ndarray:
 
     Rows whose norm deviates from 1 by more than NORM_GATE raise
     NormTooFarFromUnit; rows within _NORM_SKIP are returned unchanged so
-    repeated normalization is a bitwise no-op.
+    repeated normalization is a bitwise no-op. The rows are read in C
+    order, so the result does not depend on the input's memory layout. The
+    input is never written: rows are divided in place only in a new float64
+    conversion, and in a copy otherwise.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteValue("embedding matrix contains non-finite entries")
-    norms = np.linalg.norm(data, axis=1)
+    arr = np.asarray(data, dtype=np.float64, order="C")
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-d matrix, got shape {arr.shape}")
+    norms = np.empty(arr.shape[0])
+    block = max(1, _NORM_BLOCK_BYTES // (8 * max(1, arr.shape[1])))
+    for lo in range(0, arr.shape[0], block):
+        rows = arr[lo : lo + block]
+        if not np.all(np.isfinite(rows)):
+            raise NonFiniteValue("embedding matrix contains non-finite entries")
+        norms[lo : lo + block] = np.linalg.norm(rows, axis=1)
     off = np.abs(norms - 1.0)
     if np.any(off > NORM_GATE):
         worst = int(np.argmax(off))
@@ -64,9 +83,10 @@ def normalize_rows(data: np.ndarray) -> np.ndarray:
         )
     fix = off > _NORM_SKIP
     if np.any(fix):
-        data = data.copy()
-        data[fix] /= norms[fix, None]
-    return data
+        if np.may_share_memory(arr, data):
+            arr = arr.copy()
+        np.divide(arr, norms[:, None], out=arr, where=fix[:, None])
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +96,7 @@ class EmbeddingMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _freeze(normalize_rows(self.data)))
+        object.__setattr__(self, "data", _freeze(normalize_rows(self.data), self.data))
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise DimensionMismatch(f"degenerate shape {self.data.shape}")
 

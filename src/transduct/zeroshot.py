@@ -12,15 +12,6 @@ from .errors import DimensionMismatch, EmptyClass
 from .types import EmbeddingMatrix, SimplexAssignments
 
 
-def row_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed with max subtraction so large logits
-    cannot overflow."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    out = np.exp(shifted)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
 def compute_soft_labels(
     query: EmbeddingMatrix, text: EmbeddingMatrix, temperature: float
 ) -> SimplexAssignments:
@@ -33,8 +24,14 @@ def compute_soft_labels(
         raise DimensionMismatch(f"query dim {query.dim} != text dim {text.dim}")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    logits = temperature * (query.data @ text.data.T)
-    return SimplexAssignments(row_softmax(logits))
+    # the row softmax runs in place in the one N x K product, with max
+    # subtraction so large logits cannot overflow
+    logits = query.data @ text.data.T
+    logits *= temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return SimplexAssignments(logits)
 
 
 def hard_predict(assignments: SimplexAssignments) -> np.ndarray:

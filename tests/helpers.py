@@ -39,3 +39,12 @@ def read_score_table(path) -> list[tuple[float, float]]:
         header, *rows = [ln for ln in fh.read().split("\n") if ln]
     assert header == "gamma,validation_accuracy"
     return [(float(g), float(acc)) for g, acc in (row.split(",") for row in rows)]
+
+
+def row_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max subtraction, the expression the solver's
+    in-place softmaxes must match bit for bit."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    out = np.exp(shifted)
+    out /= out.sum(axis=1, keepdims=True)
+    return out

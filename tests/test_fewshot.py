@@ -1,9 +1,14 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from transduct import fewshot, solver
 from transduct.errors import InsufficientShots
 from transduct.fewshot import run_fewshot, search_gamma, split_shots
-from transduct.solver import run
+from transduct.solver import init_state, prepare, run
 from transduct.synth import generate_task
 from transduct.types import EmbeddingMatrix, SupportSet
 from transduct.zeroshot import compute_soft_labels, hard_predict
@@ -32,6 +37,13 @@ class TestSplitShots:
         np.testing.assert_array_equal(train.embeddings.data, support.embeddings.data)
         for cls in range(3):
             assert (val.labels == cls).sum() == 1
+
+    def test_pool_keeps_the_support_object(self, rng):
+        support = _support(rng, 5, 3)
+        train, _ = split_shots(support, 3, seed=0, validation_pool=_support(rng, 4, 3))
+        assert train is support
+        carved, _ = split_shots(support, 3, seed=0)
+        assert carved is not support and carved.n_rows == 3
 
     def test_carve_needs_leftover_train_shot(self, rng):
         with pytest.raises(InsufficientShots):
@@ -78,7 +90,7 @@ class TestSearchGamma:
     def test_single_candidate_is_returned(self, rng):
         spec = random_task(rng, n_query=10, n_classes=3, dim=5, shots_per_class=2)
         val = _support(rng, 1, 3, dim=5)
-        gamma, table = search_gamma(spec, val, grid=[0.05])
+        gamma, table, _ = search_gamma(spec, val, grid=[0.05])
         assert gamma == 0.05
         assert len(table) == 1
 
@@ -86,7 +98,7 @@ class TestSearchGamma:
         spec = random_task(rng, n_query=10, n_classes=3, dim=5, shots_per_class=2)
         val = _support(rng, 1, 3, dim=5)
         # candidates this small are numerically identical, forcing a tie
-        gamma, table = search_gamma(spec, val, grid=[2e-12, 1e-12])
+        gamma, table, _ = search_gamma(spec, val, grid=[2e-12, 1e-12])
         assert table[0][1] == table[1][1]
         assert gamma == 1e-12
 
@@ -94,7 +106,7 @@ class TestSearchGamma:
         task = _frozen_fewshot_task()
         train = task.spec.support
         spec = task.spec
-        gamma, table = search_gamma(spec, task.validation)
+        gamma, table, _ = search_gamma(spec, task.validation)
         best = max(acc for _, acc in table)
         assert dict(table)[gamma] == best
 
@@ -102,7 +114,7 @@ class TestSearchGamma:
         # prototypes at noise 0.6 are unreliable while the labeled shots
         # are drawn from the true clusters, so the largest candidate wins
         task = _frozen_fewshot_task()
-        gamma, table = search_gamma(task.spec, task.validation)
+        gamma, table, _ = search_gamma(task.spec, task.validation)
         assert gamma == 0.2
         accs = [acc for _, acc in table]
         assert accs.index(max(accs)) == 3
@@ -159,3 +171,143 @@ class TestRunFewshot:
         soft = compute_soft_labels(task.spec.query, task.spec.text, 30.0)
         zs_acc = np.mean(hard_predict(soft) == task.query_labels)
         assert fs_acc >= zs_acc
+
+
+def _reference_fewshot(spec, grid, pool, seed, record_trace):
+    """run_fewshot as a fresh run() per candidate plus a fresh final run()."""
+    spec = spec.with_hyper(kl_weight=0.5)
+    train, val = split_shots(spec.support, spec.n_classes, seed=seed, validation_pool=pool)
+    nearest = np.argmax(val.embeddings.data @ spec.query.data.T, axis=1)
+    table = []
+    for gamma in grid:
+        assignments, _ = run(
+            replace(spec, support=train).with_hyper(support_weight=float(gamma)),
+            record_trace=False,
+        )
+        preds = hard_predict(assignments)
+        table.append((float(gamma), float(np.mean(preds[nearest] == val.labels))))
+    best = max(acc for _, acc in table)
+    gamma = min(g for g, acc in table if acc == best)
+    assignments, state = run(spec.with_hyper(support_weight=gamma), record_trace=record_trace)
+    return gamma, table, assignments, state
+
+
+def _counting(monkeypatch):
+    """Count graph builds and few-shot solves; check at every solve that at
+    most one earlier solve's state is still alive."""
+    counts = {"builds": 0, "solves": 0, "max_alive": 0}
+    states = []
+    real_build, real_run = solver.build_knn, fewshot.run
+
+    def build(*args, **kwargs):
+        counts["builds"] += 1
+        return real_build(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        gc.collect()
+        alive = sum(ref() is not None for ref in states)
+        counts["max_alive"] = max(counts["max_alive"], alive)
+        counts["solves"] += 1
+        out = real_run(*args, **kwargs)
+        states.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "build_knn", build)
+    monkeypatch.setattr(fewshot, "run", solve)
+    return counts
+
+
+def _small_fewshot_task(rng, shots_per_class):
+    spec = random_task(rng, n_query=40, n_classes=3, dim=6, shots_per_class=shots_per_class)
+    return spec, _support(rng, 4, 3, dim=6)
+
+
+class TestSharedPreparation:
+    @pytest.mark.parametrize("carve,record_trace,builds,solves", [
+        (False, False, 1, 4),
+        (False, True, 1, 5),
+        (True, False, 2, 5),
+        (True, True, 2, 5),
+    ])
+    def test_build_and_solve_counts(self, rng, monkeypatch, carve, record_trace, builds, solves):
+        spec, pool = _small_fewshot_task(rng, shots_per_class=5)
+        counts = _counting(monkeypatch)
+        run_fewshot(spec, validation_pool=None if carve else pool, record_trace=record_trace)
+        assert (counts["builds"], counts["solves"]) == (builds, solves)
+        # the search keeps the best run so far, so at most one earlier
+        # solve is alive when the next one starts
+        assert counts["max_alive"] <= 1
+
+    def test_explicit_gamma_builds_once(self, rng, monkeypatch):
+        spec, _ = _small_fewshot_task(rng, shots_per_class=2)
+        counts = _counting(monkeypatch)
+        run_fewshot(spec, gamma=0.02)
+        assert (counts["builds"], counts["solves"]) == (1, 1)
+
+    @pytest.mark.parametrize("grid", [
+        (0.002, 0.01, 0.02, 0.2),
+        (0.2, 2e-12, 1e-12),
+        (2e-12, 3e-12, 1e-12),
+    ])
+    @pytest.mark.parametrize("carve", [False, True])
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_bit_equal_to_fresh_solves(self, rng, grid, carve, record_trace):
+        spec, pool = _small_fewshot_task(rng, shots_per_class=5)
+        pool = None if carve else pool
+        gamma, table, assignments, state = _reference_fewshot(spec, grid, pool, 3, record_trace)
+        result = run_fewshot(spec, grid=grid, validation_pool=pool, seed=3,
+                             record_trace=record_trace)
+        assert result.gamma == gamma
+        assert result.score_table == table
+        assert result.assignments.z.tobytes() == assignments.z.tobytes()
+        assert result.state.z.tobytes() == state.z.tobytes()
+        assert result.state.gmm.means.tobytes() == state.gmm.means.tobytes()
+        assert result.state.gmm.variances.tobytes() == state.gmm.variances.tobytes()
+        assert result.state.objective_trace == state.objective_trace
+        assert bool(state.trace) == record_trace
+
+    def test_tiny_candidates_tie_to_the_smallest(self, rng):
+        spec, pool = _small_fewshot_task(rng, shots_per_class=5)
+        spec = spec.with_hyper(kl_weight=0.5)
+        for grid in ((0.2, 2e-12, 1e-12), (2e-12, 3e-12, 1e-12)):
+            gamma, table, (assignments, state) = search_gamma(spec, pool, grid=grid)
+            tied = [g for g, acc in table if g < 1e-11]
+            assert len({dict(table)[g] for g in tied}) == 1  # the tiny ones tie
+            best = max(acc for _, acc in table)
+            assert gamma == min(g for g, acc in table if acc == best)
+            expected, _ = run(spec.with_hyper(support_weight=gamma), record_trace=False)
+            assert assignments.z.tobytes() == expected.z.tobytes()
+
+    def test_search_shares_one_graph(self, rng):
+        spec, pool = _small_fewshot_task(rng, shots_per_class=5)
+        prepared = prepare(spec)
+        _, _, (_, state) = search_gamma(spec, pool, grid=(0.01, 0.2), prepared=prepared)
+        assert state.graph is prepared.graph
+        assert state.soft_labels is prepared.soft_labels
+
+    @pytest.mark.parametrize("change", [
+        lambda s: replace(s, query=EmbeddingMatrix(s.query.data)),
+        lambda s: replace(s, text=EmbeddingMatrix(s.text.data)),
+        lambda s: replace(s, support=SupportSet(s.support.embeddings, s.support.labels)),
+        lambda s: replace(s, support=None),
+        lambda s: replace(s, temperature=s.temperature * 2),
+        lambda s: s.with_hyper(k_nn=s.hyper.k_nn + 1),
+        lambda s: s.with_hyper(symmetrize_graph=not s.hyper.symmetrize_graph),
+        lambda s: s.with_hyper(init_top_m=s.hyper.init_top_m + 1),
+    ])
+    def test_record_of_another_task_is_rejected(self, rng, change):
+        spec, _ = _small_fewshot_task(rng, shots_per_class=2)
+        prepared = prepare(spec)
+        other = change(spec)
+        with pytest.raises(ValueError, match="different task"):
+            init_state(other, prepared)
+        with pytest.raises(ValueError, match="different task"):
+            run(other, prepared=prepared)
+
+    def test_record_serves_other_weights_and_iterations(self, rng):
+        spec, _ = _small_fewshot_task(rng, shots_per_class=2)
+        prepared = prepare(spec)
+        other = spec.with_hyper(support_weight=0.3, kl_weight=0.2, outer_iters=2, inner_z_iters=1)
+        shared, _ = run(other, prepared=prepared)
+        fresh, _ = run(other)
+        assert shared.z.tobytes() == fresh.z.tobytes()

@@ -27,8 +27,8 @@ from transduct.types import (
     SupportSet,
     TaskSpec,
 )
-from transduct.zeroshot import compute_soft_labels, hard_predict, row_softmax
-from helpers import random_task, unit_rows
+from transduct.zeroshot import compute_soft_labels, hard_predict
+from helpers import random_task, row_softmax, unit_rows
 import oracles
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from transduct.errors import (
     NonFiniteValue,
     NormTooFarFromUnit,
 )
+from transduct import types
 from transduct.types import (
     AffinityGraph,
     EmbeddingMatrix,
@@ -70,6 +73,86 @@ class TestEmbeddingMatrix:
         before = np.argmax(raw @ protos.T, axis=1)
         after = np.argmax(EmbeddingMatrix(raw).data @ protos.T, axis=1)
         assert np.array_equal(before, after)
+
+
+def _normalize_by_whole_matrix(data):
+    """The earlier normalization: whole-matrix norms, a copy, then the rows
+    more than 1e-12 off unit norm divided through a fancy index."""
+    data = np.asarray(data, dtype=np.float64)
+    norms = np.linalg.norm(data, axis=1)
+    fix = np.abs(norms - 1.0) > 1e-12
+    if np.any(fix):
+        data = data.copy()
+        data[fix] /= norms[fix, None]
+    return data
+
+
+def _near_unit_rows(rng, n, d, dtype):
+    # every third row is left 2e-13 off unit norm, which the normalization
+    # skips; the float32 rounding moves the others far enough to be divided
+    rows = unit_rows(rng, n, d) * (1.0 + 2e-3 * rng.standard_normal((n, 1)))
+    rows[::3] /= np.linalg.norm(rows[::3], axis=1, keepdims=True)
+    rows[::3] *= 1.0 + 2e-13
+    return rows.astype(dtype)
+
+
+class TestEmbeddingCopies:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,d,block_bytes", [
+        (1, 5, None), (50, 7, None), (2500, 17, None), (1100, 512, None),
+        (9, 3, 48), (10, 3, 48), (11, 3, 48), (1, 3, 1),
+    ])
+    def test_bits_match_whole_matrix_normalization(self, rng, monkeypatch, dtype, n, d, block_bytes):
+        if block_bytes is not None:  # 48 bytes: two rows of three per block
+            monkeypatch.setattr(types, "_NORM_BLOCK_BYTES", block_bytes)
+        rows = _near_unit_rows(rng, n, d, dtype)
+        expected = _normalize_by_whole_matrix(rows)
+        assert EmbeddingMatrix(rows).data.tobytes() == expected.tobytes()
+
+    def test_memory_layout_does_not_change_the_bits(self, rng):
+        rows = _near_unit_rows(rng, 300, 40, np.float32)
+        c_order = EmbeddingMatrix(rows).data
+        for layout in (np.asfortranarray(rows), np.asfortranarray(rows.astype(np.float64)),
+                       np.repeat(rows, 2, axis=1)[:, ::2]):
+            data = EmbeddingMatrix(layout).data
+            assert data.flags.c_contiguous
+            assert data.tobytes() == c_order.tobytes()
+
+    @pytest.mark.parametrize("off", [0.0, 5e-3])
+    def test_caller_input_is_never_shared(self, rng, off):
+        # off = 0: rows already unit, so normalization returns the input
+        # itself and the constructor must copy; off = 5e-3: the rows are
+        # divided, which must happen in a copy, not in the caller's array
+        rows = unit_rows(rng, 6, 4) * (1.0 + off)
+        before = rows.copy()
+        m = EmbeddingMatrix(rows)
+        np.testing.assert_array_equal(rows, before)
+        kept = m.data.copy()
+        rows[:] = 7.0
+        np.testing.assert_array_equal(m.data, kept)
+        assert not np.shares_memory(m.data, rows)
+
+    def test_read_only_input_is_divided_in_a_copy(self, rng):
+        rows = unit_rows(rng, 5, 4) * 1.005
+        rows.setflags(write=False)
+        np.testing.assert_allclose(
+            np.linalg.norm(EmbeddingMatrix(rows).data, axis=1), 1.0, atol=1e-12
+        )
+
+    def test_float32_input_allocates_one_float64_matrix(self, rng):
+        rows = _near_unit_rows(rng, 4000, 256, np.float32)
+        one_matrix = rows.size * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            m = EmbeddingMatrix(rows)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - base >= one_matrix  # the result itself is traced
+        assert peak - base <= 1.25 * one_matrix
+        assert m.data.dtype == np.float64 and not m.data.flags.writeable
 
 
 class TestSimplexAssignments:

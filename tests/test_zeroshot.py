@@ -9,9 +9,8 @@ from transduct.zeroshot import (
     hard_predict,
     init_prototypes_support,
     init_prototypes_topk,
-    row_softmax,
 )
-from helpers import unit_rows
+from helpers import row_softmax, unit_rows
 
 
 def _mp_softmax(logits):
@@ -59,6 +58,15 @@ class TestComputeSoftLabels:
         logits = rng.standard_normal((10, 7))
         shifted = logits + rng.standard_normal((10, 1))
         assert np.abs(row_softmax(logits) - row_softmax(shifted)).max() <= 1e-12
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 30.0, 1000.0])
+    @pytest.mark.parametrize("n,k,d", [(1, 1, 4), (40, 7, 16), (300, 120, 32)])
+    def test_bits_match_out_of_place_softmax(self, rng, tau, n, k, d):
+        # the in-place softmax must give the bits of the expression it replaced
+        q = EmbeddingMatrix(unit_rows(rng, n, d))
+        t = EmbeddingMatrix(unit_rows(rng, k, d))
+        expected = SimplexAssignments(row_softmax(tau * (q.data @ t.data.T)))
+        assert compute_soft_labels(q, t, tau).z.tobytes() == expected.z.tobytes()
 
     def test_argmax_independent_of_temperature(self, rng):
         q = EmbeddingMatrix(unit_rows(rng, 30, 8))
