@@ -22,18 +22,19 @@ _MAX_BLOCK_ROWS = 512
 _BLOCK_BYTES = 32 * 2**20
 
 
-def _top_k(neg_sims: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row of ``neg_sims``,
-    ordered by (value, index): the first k of a stable argsort, without
-    sorting whole rows unless the k-th value is tied past the k-th place."""
-    cand = np.sort(np.argpartition(neg_sims, k - 1, axis=1)[:, :k], axis=1)
-    cand_vals = np.take_along_axis(neg_sims, cand, axis=1)
+def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``values``
+    (1 <= k <= row length), ordered by (value, index): the first k of a
+    stable argsort, without sorting whole rows unless the k-th value is
+    tied past the k-th place."""
+    cand = np.sort(np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
+    cand_vals = np.take_along_axis(values, cand, axis=1)
     # stable on index-sorted candidates, so equal values keep index order
     order = np.take_along_axis(cand, np.argsort(cand_vals, axis=1, kind="stable"), axis=1)
     kth = cand_vals.max(axis=1, keepdims=True)
-    tied = np.flatnonzero(np.count_nonzero(neg_sims <= kth, axis=1) > k)
+    tied = np.flatnonzero(np.count_nonzero(values <= kth, axis=1) > k)
     if tied.size:
-        order[tied] = np.argsort(neg_sims[tied], axis=1, kind="stable")[:, :k]
+        order[tied] = np.argsort(values[tied], axis=1, kind="stable")[:, :k]
     return order
 
 
@@ -69,7 +70,7 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
         neg_sims = data[lo:hi] @ data.T
         np.negative(neg_sims, out=neg_sims)
         neg_sims[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        order = _top_k(neg_sims, k_eff)
+        order = smallest_k(neg_sims, k_eff)
         neighbor_idx[lo:hi] = order
         neighbor_w[lo:hi] = np.maximum(0.0, -np.take_along_axis(neg_sims, order, axis=1))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .affinity import smallest_k
 from .errors import DimensionMismatch, EmptyClass
 from .types import EmbeddingMatrix, SimplexAssignments
 
@@ -52,11 +53,12 @@ def init_prototypes_topk(
         raise ValueError("top_m must be at least 1")
     n, k = soft_labels.n_rows, soft_labels.n_classes
     take = min(top_m, n)
-    # stable sort on the negated column keeps lower indices first among ties
-    order = np.argsort(-soft_labels.z, axis=0, kind="stable")[:take]
+    # row c of the negated transpose ranks class c's samples; the top ones
+    # come in the order of a stable sort, so lower indices win ties
+    order = smallest_k(np.negative(soft_labels.z.T, order="C"), take)
     means = np.empty((k, query.dim))
     for cls in range(k):
-        means[cls] = query.data[order[:, cls]].mean(axis=0)
+        means[cls] = query.data[order[cls]].mean(axis=0)
     return means
 
 

@@ -1,8 +1,12 @@
+import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transduct import fileio
 from transduct.errors import (
@@ -49,6 +53,37 @@ class TestEmb1:
         path.write_bytes(b"EMB1" + struct.pack("<II", 2**31, 2**10))
         with pytest.raises(TruncatedFile):
             fileio.read_matrix(path)
+
+    def test_payload_over_one_gib_loads(self, tmp_path):
+        # a sparse file: 2**18 + 1 rows of 1024 zeros, 1 GiB + 4 KiB of payload
+        path = tmp_path / "big.emb"
+        n_rows, dim = 2**18 + 1, 1024
+        with open(path, "wb") as fh:
+            fh.write(b"EMB1" + struct.pack("<II", n_rows, dim))
+            fh.truncate(12 + 4 * n_rows * dim)
+        out = fileio.read_matrix(path)
+        assert out.shape == (n_rows, dim)
+        assert not out[-1].any()
+        del out
+
+    def test_pipe_payload_is_capped(self, monkeypatch):
+        # a file of unknown size keeps the header sanity cap, here 16 bytes
+        monkeypatch.setattr(fileio, "_MAX_BYTES", 16)
+
+        def read_from_pipe(data):
+            read_fd, write_fd = os.pipe()
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(data)
+            try:
+                return fileio.read_matrix(f"/dev/fd/{read_fd}")
+            finally:
+                os.close(read_fd)
+
+        assert read_from_pipe(b"EMB1" + struct.pack("<II", 2, 2) + b"\x00" * 16).shape == (2, 2)
+        with pytest.raises(TruncatedFile, match="payload has 3 of the 4 values"):
+            read_from_pipe(b"EMB1" + struct.pack("<II", 2, 2) + b"\x00" * 15)
+        with pytest.raises(TruncatedFile, match="cap"):
+            read_from_pipe(b"EMB1" + struct.pack("<II", 3, 2))
 
     def test_roundtrip_seeded_matrix_is_bit_identical(self, tmp_path, rng):
         data = rng.standard_normal((100, 16)).astype(np.float32)
@@ -247,6 +282,91 @@ class TestPredictionBytes:
     def test_rows_across_default_blocks(self, tmp_path, rng):
         rows_per_block = fileio._WRITE_BLOCK_VALUES // (4 + 3)
         self._check(_edge_matrix(rng, 2 * rows_per_block + 1), tmp_path)
+
+
+def _paired_rows(values) -> np.ndarray:
+    """Rows [v, 1 - v]: valid assignment rows that carry any v in [0, 1]."""
+    v = np.asarray(values, dtype=np.float64)
+    return np.column_stack([v, 1.0 - v])
+
+
+def _adversarial_values() -> np.ndarray:
+    r = np.random.default_rng(5)
+    powers = np.array([float(f"1e-{n}") for n in range(1, 324)])
+    # 10-digit decimals ending in 5: halfway between two 9-digit roundings
+    mantissas = r.integers(10**8, 10**9, 4000).tolist()
+    exponents = r.integers(10, 334, 4000).tolist()
+    midpoints = np.array([float(f"{m}5e-{e}") for m, e in zip(mantissas, exponents)])
+    # j / 2**b with 10 significant digits ending in 5, such as 103/1024,
+    # are exact ties
+    dyadic = np.concatenate([np.arange(1, 2**b) / 2**b for b in (10, 14)])
+    tiny = np.finfo(np.float64).tiny
+    specials = [1.0, np.nextafter(1.0, 0.0), 0.9999999995, -0.0, tiny, 5e-324]
+    return np.concatenate(
+        [
+            np.nextafter(powers, 0.0),
+            powers,
+            np.nextafter(powers, 1.0),
+            np.nextafter(midpoints, 0.0),
+            midpoints,
+            np.nextafter(midpoints, 1.0),
+            dyadic,
+            specials,
+        ]
+    )
+
+
+class TestFormatterExactness:
+    """Every probability is printed byte for byte as '%.9g' prints it."""
+
+    def _check(self, values, path):
+        z = _paired_rows(values)
+        fileio.write_predictions(SimplexAssignments(z), path)
+        preds = np.argmax(z, axis=1)
+        conf = z[np.arange(len(z)), preds]
+        fields = zip(range(len(z)), preds.tolist(), conf.tolist(), *z.T.tolist())
+        expected = "index,pred,conf,p_0,p_1\n" + "".join(
+            map("%d,%d,%.9g,%.9g,%.9g\n".__mod__, fields)
+        )
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, allow_subnormal=True), min_size=1, max_size=64))
+    def test_any_probabilities(self, tmp_path_factory, values):
+        self._check(values, tmp_path_factory.mktemp("p") / "p.csv")
+
+    def test_adversarial_values(self, tmp_path):
+        values = _adversarial_values()
+        assert np.count_nonzero((values > 0) & (values < np.finfo(np.float64).tiny)) > 10
+        self._check(values, tmp_path / "p.csv")
+
+    @pytest.mark.parametrize("error", [-1.5, -0.5, 0.5, 1.5])
+    def test_bytes_do_not_depend_on_log10(self, tmp_path, monkeypatch, error):
+        # a decade estimate off by one is corrected, off by two falls back
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + error)
+        self._check(_adversarial_values(), tmp_path / "p.csv")
+
+    def test_million_log_uniform_values(self, tmp_path):
+        values = 10.0 ** np.random.default_rng(17).uniform(-323.3, 0.0, 10**6)
+        self._check(values, tmp_path / "p.csv")
+
+    def test_memory_does_not_grow_with_rows(self, rng):
+        peaks = {}
+        for n in (2000, 20000):
+            z = rng.standard_normal((n, 500)) * 8.0
+            z = np.exp(z - z.max(axis=1, keepdims=True), out=z)
+            z /= z.sum(axis=1, keepdims=True)
+            assignments = SimplexAssignments(z)
+            del z
+            tracemalloc.start()
+            try:
+                fileio.write_predictions(assignments, os.devnull)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20000] <= 1.01 * peaks[2000]
+        assert peaks[20000] <= 4 * 2**20
 
 
 class TestConfig:

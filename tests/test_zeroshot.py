@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from transduct.affinity import smallest_k
 from transduct.errors import DimensionMismatch, EmptyClass
 from transduct.types import EmbeddingMatrix, SimplexAssignments
 from transduct.zeroshot import (
@@ -121,6 +122,46 @@ class TestInitPrototypesTopk:
         soft = SimplexAssignments(row_softmax(rng.standard_normal((40, 6))))
         means = init_prototypes_topk(data, soft, top_m=8)
         assert np.all(np.linalg.norm(means, axis=1) <= 1.0 + 1e-12)
+
+
+def _tie_heavy_cases(rng, n=60, k=7, d=5):
+    """(name, query, soft labels) whose columns are full of ties."""
+    query = unit_rows(rng, n, d)
+    text = unit_rows(rng, k, d)
+    # soft labels rounded to 4 levels: most of a column ties
+    quantized = np.round(row_softmax(rng.standard_normal((n, k))) * 3) / 3
+    quantized[:, 0] += 1.0 - quantized.sum(axis=1)
+    quantized = np.clip(quantized, 0.0, 1.0)
+    quantized /= quantized.sum(axis=1, keepdims=True)
+    # tau = 1000 saturates the softmax: exact 0 and 1 entries
+    saturated = compute_soft_labels(EmbeddingMatrix(query), EmbeddingMatrix(text), 1000.0)
+    assert np.count_nonzero(saturated.z == 0.0) > n
+    # every query row three times: equal scores at three indices
+    dup_query = np.repeat(query[: n // 3], 3, axis=0)
+    dup = compute_soft_labels(EmbeddingMatrix(dup_query), EmbeddingMatrix(text), 30.0)
+    return [
+        ("quantized", query, SimplexAssignments(quantized)),
+        ("saturated", query, saturated),
+        ("duplicate rows", dup_query, dup),
+    ]
+
+
+class TestTopkSelection:
+    """The per-class top-m selection equals a stable argsort down each
+    column, so the means are those of the sorted order, bit for bit."""
+
+    @pytest.mark.parametrize("top_m", [1, 8, "n-1", "n", "n+3"])
+    def test_matches_stable_argsort(self, rng, top_m):
+        for name, query, soft in _tie_heavy_cases(rng):
+            n = soft.n_rows
+            m = {"n-1": n - 1, "n": n, "n+3": n + 3}.get(top_m, top_m)
+            take = min(m, n)
+            reference = np.argsort(-soft.z, axis=0, kind="stable")[:take].T
+            np.testing.assert_array_equal(smallest_k(-soft.z.T, take), reference, err_msg=name)
+            data = EmbeddingMatrix(query)
+            expected = np.stack([data.data[idx].mean(axis=0) for idx in reference])
+            means = init_prototypes_topk(data, soft, top_m=m)
+            assert means.tobytes() == expected.tobytes(), name
 
 
 class TestInitPrototypesSupport:
