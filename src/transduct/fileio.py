@@ -104,22 +104,21 @@ def read_matrix(path) -> np.ndarray:
             raise BadMagic(f"{path}: expected {_MAGIC!r} magic, got {magic!r}")
         n_bytes = n_rows * dim * 4
         info = os.fstat(fh.fileno())
+        # the declared payload is checked before anything is allocated: a
+        # regular file must hold it, other files may declare up to the cap
         if stat.S_ISREG(info.st_mode):
-            # the declared payload must be on disk before anything is allocated
             available = info.st_size - _HEADER.size
             if n_bytes > available:
                 raise TruncatedFile(
                     f"{path}: payload has {available} bytes, header declares {n_bytes}"
                 )
-            flat = np.fromfile(fh, dtype="<f4", count=n_rows * dim)
         elif n_bytes > _MAX_BYTES:
             raise TruncatedFile(
                 f"{path}: header declares {n_bytes} payload bytes, above the "
                 f"{_MAX_BYTES} cap on files of unknown size"
             )
-        else:
-            payload = fh.read(n_bytes)
-            flat = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
+        payload = fh.read(n_bytes)
+    flat = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
     if flat.size < n_rows * dim:
         raise TruncatedFile(
             f"{path}: payload has {flat.size} of the {n_rows * dim} values the header declares"
@@ -216,13 +215,23 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer(b"".join(texts), dtype=np.uint32)
 
 
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Every 4-digit group as a word, and its count of trailing zeros (4 for 0)."""
+    ascii_digits = np.arange(48, 58, dtype=np.uint8)
+    groups = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    groups[..., 0] = ascii_digits[:, None, None, None]
+    groups[..., 1] = ascii_digits[:, None, None]
+    groups[..., 2] = ascii_digits[:, None]
+    groups[..., 3] = ascii_digits
+    # appending a digit: one more trailing zero after a "0", none otherwise
+    trailing = np.zeros(1, dtype=np.uint8)
+    for _ in range(4):
+        trailing = np.where(ascii_digits == 48, trailing[:, None] + 1, 0).astype(np.uint8).ravel()
+    return groups.reshape(-1, 4).view(np.uint32)[:, 0], trailing
+
+
 _KEEP = _keep_table()
-# every 4-digit group as a word, and its count of trailing zeros (4 for 0)
-_GROUPS = np.arange(10**4, dtype=np.int16)[:, None]
-_POW10_4 = np.array([1000, 100, 10, 1], dtype=np.int16)
-_DIGITS4 = (48 + _GROUPS // _POW10_4 % 10).astype(np.uint8).view(np.uint32)[:, 0]
-_TRAILING4 = np.count_nonzero(_GROUPS % (10 * _POW10_4) == 0, axis=1).astype(np.uint8)
-del _GROUPS, _POW10_4
+_DIGITS4, _TRAILING4 = _group_tables()
 # bytes 4-7 of a probability slot, by leading digit
 _LEAD = _words(b"00%d." % d for d in range(10))
 _SEP_POINT, _EXP_SIGN = _words([b",0.0", b"  e-"])

@@ -54,17 +54,17 @@ class TestEmb1:
         with pytest.raises(TruncatedFile):
             fileio.read_matrix(path)
 
-    def test_payload_over_one_gib_loads(self, tmp_path):
-        # a sparse file: 2**18 + 1 rows of 1024 zeros, 1 GiB + 4 KiB of payload
-        path = tmp_path / "big.emb"
-        n_rows, dim = 2**18 + 1, 1024
-        with open(path, "wb") as fh:
-            fh.write(b"EMB1" + struct.pack("<II", n_rows, dim))
-            fh.truncate(12 + 4 * n_rows * dim)
-        out = fileio.read_matrix(path)
-        assert out.shape == (n_rows, dim)
-        assert not out[-1].any()
-        del out
+    def test_regular_file_payload_is_not_capped(self, tmp_path, monkeypatch):
+        # a regular file is checked against its size, not the cap on files
+        # of unknown size, here 16 bytes
+        monkeypatch.setattr(fileio, "_MAX_BYTES", 16)
+        path = tmp_path / "m.emb"
+        data = np.arange(12, dtype="<f4").reshape(4, 3)
+        fileio.write_embeddings(data, path)
+        assert fileio.read_matrix(path).tobytes() == data.tobytes()
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedFile, match="payload has 47 bytes, header declares 48"):
+            fileio.read_matrix(path)
 
     def test_pipe_payload_is_capped(self, monkeypatch):
         # a file of unknown size keeps the header sanity cap, here 16 bytes
