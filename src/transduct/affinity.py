@@ -9,6 +9,8 @@ are then ordered by (descending cosine, ascending index). A row whose k-th
 best cosine is tied with a row outside the candidates falls back to a full
 stable sort, so ties always resolve to the lower index and the result
 equals a stable sort of every row. Weights are cosines clipped at zero.
+The graph is one read-only scipy CSR matrix that keeps each row in this
+order; ``scipy.sparse`` is imported by the first build, not at start-up.
 """
 
 from __future__ import annotations
@@ -38,6 +40,17 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
+def _graph(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> AffinityGraph:
+    """The graph whose CSR rows hold exactly these arrays, in this order, made
+    read-only so that no call such as ``sort_indices`` can reorder a row."""
+    from scipy.sparse import csr_matrix
+
+    csr = csr_matrix((weights, indices, indptr), shape=(indptr.size - 1,) * 2)
+    for arr in (csr.data, csr.indices, csr.indptr):
+        arr.setflags(write=False)
+    return AffinityGraph(csr)
+
+
 def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> AffinityGraph:
     """Directed graph linking each row to its k most cosine-similar others.
 
@@ -53,14 +66,7 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
     n = data.shape[0]
     k_eff = min(k, n - 1)
     if k_eff == 0:
-        empty = np.zeros(0)
-        return AffinityGraph(
-            indptr=np.zeros(n + 1, dtype=np.int64),
-            indices=empty.astype(np.int64),
-            weights=empty,
-            n_nodes=n,
-            max_degree=0,
-        )
+        return _graph(np.zeros(n + 1, np.int64), np.zeros(0, np.int64), np.zeros(0))
 
     neighbor_idx = np.empty((n, k_eff), dtype=np.int64)
     neighbor_w = np.empty((n, k_eff))
@@ -73,15 +79,11 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
         order = smallest_k(neg_sims, k_eff)
         neighbor_idx[lo:hi] = order
         neighbor_w[lo:hi] = np.maximum(0.0, -np.take_along_axis(neg_sims, order, axis=1))
+    # free the last row block first, so scipy.sparse's import in _graph misses the peak
+    del neg_sims, order
 
     if not symmetrize:
-        return AffinityGraph(
-            indptr=np.arange(n + 1, dtype=np.int64) * k_eff,
-            indices=neighbor_idx.reshape(-1),
-            weights=neighbor_w.reshape(-1),
-            n_nodes=n,
-            max_degree=k_eff,
-        )
+        return _graph(np.arange(n + 1) * k_eff, neighbor_idx.reshape(-1), neighbor_w.reshape(-1))
 
     src = np.repeat(np.arange(n, dtype=np.int64), k_eff)
     dst = neighbor_idx.reshape(-1)
@@ -97,18 +99,12 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
     src2, dst2, w2 = src2[order], dst2[order], w2[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src2, minlength=n), out=indptr[1:])
-    return AffinityGraph(
-        indptr=indptr,
-        indices=dst2,
-        weights=w2,
-        n_nodes=n,
-        max_degree=n - 1,
-    )
+    return _graph(indptr, dst2, w2)
 
 
 def dump_edges(graph: AffinityGraph, path) -> None:
     """Write one 'i j w' line per stored edge, in storage order."""
-    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    edges = zip(src.tolist(), graph.indices.tolist(), graph.weights.tolist())
+    coo = graph.csr.tocoo()  # keeps the CSR's storage order
+    edges = zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(map("%d %d %.9g\n".__mod__, edges))

@@ -50,6 +50,22 @@ def _pinned_blas():
         return contextlib.nullcontext()
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that records its long flags for ``--config`` files:
+    ``switches`` maps each flag to whether it is a store_true switch."""
+
+    def __init__(self, *args, **kwargs):
+        self.switches: dict[str, bool] = {}  # filled by add_argument, also for --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        for opt in action.option_strings:
+            if opt.startswith("--"):
+                self.switches[opt] = kwargs.get("action") == "store_true"
+        return action
+
+
 def _add_common_solver_flags(p: argparse.ArgumentParser, kl_default: float) -> None:
     p.add_argument("--query", required=True, help="query embeddings (EMB1 or .csv)")
     p.add_argument("--text", required=True, help="class text prototypes (EMB1 or .csv)")
@@ -71,7 +87,7 @@ def _add_common_solver_flags(p: argparse.ArgumentParser, kl_default: float) -> N
 
 
 def _build() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transduct",
         description="Joint classification of embedding batches against text prototypes.",
     )
@@ -253,22 +269,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _config_to_argv(path, parser: argparse.ArgumentParser) -> list:
+def _config_to_argv(path, parser: _Parser) -> list:
     """Turn a key=value config file into an argv prefix for `parser`."""
-    known = {}
-    for action in parser._actions:  # noqa: SLF001 - argparse has no public listing
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                known[opt] = action
     argv = []
     for key, value in fileio.read_config(path).items():
         flag = "--" + key.strip("-").replace("_", "-")
         if flag == "--config":
             raise ParseError(f"{path}: config files cannot nest")
-        action = known.get(flag)
-        if action is None:
+        switch = parser.switches.get(flag)
+        if switch is None:
             raise ParseError(f"{path}: unknown flag {flag}")
-        if isinstance(action, argparse._StoreTrueAction):
+        if switch:
             if value.lower() in ("1", "true", "yes", "on"):
                 argv.append(flag)
             elif value.lower() not in ("0", "false", "no", "off"):

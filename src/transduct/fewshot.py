@@ -124,9 +124,7 @@ def search_gamma(
     table: list[tuple[float, float]] = []
     best_gamma, best_acc, best = 0.0, -1.0, None
     for gamma in map(float, grid):
-        result = run(
-            spec_base.with_hyper(support_weight=gamma), record_trace=False, prepared=prepared
-        )
+        result = run(spec_base.with_hyper(support_weight=gamma), prepared=prepared)
         acc = float(np.mean(hard_predict(result[0])[nearest] == validation.labels))
         table.append((gamma, acc))
         if acc > best_acc or (acc == best_acc and gamma < best_gamma):
@@ -152,7 +150,7 @@ def run_fewshot(
     kl_weight: float = FEWSHOT_KL_WEIGHT,
     validation_pool: Optional[SupportSet] = None,
     seed: int = 0,
-    record_trace: bool = True,
+    record_trace: bool = False,
 ) -> FewShotResult:
     """Few-shot pipeline: pick the support weight, then solve on the full
     support set.

@@ -422,7 +422,7 @@ def init_state(spec: TaskSpec, prepared: Optional[PreparedTask] = None) -> Solve
 
 def run(
     spec: TaskSpec,
-    record_trace: bool = True,
+    record_trace: bool = False,
     block_callback: Optional[Callable[[str, int, SolverState], None]] = None,
     prepared: Optional[PreparedTask] = None,
 ) -> tuple[SimplexAssignments, SolverState]:

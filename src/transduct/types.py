@@ -7,7 +7,7 @@ and safe to share across threads. No algorithms live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from .errors import (
     NonFiniteValue,
     NormTooFarFromUnit,
 )
+
+if TYPE_CHECKING:  # importing scipy.sparse costs about 0.2 s of start-up
+    from scipy.sparse import csr_matrix
 
 # Row norms may deviate this much from 1.0 before the row is rejected as
 # corrupt instead of silently renormalized.
@@ -177,57 +180,27 @@ class GmmParams:
 
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """Sparse directed nearest-neighbor graph with non-negative weights.
+    """Sparse directed nearest-neighbor graph: one read-only scipy CSR matrix.
 
-    Stored in compressed row form: node i's neighbors are
-    indices[indptr[i]:indptr[i+1]] with matching weights, sorted by
-    descending weight. Self-edges are forbidden.
+    Row i holds node i's neighbors and their non-negative weights, by
+    descending weight, without self-edges. ``affinity.build_knn`` makes this
+    hold; nothing re-checks it. Row order is part of ``propagate``'s bits.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-    n_nodes: int
-    max_degree: int
+    csr: csr_matrix
 
-    def __post_init__(self):
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if indptr.shape != (self.n_nodes + 1,):
-            raise DimensionMismatch("indptr must have n_nodes + 1 entries")
-        if indices.shape != weights.shape or indices.ndim != 1:
-            raise DimensionMismatch("indices and weights must be equal-length vectors")
-        if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
-            raise ValueError("indptr does not span the edge arrays")
-        if np.any(np.diff(indptr) < 0) or np.any(np.diff(indptr) > self.max_degree):
-            raise ValueError(f"per-node neighbor lists must have <= {self.max_degree} entries")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= self.n_nodes:
-                raise ValueError("neighbor index out of range")
-            if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-                raise NonFiniteValue("edge weights must be finite and non-negative")
-            spans = np.repeat(np.arange(self.n_nodes), np.diff(indptr))
-            if np.any(indices == spans):
-                raise ValueError("self-edges are not allowed")
-            # sorted by descending weight within each node
-            interior = np.setdiff1d(indptr[1:-1], [0, indices.shape[0]])
-            rising = np.diff(weights) > 0
-            rising[interior - 1] = False
-            if np.any(rising):
-                raise ValueError("neighbor lists must be sorted by descending weight")
-        object.__setattr__(self, "indptr", _freeze(indptr))
-        object.__setattr__(self, "indices", _freeze(indices))
-        object.__setattr__(self, "weights", _freeze(weights))
-
-    def neighbors(self, i: int):
-        """(indices, weights) views for node i."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
+    @property
+    def n_nodes(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def n_edges(self) -> int:
-        return int(self.indices.shape[0])
+        return int(self.csr.nnz)
+
+    def neighbors(self, i: int):
+        """(indices, weights) views for node i."""
+        lo, hi = self.csr.indptr[i], self.csr.indptr[i + 1]
+        return self.csr.indices[lo:hi], self.csr.data[lo:hi]
 
     def propagate(self, values: np.ndarray) -> np.ndarray:
         """Weighted neighbor sum: row i of the result is sum_j w_ij * values[j].
@@ -235,16 +208,7 @@ class AffinityGraph:
         Accumulates each node's neighbors left to right in stored order,
         so the result is independent of thread count.
         """
-        from scipy.sparse import csr_matrix
-
-        csr = getattr(self, "_csr", None)
-        if csr is None:
-            csr = csr_matrix(
-                (self.weights, self.indices, self.indptr),
-                shape=(self.n_nodes, self.n_nodes),
-            )
-            object.__setattr__(self, "_csr", csr)
-        return csr @ values
+        return self.csr @ values
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,7 +112,7 @@ def test_criterion_1_simplex_preserved_on_random_suite(random_suite):
 def test_criterion_2_descent_without_graph(random_suite):
     worst = -np.inf
     for spec in random_suite:
-        _, state = run(spec.with_hyper(k_nn=0))
+        _, state = run(spec.with_hyper(k_nn=0), record_trace=True)
         rises = np.diff(state.objective_trace)
         worst = max(worst, float(rises.max()))
         assert rises.max() <= 1e-8, (
@@ -131,10 +131,10 @@ def _outer_values(state):
 def test_criterion_3_descent_full_model_on_frozen_suite():
     states = []
     for noise in (0.0, 0.6, 1.2):
-        _, state = run(_frozen_zeroshot(noise).spec)
+        _, state = run(_frozen_zeroshot(noise).spec, record_trace=True)
         states.append((f"zero-shot noise={noise}", state))
     fs = _frozen_fewshot()
-    result = run_fewshot(fs.spec, validation_pool=fs.validation, seed=0)
+    result = run_fewshot(fs.spec, validation_pool=fs.validation, seed=0, record_trace=True)
     states.append(("few-shot final solve", result.state))
 
     for name, state in states:

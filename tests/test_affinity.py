@@ -60,8 +60,9 @@ def test_deterministic(rng):
     data = EmbeddingMatrix(unit_rows(rng, 30, 6))
     a = build_knn(data, k=3)
     b = build_knn(data, k=3)
-    assert a.indices.tobytes() == b.indices.tobytes()
-    assert a.weights.tobytes() == b.weights.tobytes()
+    for x, y in ((a.csr.indptr, b.csr.indptr), (a.csr.indices, b.csr.indices),
+                 (a.csr.data, b.csr.data)):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_k_zero_gives_empty_graph(rng):
@@ -132,6 +133,36 @@ def _tied_rows(r, n, d=16, pool=60):
             cols = r.choice(d, size=4, replace=False)
             rows[p, cols] = 0.5 * signs[:4]
     return rows[r.integers(0, pool, size=n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 10_000), st.integers(1, 60), st.booleans(), st.booleans())
+def test_csr_invariants(data, seed, n, tied, symmetrize):
+    r = np.random.default_rng(seed)
+    # tie-heavy rows: few distinct quantized rows, so duplicates and equal
+    # cosines appear at every rank
+    rows = _tied_rows(r, n, pool=8) if tied else unit_rows(r, n, 5)
+    k = data.draw(st.integers(0, n + 2), label="k")
+    g = build_knn(EmbeddingMatrix(rows), k=k, symmetrize=symmetrize)
+    indptr, indices, w = g.csr.indptr, g.csr.indices, g.csr.data
+    assert g.n_nodes == n and g.csr.shape == (n, n)
+    assert indptr[0] == 0 and indptr[-1] == g.n_edges == indices.size == w.size
+    degree = np.diff(indptr)
+    assert np.all(degree >= 0)
+    src = np.repeat(np.arange(n), degree)
+    assert np.all((indices >= 0) & (indices < n))
+    assert not np.any(indices == src)
+    assert np.unique(src * n + indices).size == indices.size
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    same_row = src[1:] == src[:-1]
+    assert not np.any(same_row & (np.diff(w) > 0))
+    if symmetrize:
+        tie = same_row & (np.diff(w) == 0)
+        assert np.all(np.diff(indices.astype(np.int64))[tie] > 0)
+    else:
+        assert np.all(degree == min(k, n - 1))
+    for arr in (indptr, indices, w):
+        assert not arr.flags.writeable
 
 
 def _stable_reference(data, k, symmetrize):

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from transduct import fileio, solver
+from transduct import cli, fileio, solver
 from transduct.cli import main
 from helpers import read_score_table, unit_rows
 
@@ -218,6 +222,57 @@ class TestConfigFile:
         assert main(_zs_args(task_dir, tmp_path / "p.csv", ["--config", str(cfg)])) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def _hyper_from_config(self, task_dir, tmp_path, monkeypatch, values):
+        """Run run-zs with `values` as its config file; returns the exit code
+        and the Hyperparams the solver was called with (None if never called)."""
+        seen = []
+        real_run = cli.run
+
+        def recording(spec, **kwargs):
+            seen.append(spec.hyper)
+            return real_run(spec, **kwargs)
+
+        monkeypatch.setattr(cli, "run", recording)
+        cfg = tmp_path / "run.cfg"
+        fileio.write_config({"outer-iters": 0, **values}, cfg)
+        rc = main(_zs_args(task_dir, tmp_path / "p.csv", ["--config", str(cfg)]))
+        return rc, (seen[0] if seen else None)
+
+    def test_lambda_key_sets_kl_weight(self, task_dir, tmp_path, monkeypatch):
+        rc, hyper = self._hyper_from_config(task_dir, tmp_path, monkeypatch, {"lambda": 0.25})
+        assert rc == 0 and hyper.kl_weight == 0.25
+
+    @pytest.mark.parametrize("value,expected", [
+        *((v, True) for v in ("1", "true", "Yes", "ON")),
+        *((v, False) for v in ("0", "false", "No", "OFF")),
+    ])
+    def test_boolean_spellings(self, task_dir, tmp_path, monkeypatch, value, expected):
+        rc, hyper = self._hyper_from_config(
+            task_dir, tmp_path, monkeypatch, {"symmetrize-graph": value}
+        )
+        assert rc == 0 and hyper.symmetrize_graph is expected
+
+    def test_bad_boolean_rejected(self, task_dir, tmp_path, monkeypatch, capsys):
+        rc, hyper = self._hyper_from_config(
+            task_dir, tmp_path, monkeypatch, {"symmetrize-graph": "maybe"}
+        )
+        assert rc == 1 and hyper is None
+        assert "must be a boolean" in capsys.readouterr().err
+
+    def test_config_cannot_nest(self, task_dir, tmp_path, monkeypatch, capsys):
+        rc, hyper = self._hyper_from_config(
+            task_dir, tmp_path, monkeypatch, {"config": str(tmp_path / "other.cfg")}
+        )
+        assert rc == 1 and hyper is None
+        assert "cannot nest" in capsys.readouterr().err
+
+    def test_key_is_not_abbreviated(self, task_dir, tmp_path, monkeypatch, capsys):
+        # argparse would take --outer for --outer-iters; config keys must match exactly
+        rc, hyper = self._hyper_from_config(task_dir, tmp_path, monkeypatch, {"outer": 3})
+        assert rc == 1 and hyper is None
+        err = capsys.readouterr().err
+        assert "unknown flag --outer" in err and str(tmp_path / "run.cfg") in err
+
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["run-zs", "run-fs", "synth", "eval"])
@@ -231,3 +286,15 @@ class TestHelp:
         for token in ("default: 10", "default: 5", "default: 3", "default: 8",
                       "default: 0.5", "0.002,0.01,0.02,0.2"):
             assert token in text
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # importing scipy.sparse takes about 0.2 s, which every invocation would
+    # pay before reading its input; the graph builder imports it on use
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, transduct.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
