@@ -17,7 +17,9 @@ BLAS thread count the outputs are byte-identical across reruns. Across
 BLAS thread counts they are byte-identical only when threadpoolctl is
 available to pin BLAS pools while solving; without it, probabilities may
 differ in the last bits (predicted classes did not change in testing), so
-fix ``OPENBLAS_NUM_THREADS`` when bytes must match.
+fix ``OPENBLAS_NUM_THREADS`` when bytes must match. The ``--dump-graph``
+file is byte-identical at any BLAS thread count: the graph's weights come
+from einsum dots that do not call the BLAS.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    preds, _ = fileio.read_predictions(args.pred)
+    preds = fileio.read_predictions(args.pred)
     truth = fileio.read_labels(args.truth)
     print(f"top-1 accuracy: {_accuracy(preds, truth):.4f}")
     for cls in np.unique(truth):

@@ -21,6 +21,7 @@ probability row, every probability byte-identical to CPython's
 ``'%.9g' % p`` whatever the numpy and libm. A numpy digit-table formatter
 writes them (see ``write_predictions``); it proves each digit string with an
 error bound and hands the values it cannot prove to ``'%.9g'``.
+``read_predictions`` reads back only the ``pred`` column.
 
 Every reader and writer reports an OS error (missing file or directory,
 permissions, a full disk) as IoFailure("cannot read|write PATH: reason").
@@ -350,23 +351,27 @@ def write_predictions(assignments: SimplexAssignments, path) -> None:
         fh.write(b"\n")
 
 
-def read_predictions(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a predictions CSV back into (argmax classes, probability rows)."""
-    lines = _read_lines(path)
-    if not lines or not lines[0].startswith("index,pred,conf"):
-        raise ParseError(f"{path}: missing predictions header")
+def read_predictions(path) -> np.ndarray:
+    """The argmax classes (the ``pred`` column) of a predictions CSV.
+
+    The header, the column count and ``pred`` are checked; the
+    probability columns are not parsed. The file is read one line at a
+    time, so memory does not grow with its size.
+    """
     preds = []
-    probs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) < 4:
-            raise ParseError(f"{path}:{lineno}: too few columns")
-        try:
-            preds.append(int(cells[1]))
-            probs.append([float(c) for c in cells[3:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return np.asarray(preds, dtype=np.int64), np.asarray(probs)
+    with _io_failure("read", path), open(path, "r", encoding="ascii") as fh:
+        if not fh.readline().startswith("index,pred,conf"):
+            raise ParseError(f"{path}: missing predictions header")
+        for lineno, line in enumerate(fh, start=2):
+            # a pred cell followed by three more separators never holds the newline
+            cells = line.split(",", 3)
+            if len(cells) < 4:
+                raise ParseError(f"{path}:{lineno}: too few columns")
+            try:
+                preds.append(int(cells[1]))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    return np.asarray(preds, dtype=np.int64)
 
 
 def write_config(values: dict, path) -> None:

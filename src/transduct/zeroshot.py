@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .affinity import smallest_k
+from .affinity import top_k
 from .errors import DimensionMismatch, EmptyClass
 from .types import EmbeddingMatrix, SimplexAssignments
 
@@ -53,9 +53,9 @@ def init_prototypes_topk(
         raise ValueError("top_m must be at least 1")
     n, k = soft_labels.n_rows, soft_labels.n_classes
     take = min(top_m, n)
-    # row c of the negated transpose ranks class c's samples; the top ones
-    # come in the order of a stable sort, so lower indices win ties
-    order = smallest_k(np.negative(soft_labels.z.T, order="C"), take)
+    # row c of the transpose ranks class c's samples, lower indices first
+    # among equal labels
+    order, _ = top_k(np.ascontiguousarray(soft_labels.z.T), take)
     means = np.empty((k, query.dim))
     for cls in range(k):
         means[cls] = query.data[order[cls]].mean(axis=0)

@@ -1,5 +1,6 @@
 import numpy as np
 
+from transduct import fileio
 from transduct.types import EmbeddingMatrix, Hyperparams, SupportSet, TaskSpec
 
 
@@ -39,6 +40,15 @@ def read_score_table(path) -> list[tuple[float, float]]:
         header, *rows = [ln for ln in fh.read().split("\n") if ln]
     assert header == "gamma,validation_accuracy"
     return [(float(g), float(acc)) for g, acc in (row.split(",") for row in rows)]
+
+
+def read_prediction_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax classes, probability rows) of a predictions CSV written by
+    ``fileio.write_predictions``; the probabilities are parsed here only."""
+    preds = fileio.read_predictions(path)
+    with open(path, encoding="ascii") as fh:
+        rows = [ln for ln in fh.read().split("\n")[1:] if ln]
+    return preds, np.array([[float(c) for c in row.split(",")[3:]] for row in rows])
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:

@@ -337,7 +337,7 @@ def test_criterion_8_fewshot_protocol_via_cli(tmp_path):
     best_acc = max(acc for _, acc in table)
     assert dict(table)[GOLDEN_FS_GAMMA] == best_acc
 
-    preds, _ = fileio.read_predictions(out)
+    preds = fileio.read_predictions(out)
     truth = fileio.read_labels(d / "truth.labels")
     fs_correct = int(np.sum(preds == truth))
     assert fs_correct == GOLDEN_FS_CORRECT
@@ -392,7 +392,7 @@ def test_criterion_10_real_embeddings_manual(tmp_path):
         "--text", os.path.join(base, "text.emb"),
         "--tau", str(tau), "--out", str(out),
     ]) == 0
-    preds, _ = fileio.read_predictions(out)
+    preds = fileio.read_predictions(out)
     truth = fileio.read_labels(os.path.join(base, "truth.labels"))
     task_spec_acc = float(np.mean(preds == truth)) * 100
     soft_preds = hard_predict(

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,3 +233,93 @@ def test_dump_edges_matches_per_edge_format(rng, tmp_path):
     out = tmp_path / "edges.txt"
     dump_edges(g, out)
     assert out.read_bytes() == expected.encode("ascii")
+
+
+def _near_tie_rows(r, n, d, n_close):
+    """Random unit rows, of which n_close, spread over every column chunk,
+    are one base row plus perturbations of about 1e-7: their cosines differ
+    by about 1e-14, far inside the float32 rounding of the screen."""
+    rows = unit_rows(r, n, d)
+    base = unit_rows(r, 1, d)[0]
+    close = np.linspace(0, n - 1, n_close).astype(np.int64)
+    rows[close] = base + 1e-7 * r.standard_normal((n_close, d))
+    return rows
+
+
+def _einsum_reference(data, k):
+    """Each row's k neighbors by a stable (-cosine, index) sort of einsum
+    dots over all pairs, and their weights max(0, cosine)."""
+    n = data.shape[0]
+    i, j = np.divmod(np.arange(n * n), n)
+    sims = np.einsum("ij,ij->i", data[i], data[j]).reshape(n, n)
+    np.fill_diagonal(sims, -np.inf)
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return order, np.maximum(0.0, np.take_along_axis(sims, order, axis=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(0, 10_000), st.integers(100, 300), st.sampled_from([8, 32, 128]),
+       st.integers(1, 6))
+def test_near_ties_match_einsum_reference_bitwise(draws, seed, n, d, k):
+    # at most n / 5 close rows keep the candidates below an eighth of the
+    # block, so the float32 screen and its margin decide them
+    n_close = draws.draw(st.integers(k + 2, n // 5), label="n_close")
+    r = np.random.default_rng(seed)
+    rows = EmbeddingMatrix(_near_tie_rows(r, n, d, n_close)).data
+    g = build_knn(EmbeddingMatrix(rows), k=k)
+    exp_idx, exp_w = _einsum_reference(rows, k)
+    np.testing.assert_array_equal(g.csr.indices.reshape(n, k), exp_idx)
+    assert g.csr.data.tobytes() == exp_w.tobytes()
+
+
+@pytest.mark.parametrize("near_ties", [False, True])
+def test_symmetrized_weights_are_bitwise_symmetric(near_ties):
+    r = np.random.default_rng(5)
+    rows = _near_tie_rows(r, 600, 32, 40) if near_ties else unit_rows(r, 600, 32)
+    g = build_knn(EmbeddingMatrix(rows), k=5, symmetrize=True)
+    coo = g.csr.tocoo()
+    w = {(i, j): x for i, j, x in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())}
+    assert all(w[(j, i)] == x for (i, j), x in w.items())
+
+
+@pytest.mark.parametrize("symmetrize", [False, True])
+def test_both_sides_of_the_dense_switch_agree_bitwise(monkeypatch, symmetrize):
+    # _DENSE_SHARE = 0 keeps every block on the screened path, a huge value
+    # sends every block to its dense einsum product
+    r = np.random.default_rng(9)
+    for rows in (unit_rows(r, 700, 16), _near_tie_rows(r, 700, 16, 120), _tied_rows(r, 700)):
+        data = EmbeddingMatrix(rows)
+        graphs = []
+        for share in (0, 10**9):
+            monkeypatch.setattr(affinity, "_DENSE_SHARE", share)
+            graphs.append(build_knn(data, k=4, symmetrize=symmetrize).csr)
+        a, b = graphs
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("k, seconds, peak_mib", [(3, 1.48, 35.4), (2999, 1.86, 207.6)],
+                         ids=["k=3", "k=2999"])
+def test_identical_rows_stay_bounded(k, seconds, peak_mib):
+    """3000 identical unit rows tie every pair: the screen keeps every
+    column, so each block is ranked from its dense product. The time may be
+    twice, and the tracemalloc peak at most, that of the argpartition
+    selection this replaced (0.74 s / 0.93 s and 35.4 / 207.6 MiB at
+    k = 3 / 2999 on a 2-core Xeon)."""
+    r = np.random.default_rng(0)
+    data = EmbeddingMatrix(np.tile(unit_rows(r, 1, 128), (3000, 1)))
+    start = time.perf_counter()
+    build_knn(data, k=k)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        g = build_knn(data, k=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # ties go to the lower index: the k lowest indices other than the row's own
+    others = np.arange(3000)[None, :] + (np.arange(3000)[None, :] >= np.arange(3000)[:, None])
+    np.testing.assert_array_equal(g.csr.indices.reshape(3000, k), others[:, :k])
+    assert np.unique(g.csr.data).size == 1
+    assert elapsed <= seconds, f"build took {elapsed:.2f} s"
+    assert peak <= peak_mib * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"

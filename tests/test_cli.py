@@ -7,7 +7,7 @@ import pytest
 
 from transduct import cli, fileio, solver
 from transduct.cli import main
-from helpers import read_score_table, unit_rows
+from helpers import read_prediction_rows, read_score_table, unit_rows
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ class TestRunZs:
     def test_happy_path(self, task_dir, tmp_path):
         out = tmp_path / "pred.csv"
         assert main(_zs_args(task_dir, out)) == 0
-        preds, probs = fileio.read_predictions(out)
+        preds, probs = read_prediction_rows(out)
         assert preds.shape == (48,)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-7)
 

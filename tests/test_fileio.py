@@ -19,7 +19,7 @@ from transduct.errors import (
     TruncatedFile,
 )
 from transduct.types import SimplexAssignments
-from helpers import read_score_table, unit_rows
+from helpers import read_prediction_rows, read_score_table, unit_rows
 
 
 class TestEmb1:
@@ -191,7 +191,7 @@ class TestPredictions:
     def test_single_class(self, tmp_path):
         path = tmp_path / "p.csv"
         fileio.write_predictions(SimplexAssignments(np.ones((3, 1))), path)
-        preds, probs = fileio.read_predictions(path)
+        preds, probs = read_prediction_rows(path)
         np.testing.assert_array_equal(preds, 0)
         np.testing.assert_array_equal(probs, 1.0)
 
@@ -202,7 +202,7 @@ class TestPredictions:
         a = SimplexAssignments(z)
         path = tmp_path / "p.csv"
         fileio.write_predictions(a, path)
-        preds, _ = fileio.read_predictions(path)
+        preds = fileio.read_predictions(path)
         np.testing.assert_array_equal(preds, np.argmax(z, axis=1))
 
     def test_missing_header_rejected(self, tmp_path):
@@ -210,6 +210,21 @@ class TestPredictions:
         path.write_text("nope\n")
         with pytest.raises(ParseError):
             fileio.read_predictions(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1,0.5", "p.csv:2: too few columns"),
+        ("0,x,0.5,0.5", "p.csv:2: invalid literal"),
+    ], ids=["too-few-columns", "bad-pred"])
+    def test_bad_row_rejected(self, tmp_path, row, message):
+        path = tmp_path / "p.csv"
+        path.write_text(f"index,pred,conf,p_0\n{row}\n")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            fileio.read_predictions(path)
+
+    def test_reads_only_the_pred_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("index,pred,conf,p_0,p_1\n0,1,?,not,parsed\n1,0,0.5,0.5,0.5\n")
+        np.testing.assert_array_equal(fileio.read_predictions(path), [1, 0])
 
 
 def _per_value_predictions(z: np.ndarray) -> bytes:

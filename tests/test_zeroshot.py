@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from transduct.affinity import smallest_k
+from transduct.affinity import top_k
 from transduct.errors import DimensionMismatch, EmptyClass
 from transduct.types import EmbeddingMatrix, SimplexAssignments
 from transduct.zeroshot import (
@@ -157,7 +157,7 @@ class TestTopkSelection:
             m = {"n-1": n - 1, "n": n, "n+3": n + 3}.get(top_m, top_m)
             take = min(m, n)
             reference = np.argsort(-soft.z, axis=0, kind="stable")[:take].T
-            np.testing.assert_array_equal(smallest_k(-soft.z.T, take), reference, err_msg=name)
+            np.testing.assert_array_equal(top_k(soft.z.T.copy(), take)[0], reference, err_msg=name)
             data = EmbeddingMatrix(query)
             expected = np.stack([data.data[idx].mean(axis=0) for idx in reference])
             means = init_prototypes_topk(data, soft, top_m=m)
