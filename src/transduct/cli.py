@@ -137,10 +137,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     return parser, {"run-zs": zs, "run-fs": fs, "synth": sy, "eval": ev}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
 def _hyper_from_args(args, support_weight: float = 0.0) -> Hyperparams:
     return Hyperparams(
         kl_weight=args.kl_weight,

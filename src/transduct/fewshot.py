@@ -7,9 +7,9 @@ its most cosine-similar query sample. Validation samples are never part of
 the query or support sets of those search runs.
 
 The support weight only reweights the labeled-shot likelihood term, so the
-candidates share one ``solver.prepare`` record: one set of soft labels, one
-kNN graph and one set of initial means for the whole search, and one
-validation-to-query nearest-neighbor index. With a validation pool no shot
+candidates share one ``solver.prepare`` record: one set of soft labels and
+their log prior, one kNN graph and one set of initial means for the whole
+search, and one validation-to-query nearest-neighbor index. With a validation pool no shot
 is carved out, the search runs on the full support set, and the winning
 search run is the final result; it is solved again on the same record only
 when the objective trace is requested. When shots are carved, the final
@@ -166,6 +166,9 @@ def run_fewshot(
     if spec.support is None:
         raise ValueError("few-shot run requires a support set")
     spec = spec.with_hyper(kl_weight=kl_weight)
+    # Hyperparams rejects a bad support weight here, before any graph is built
+    for value in grid if gamma is None else (gamma,):
+        spec.with_hyper(support_weight=float(value))
 
     validation = None
     table: list[tuple[float, float]] = []

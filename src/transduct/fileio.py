@@ -54,6 +54,9 @@ _HEADER = struct.Struct("<4sII")
 # file size is unknown (pipes, character devices); regular files are
 # checked against their size instead.
 _MAX_BYTES = 1 << 30
+# CSV values of this magnitude and above round to inf in float32: the
+# float32 maximum plus half its last step.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
 # Values formatted per write_predictions block: bounds the slots, masks and
 # float temporaries alive at once (about 110 bytes per value).
 _WRITE_BLOCK_VALUES = 1 << 14
@@ -150,10 +153,11 @@ def _read_csv(path) -> np.ndarray:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    data = np.asarray(rows, dtype=np.float32)
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteValue(f"{path}: CSV contains non-finite values")
-    return data
+    data = np.asarray(rows)
+    # checked before the float32 cast, which would warn and round to inf
+    if not np.all(np.abs(data) < _F32_OVERFLOW):
+        raise NonFiniteValue(f"{path}: CSV contains values that are not finite in float32")
+    return data.astype(np.float32)
 
 
 def read_labels(path) -> np.ndarray:

@@ -37,31 +37,29 @@ constant, so tests compare objective differences rather than absolute
 likelihoods.
 
 Work that does not depend on the term weights is done once per task by
-``prepare``: the soft labels, the stacked support-then-query features, the
-kNN graph, the starting assignments and the initial means. It returns a
-frozen ``PreparedTask`` that ``run`` and ``init_state`` accept, so solves
-that differ only in ``support_weight`` (the few-shot grid search) share
-one graph. Without a record, ``init_state`` prepares the task itself.
+``prepare``: the soft labels and their log prior, the stacked
+support-then-query features, the kNN graph, the starting assignments and
+the initial means. It returns a frozen ``PreparedTask`` that ``run`` and
+``init_state`` accept, so solves that differ only in ``support_weight``
+(the few-shot grid search) share one graph. Without a record,
+``init_state`` prepares the task itself.
 
-Work that does not change between calls of one solve is cached on
-``SolverState``:
+``SolverState`` caches what one solve reuses between block updates and
+drops it when the value it came from is assigned. ``z`` (a read-only
+array) and ``gmm`` (a frozen record) are immutable, so assignment is the
+only way they change:
 
-* the GMM log-densities and the sweep-invariant part of the assignment
-  logits, ``kl_weight * log prior + log-densities``, built by the first
-  sweep of an outer iteration and reused by the others. Both are cleared
-  by ``invalidate_log_probs``, which callers run after replacing ``gmm``;
-* the support/query moments that the mean and variance updates share,
-  computed once per outer iteration by ``mu_step`` and reused by
-  ``sigma_step``. They are keyed on the ``z`` object and the support
-  weight, so replacing ``state.z`` recomputes them;
-* the log prior, which depends only on the soft labels.
+* assigning ``gmm`` drops the GMM log-densities and the sweep-invariant
+  logits ``kl_weight * log prior + log-densities``, which the first sweep
+  of an outer iteration builds and the others reuse;
+* assigning ``z`` drops the moments that ``mu_step`` computes and
+  ``sigma_step`` reuses, keyed on the support weight.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -106,22 +104,30 @@ class SolverState:
     support labels and are never modified; the remaining rows are the query
     assignments.
     ``features`` stacks support embeddings above query embeddings in the
-    same order as ``z`` and the graph nodes.
+    same order as ``z`` and the graph nodes; ``log_prior`` is the log of
+    the soft labels, shared with the ``PreparedTask``.
     """
 
     z: np.ndarray
     gmm: GmmParams
     soft_labels: SimplexAssignments
+    log_prior: np.ndarray
     graph: AffinityGraph
     features: np.ndarray
     n_support: int
     trace: list = field(default_factory=list)
     _log_probs: Optional[np.ndarray] = None
-    _log_prior: Optional[np.ndarray] = None
     # (kl_weight, array) for base_logits
     _base_logits: Optional[tuple] = None
-    # (weak reference to z, support_weight, moments) for _group_moments
+    # (support_weight, moments) for _group_moments
     _moments: Optional[tuple] = None
+
+    def __setattr__(self, name, value):
+        if name == "gmm":
+            self._log_probs = self._base_logits = None
+        elif name == "z":
+            self._moments = None
+        object.__setattr__(self, name, value)
 
     @property
     def objective_trace(self) -> list:
@@ -136,23 +142,14 @@ class SolverState:
             self._log_probs = gmm_log_probs(self.features, self.gmm)
         return self._log_probs
 
-    def log_prior(self) -> np.ndarray:
-        if self._log_prior is None:
-            self._log_prior = np.log(np.maximum(self.soft_labels.z, PRIOR_LOG_FLOOR))
-        return self._log_prior
-
     def base_logits(self, kl_weight: float) -> np.ndarray:
         """The sweep-invariant part of the query logits:
         ``kl_weight * log prior + log-densities`` of the query rows."""
         if self._base_logits is None or self._base_logits[0] != kl_weight:
-            base = kl_weight * self.log_prior()
+            base = kl_weight * self.log_prior
             base += self.log_probs()[self.n_support :]
             self._base_logits = (kl_weight, base)
         return self._base_logits[1]
-
-    def invalidate_log_probs(self) -> None:
-        self._log_probs = None
-        self._base_logits = None
 
 
 def gmm_log_probs(features, gmm: GmmParams) -> np.ndarray:
@@ -215,13 +212,13 @@ def _group_moments(state: SolverState, spec: TaskSpec):
     variance updates. Returns (weighted z-mass per class, weighted z'F,
     weighted sum of z row-sums times f^2).
 
-    The result is cached on the state, keyed on the ``z`` object and the
+    The result is cached on the state until ``z`` is assigned, keyed on the
     support weight, so the variance update reuses the mean update's pass.
     """
     gamma = spec.hyper.support_weight
     cached = state._moments
-    if cached is not None and cached[0]() is state.z and cached[1] == gamma:
-        return cached[2]
+    if cached is not None and cached[0] == gamma:
+        return cached[1]
     z = state.z
     feats = state.features
     n_s, n_q = state.n_support, state.n_query
@@ -237,7 +234,7 @@ def _group_moments(state: SolverState, spec: TaskSpec):
         mass = mass + w * zs.sum(axis=0)
         first = first + w * (zs.T @ fs)
         sq = sq + w * (zs.sum(axis=1) @ (fs * fs))
-    state._moments = (weakref.ref(state.z), gamma, (mass, first, sq))
+    state._moments = (gamma, (mass, first, sq))
     return mass, first, sq
 
 
@@ -285,7 +282,7 @@ def _objective_terms(state: SolverState, spec: TaskSpec):
     log_p = state.log_probs()
 
     nll_query = -float(np.sum(zq * log_p[n_s:]))
-    kl = _entropy_sum(zq) - spec.hyper.kl_weight * float(np.sum(zq * state.log_prior()))
+    kl = _entropy_sum(zq) - spec.hyper.kl_weight * float(np.sum(zq * state.log_prior))
     laplacian = -float(np.sum(z * state.graph.propagate(z)))
     nll_support = 0.0
     if n_s and spec.hyper.support_weight > 0:
@@ -319,14 +316,16 @@ class PreparedTask:
     """The task-invariant part of a solve, shared by solves that differ only
     in the term weights or iteration counts.
 
-    ``features`` stacks support rows above query rows; ``z0`` is the starting
-    assignment (one-hot support rows, then the soft labels) and ``means`` the
-    initial class means. Every array is read-only. ``task`` is the spec the
-    record was made from; ``init_state`` checks a spec against it.
+    ``features`` stacks support rows above query rows; ``log_prior`` is the
+    log of the soft labels floored at ``PRIOR_LOG_FLOOR``; ``z0`` is the
+    starting assignment (one-hot support rows, then the soft labels) and
+    ``means`` the initial class means. Every array is read-only. ``task`` is
+    the spec the record was made from; ``init_state`` checks a spec against it.
     """
 
     features: np.ndarray
     soft_labels: SimplexAssignments
+    log_prior: np.ndarray
     z0: np.ndarray
     means: np.ndarray
     graph: AffinityGraph
@@ -385,10 +384,14 @@ def prepare(spec: TaskSpec) -> PreparedTask:
         means = init_prototypes_topk(spec.query, soft, spec.hyper.init_top_m)
         z0 = soft.z  # already read-only
     means.setflags(write=False)
+    log_prior = np.maximum(soft.z, PRIOR_LOG_FLOOR)
+    np.log(log_prior, out=log_prior)
+    log_prior.setflags(write=False)
 
     return PreparedTask(
         features=features,
         soft_labels=soft,
+        log_prior=log_prior,
         z0=z0,
         means=means,
         graph=graph,
@@ -414,6 +417,7 @@ def init_state(spec: TaskSpec, prepared: Optional[PreparedTask] = None) -> Solve
         z=prepared.z0,
         gmm=GmmParams(prepared.means, variances),
         soft_labels=prepared.soft_labels,
+        log_prior=prepared.log_prior,
         graph=prepared.graph,
         features=prepared.features,
         n_support=prepared.n_support,
@@ -423,7 +427,6 @@ def init_state(spec: TaskSpec, prepared: Optional[PreparedTask] = None) -> Solve
 def run(
     spec: TaskSpec,
     record_trace: bool = False,
-    block_callback: Optional[Callable[[str, int, SolverState], None]] = None,
     prepared: Optional[PreparedTask] = None,
 ) -> tuple[SimplexAssignments, SolverState]:
     """Full transduction pipeline; returns query assignments and final state.
@@ -448,8 +451,6 @@ def run(
                     _assemble(terms, state, spec, "update_consistent"),
                 )
             )
-        if block_callback is not None:
-            block_callback(block, iteration, state)
 
     record(0, "init")
     for it in range(1, spec.hyper.outer_iters + 1):
@@ -458,11 +459,9 @@ def run(
             record(it, "z")
         means = mu_step(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
-        state.invalidate_log_probs()
         record(it, "mu")
         variances = sigma_step(state, spec)
         state.gmm = GmmParams(means, variances)
-        state.invalidate_log_probs()
         record(it, "sigma")
 
     query_assignments = SimplexAssignments(state.z[state.n_support :])

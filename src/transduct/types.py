@@ -6,6 +6,7 @@ and safe to share across threads. No algorithms live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -244,8 +245,10 @@ class Hyperparams:
     symmetrize_graph: bool = False
 
     def __post_init__(self):
-        if self.kl_weight < 0 or self.support_weight < 0:
-            raise ValueError("term weights must be non-negative")
+        for name in ("kl_weight", "support_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.outer_iters < 0 or self.inner_z_iters < 0:
             raise ValueError("iteration counts must be non-negative")
         if self.k_nn < 0:
@@ -309,6 +312,6 @@ def validate_task(spec: TaskSpec) -> TaskSpec:
             raise LabelOutOfRange(
                 f"support labels must lie in [0, {spec.n_classes})"
             )
-    if not (spec.temperature > 0):
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(spec.temperature) and spec.temperature > 0):
+        raise ValueError(f"temperature must be finite and positive, got {spec.temperature}")
     return spec

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from transduct import fileio
+from transduct import fileio, solver
 from transduct.cli import main
 from transduct.solver import (
     SolverState,
@@ -87,21 +87,21 @@ def random_suite():
     return tasks
 
 
-def test_criterion_1_simplex_preserved_on_random_suite(random_suite):
+def test_criterion_1_simplex_preserved_on_random_suite(random_suite, monkeypatch):
     checked = 0
     start = time.perf_counter()
 
-    for spec in random_suite:
-        def check(block, iteration, state):
-            nonlocal checked
-            if block != "z":
-                return
-            z = state.z
-            assert np.all(z >= 0.0)
-            assert np.abs(z.sum(axis=1) - 1.0).max() <= 1e-9
-            checked += 1
+    def checked_sweep(state, spec):
+        nonlocal checked
+        z = z_step(state, spec)
+        assert np.all(z >= 0.0)
+        assert np.abs(z.sum(axis=1) - 1.0).max() <= 1e-9
+        checked += 1
+        return z
 
-        run(spec, record_trace=False, block_callback=check)
+    monkeypatch.setattr(solver, "z_step", checked_sweep)
+    for spec in random_suite:
+        run(spec, record_trace=False)
     elapsed = time.perf_counter() - start
     assert checked == 100 * 10 * 5
     assert elapsed < 30.0, f"simplex suite took {elapsed:.1f}s"
@@ -173,7 +173,6 @@ def test_criterion_4_em_oracle_equivalence():
             state.z = z_step(state, spec)
             means = mu_step(state, spec)
             state.gmm = GmmParams(means, state.gmm.variances)
-            state.invalidate_log_probs()
             resp, em_means = oracles.em_reference(
                 spec.query.data, spec.n_classes, mu0, var0, it
             )
@@ -209,7 +208,6 @@ def test_criterion_5_assignment_update_kkt_certification():
         )
         state = init_state(spec)
         state.gmm = GmmParams(state.gmm.means, np.ones(6))
-        state.invalidate_log_probs()
 
         qnode = spec.n_support
         idx, w = state.graph.neighbors(qnode)
@@ -247,6 +245,7 @@ def _state_with_gmm(state, means, variances):
         z=state.z,
         gmm=GmmParams(means, variances),
         soft_labels=state.soft_labels,
+        log_prior=state.log_prior,
         graph=state.graph,
         features=state.features,
         n_support=state.n_support,
@@ -271,7 +270,6 @@ def test_criterion_6_closed_form_stationarity():
             state.z = z_step(state, spec)
         means = mu_step(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
-        state.invalidate_log_probs()
 
         grad_mean = oracles.finite_diff_grad(
             lambda m: objective(_state_with_gmm(state, m, state.gmm.variances), spec),
@@ -282,7 +280,6 @@ def test_criterion_6_closed_form_stationarity():
         variances = sigma_step(state, spec)
         assert variances.min() > 1e-10  # away from the floor
         state.gmm = GmmParams(means, variances)
-        state.invalidate_log_probs()
         grad_logvar = oracles.finite_diff_grad(
             lambda lv: objective(_state_with_gmm(state, means, np.exp(lv)), spec),
             np.log(variances),

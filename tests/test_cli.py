@@ -29,6 +29,16 @@ def _zs_args(task_dir, out, extra=()):
     ]
 
 
+def _fs_args(task_dir, out, extra=()):
+    return [
+        "run-fs", "--query", str(task_dir / "query.emb"),
+        "--text", str(task_dir / "text.emb"),
+        "--support", str(task_dir / "support.emb"),
+        "--support-labels", str(task_dir / "support.labels"),
+        "--out", str(out), *extra,
+    ]
+
+
 class TestRunZs:
     def test_happy_path(self, task_dir, tmp_path):
         out = tmp_path / "pred.csv"
@@ -79,14 +89,7 @@ class TestRunZs:
 
 
 class TestRunFs:
-    def _fs_args(self, task_dir, out, extra=()):
-        return [
-            "run-fs", "--query", str(task_dir / "query.emb"),
-            "--text", str(task_dir / "text.emb"),
-            "--support", str(task_dir / "support.emb"),
-            "--support-labels", str(task_dir / "support.labels"),
-            "--out", str(out), *extra,
-        ]
+    _fs_args = staticmethod(_fs_args)
 
     def test_explicit_gamma_skips_search(self, task_dir, tmp_path, capsys):
         out = tmp_path / "pred.csv"
@@ -146,6 +149,37 @@ class TestRunFs:
             "--validation", str(task_dir / "validation.emb"),
         ]))
         assert rc == 1
+
+
+class TestNonFiniteSettings:
+    """A NaN or infinite weight or temperature fails before the graph build,
+    with an error naming the setting and no numpy warning."""
+
+    @pytest.mark.parametrize("command, extra, name", [
+        ("run-zs", ["--tau", "inf"], "temperature"),
+        ("run-zs", ["--lambda", "nan"], "kl_weight"),
+        ("run-fs", ["--lambda", "inf"], "kl_weight"),
+        ("run-fs", ["--gamma", "nan"], "support_weight"),
+        ("run-fs", ["--gamma-grid", "nan,0.1"], "support_weight"),
+        ("run-fs", ["--tau", "nan"], "temperature"),
+    ])
+    def test_exits_one_before_the_graph(self, task_dir, tmp_path, monkeypatch, capsys,
+                                        recwarn, command, extra, name):
+        builds = []
+        monkeypatch.setattr(solver, "build_knn", lambda *a, **k: builds.append(1))
+        out = tmp_path / "pred.csv"
+        if command == "run-zs":
+            args = _zs_args(task_dir, out, extra)
+        else:
+            args = _fs_args(task_dir, out, [
+                "--validation", str(task_dir / "validation.emb"),
+                "--validation-labels", str(task_dir / "validation.labels"),
+                *extra,
+            ])
+        assert main(args) == 1
+        assert name in capsys.readouterr().err
+        assert builds == [] and not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSynth:

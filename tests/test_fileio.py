@@ -125,10 +125,18 @@ class TestCsv:
             fileio.read_matrix(path)
 
     def test_non_finite_rejected(self, tmp_path):
+        # 1e300 and -3.4028236e38 are finite doubles beyond the float32 range
         path = tmp_path / "m.csv"
-        path.write_text("1.0,nan\n")
-        with pytest.raises(NonFiniteValue):
-            fileio.read_matrix(path)
+        for cell in ("nan", "1e300", "-3.4028236e38"):
+            path.write_text(f"1.0,{cell}\n")
+            with pytest.raises(NonFiniteValue):
+                fileio.read_matrix(path)
+
+    def test_largest_float32_kept(self, tmp_path):
+        # the float32 maximum, printed to 8 digits, rounds back to itself
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,3.4028235e38\n")
+        assert fileio.read_matrix(path)[0, 1] == np.finfo(np.float32).max
 
     def test_bad_token(self, tmp_path):
         path = tmp_path / "m.csv"

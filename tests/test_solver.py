@@ -75,7 +75,6 @@ class TestZStep:
         state.gmm = GmmParams(
             np.tile(state.gmm.means[:1], (3, 1)), state.gmm.variances
         )
-        state.invalidate_log_probs()
         out = z_step(state, spec)
         np.testing.assert_allclose(out, state.soft_labels.z, atol=1e-12)
 
@@ -259,7 +258,6 @@ class TestSigmaStep:
         )
         state = init_state(spec)
         state.gmm = GmmParams(row.copy(), state.gmm.variances)
-        state.invalidate_log_probs()
         np.testing.assert_array_equal(sigma_step(state, spec), 1e-12)
 
     def test_single_class_gives_population_variance(self, rng):
@@ -267,7 +265,6 @@ class TestSigmaStep:
         state = init_state(spec)
         means = mu_step(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
-        state.invalidate_log_probs()
         got = sigma_step(state, spec)
         want = np.mean((spec.query.data - means[0]) ** 2, axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -287,7 +284,6 @@ class TestSigmaStep:
         state.z = z_step(state, spec)
         means = mu_step(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
-        state.invalidate_log_probs()
         got = sigma_step(state, spec)
         want = _fraction_shared_variance(
             state.z[:2].tolist(),
@@ -313,7 +309,6 @@ class TestObjective:
         )
         state = init_state(spec)
         state.gmm = GmmParams(np.tile(v, (k, 1)), np.full(d, k ** (2.0 / d)))
-        state.invalidate_log_probs()
         assert abs(objective(state, spec, "normalized") - np.log(k)) < 1e-10
         assert abs(objective(state, spec, "update_consistent") - n * np.log(k)) < 1e-9
 
@@ -365,13 +360,18 @@ class TestRun:
         assert np.array_equal(hard_predict(assignments), hard_predict(soft))
         assert assignments.z.tobytes() == soft.z.tobytes()
 
-    def test_single_class_everything_is_class_zero(self, rng):
+    def test_single_class_everything_is_class_zero(self, rng, monkeypatch):
         spec = random_task(rng, n_query=10, n_classes=1, dim=4)
         seen = []
-        assignments, _ = run(
-            spec, block_callback=lambda blk, it, st: seen.append(st.z.copy())
-        )
+
+        def recording(state, spec):
+            seen.append(z_step(state, spec))
+            return seen[-1]
+
+        monkeypatch.setattr(solver, "z_step", recording)
+        assignments, _ = run(spec)
         assert np.array_equal(hard_predict(assignments), np.zeros(10, dtype=int))
+        assert len(seen) == 50
         for z in seen:
             np.testing.assert_array_equal(z, 1.0)
 
@@ -415,8 +415,8 @@ class TestPlainArrays:
 
     @pytest.mark.parametrize("shots", [0, 1])
     def test_z_is_read_only(self, rng, shots):
-        # the moments cache is keyed on the z object, so an in-place write
-        # would hand stale moments to the mean and variance updates
+        # the moments cache is dropped only when z is assigned, so an in-place
+        # write would hand stale moments to the mean and variance updates
         spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots,
                            support_weight=0.1)
         state = init_state(spec)
@@ -468,7 +468,6 @@ class TestEmEquivalence:
                 state.z = z_step(state, spec)
                 means = mu_step(state, spec)
                 state.gmm = GmmParams(means, state.gmm.variances)
-                state.invalidate_log_probs()
                 resp, em_means = oracles.em_reference(
                     spec.query.data, 4, mu0, var0, it
                 )
@@ -533,10 +532,8 @@ def _reference_run(spec):
             trace.append(objective(state, spec))
         means = _old_mu(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
-        state.invalidate_log_probs()
         trace.append(objective(state, spec))
         state.gmm = GmmParams(means, _old_sigma(state, spec))
-        state.invalidate_log_probs()
         trace.append(objective(state, spec))
     return state, trace
 
@@ -544,7 +541,8 @@ def _reference_run(spec):
 def _fresh(state):
     """A copy of the state with every cache empty."""
     return SolverState(z=state.z, gmm=state.gmm, soft_labels=state.soft_labels,
-                       graph=state.graph, features=state.features, n_support=state.n_support)
+                       log_prior=state.log_prior, graph=state.graph, features=state.features,
+                       n_support=state.n_support)
 
 
 class TestCachedBlocks:
@@ -571,12 +569,14 @@ class TestCachedBlocks:
         r = np.random.default_rng(900 + seed)
         spec = random_task(r, n_query=int(r.integers(15, 60)), n_classes=int(r.integers(2, 7)),
                            dim=int(r.integers(3, 12)), shots_per_class=shots, **hyper)
-        _, got = run(spec, record_trace=True)
         want, want_trace = _reference_run(spec)
-        assert got.z.tobytes() == want.z.tobytes()
-        assert got.gmm.means.tobytes() == want.gmm.means.tobytes()
-        assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
-        assert got.objective_trace == want_trace
+        # the untraced run must not depend on the objective calls' caching
+        for record_trace in (False, True):
+            _, got = run(spec, record_trace=record_trace)
+            assert got.z.tobytes() == want.z.tobytes()
+            assert got.gmm.means.tobytes() == want.gmm.means.tobytes()
+            assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
+            assert got.objective_trace == (want_trace if record_trace else [])
 
     def test_replacing_gmm_gives_fresh_logits(self, rng):
         spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=1,
@@ -584,8 +584,8 @@ class TestCachedBlocks:
         state = init_state(spec)
         state.z = z_step(state, spec)
         state.gmm = GmmParams(_old_mu(state, spec), state.gmm.variances * 0.5)
-        state.invalidate_log_probs()
         assert z_step(state, spec).tobytes() == _old_sweep(state, spec).tobytes()
+        assert objective(state, spec) == objective(_fresh(state), spec)
         # another kl_weight on the same state rebuilds the cached part too
         other = spec.with_hyper(kl_weight=0.25)
         assert z_step(state, other).tobytes() == _old_sweep(state, other).tobytes()
@@ -608,11 +608,21 @@ class TestCachedBlocks:
         other = spec.with_hyper(support_weight=0.7)
         assert sigma_step(state, other).tobytes() == _old_sigma(state, other).tobytes()
 
+    def test_solves_share_the_prepared_log_prior(self, rng):
+        spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=2)
+        prepared = solver.prepare(spec)
+        for gamma in (0.01, 0.2):
+            _, state = run(spec.with_hyper(support_weight=gamma), prepared=prepared)
+            assert state.log_prior is prepared.log_prior
+        assert not prepared.log_prior.flags.writeable
+        want = np.log(np.maximum(prepared.soft_labels.z, PRIOR_LOG_FLOOR))
+        assert prepared.log_prior.tobytes() == want.tobytes()
+
     def test_sigma_step_reuses_the_mean_step_pass(self, rng):
         spec = random_task(rng, n_query=20, n_classes=3, dim=5)
         state = init_state(spec)
         mu_step(state, spec)
-        moments = state._moments[2]
+        moments = state._moments[1]
         got = sigma_step(state, spec)
-        assert state._moments[2] is moments
+        assert state._moments[1] is moments
         assert got.tobytes() == sigma_step(_fresh(state), spec).tobytes()

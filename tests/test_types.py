@@ -238,6 +238,12 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["kl_weight", "support_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weights(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Hyperparams(**{name: value})
+
 
 class TestValidateTask:
     def test_accepts_well_formed(self, rng):
@@ -291,4 +297,14 @@ class TestValidateTask:
             temperature=0.0,
         )
         with pytest.raises(ValueError):
+            validate_task(spec)
+
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+    def test_rejects_non_finite_temperature(self, rng, tau):
+        spec = TaskSpec(
+            query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
+            text=EmbeddingMatrix(unit_rows(rng, 2, 8)),
+            temperature=tau,
+        )
+        with pytest.raises(ValueError, match="temperature"):
             validate_task(spec)
