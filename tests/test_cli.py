@@ -89,11 +89,9 @@ class TestRunZs:
 
 
 class TestRunFs:
-    _fs_args = staticmethod(_fs_args)
-
     def test_explicit_gamma_skips_search(self, task_dir, tmp_path, capsys):
         out = tmp_path / "pred.csv"
-        assert main(self._fs_args(task_dir, out, ["--gamma", "0.02"])) == 0
+        assert main(_fs_args(task_dir, out, ["--gamma", "0.02"])) == 0
         lines = capsys.readouterr().out
         assert "support weight: 0.02" in lines
         assert "validation accuracy" not in lines
@@ -101,7 +99,7 @@ class TestRunFs:
     def test_default_grid_emits_four_row_table(self, task_dir, tmp_path):
         out = tmp_path / "pred.csv"
         table = tmp_path / "table.csv"
-        rc = main(self._fs_args(task_dir, out, [
+        rc = main(_fs_args(task_dir, out, [
             "--validation", str(task_dir / "validation.emb"),
             "--validation-labels", str(task_dir / "validation.labels"),
             "--score-table", str(table),
@@ -121,7 +119,7 @@ class TestRunFs:
 
         monkeypatch.setattr(solver, "_objective_terms", counting)
         trace = tmp_path / "trace.csv"
-        rc = main(self._fs_args(task_dir, tmp_path / "pred.csv", [
+        rc = main(_fs_args(task_dir, tmp_path / "pred.csv", [
             "--validation", str(task_dir / "validation.emb"),
             "--validation-labels", str(task_dir / "validation.labels"),
             *(["--trace", str(trace)] if traced else []),
@@ -145,7 +143,7 @@ class TestRunFs:
 
     def test_lonely_validation_flag_rejected(self, task_dir, tmp_path, capsys):
         out = tmp_path / "pred.csv"
-        rc = main(self._fs_args(task_dir, out, [
+        rc = main(_fs_args(task_dir, out, [
             "--validation", str(task_dir / "validation.emb"),
         ]))
         assert rc == 1
