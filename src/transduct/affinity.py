@@ -34,7 +34,8 @@ product has the same bits as the per-pair dots, so the two paths agree.
 The sgemm only chooses candidates and the margin covers its rounding, so
 the graph does not depend on the BLAS or its thread count. The einsum dots
 do not call the BLAS and are bitwise symmetric, so w(i, j) == w(j, i). The
-graph is one read-only scipy CSR matrix that keeps each row in this order.
+graph holds the rows in CSR form, as three read-only numpy arrays (row
+pointers, neighbor indices, weights) that keep each row in this order.
 """
 
 from __future__ import annotations
@@ -159,17 +160,6 @@ def _dense_rows(data, lo, hi, k, neighbor_idx, neighbor_w) -> None:
         np.maximum(w, 0.0, out=neighbor_w[a:b])
 
 
-def _graph(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> AffinityGraph:
-    """The graph whose CSR rows hold exactly these arrays, in this order, made
-    read-only so that no call such as ``sort_indices`` can reorder a row."""
-    from scipy.sparse import csr_matrix
-
-    csr = csr_matrix((weights, indices, indptr), shape=(indptr.size - 1,) * 2)
-    for arr in (csr.data, csr.indices, csr.indptr):
-        arr.setflags(write=False)
-    return AffinityGraph(csr)
-
-
 def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> AffinityGraph:
     """Directed graph linking each row to its k most cosine-similar others.
 
@@ -185,7 +175,7 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
     n, d = data.shape
     k_eff = min(k, n - 1)
     if k_eff == 0:
-        return _graph(np.zeros(n + 1, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        return AffinityGraph(np.zeros(n + 1, np.int64), np.zeros(0, np.int64), np.zeros(0))
 
     neighbor_idx = np.empty((n, k_eff), dtype=np.int64)
     neighbor_w = np.empty((n, k_eff))
@@ -206,11 +196,12 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
         neighbor_idx[lo:hi] = idx
         np.maximum(w, 0.0, out=neighbor_w[lo:hi])
         del flat, rows, cols, idx, w
-    # kept, the float32 copy would sit beside scipy.sparse's import in _graph
-    del data32
+    del data32  # before the symmetrized union allocates its edge arrays
 
     if not symmetrize:
-        return _graph(np.arange(n + 1) * k_eff, neighbor_idx.reshape(-1), neighbor_w.reshape(-1))
+        return AffinityGraph(
+            np.arange(n + 1) * k_eff, neighbor_idx.reshape(-1), neighbor_w.reshape(-1)
+        )
 
     src = np.repeat(np.arange(n, dtype=np.int64), k_eff)
     dst = neighbor_idx.reshape(-1)
@@ -226,12 +217,12 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
     src2, dst2, w2 = src2[order], dst2[order], w2[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src2, minlength=n), out=indptr[1:])
-    return _graph(indptr, dst2, w2)
+    return AffinityGraph(indptr, dst2, w2)
 
 
 def dump_edges(graph: AffinityGraph, path) -> None:
     """Write one 'i j w' line per stored edge, in storage order."""
-    coo = graph.csr.tocoo()  # keeps the CSR's storage order
-    edges = zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    edges = zip(src.tolist(), graph.indices.tolist(), graph.weights.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(map("%d %d %.9g\n".__mod__, edges))

@@ -166,8 +166,12 @@ def run_fewshot(
     if spec.support is None:
         raise ValueError("few-shot run requires a support set")
     spec = spec.with_hyper(kl_weight=kl_weight)
-    # Hyperparams rejects a bad support weight here, before any graph is built
-    for value in grid if gamma is None else (gamma,):
+    # an empty grid and a weight that Hyperparams rejects fail here, before
+    # any graph is built
+    candidates = grid if gamma is None else (gamma,)
+    if len(candidates) == 0:
+        raise ValueError("support-weight grid must be non-empty")
+    for value in candidates:
         spec.with_hyper(support_weight=float(value))
 
     validation = None

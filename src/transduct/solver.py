@@ -190,15 +190,15 @@ def z_step(state: SolverState, spec: TaskSpec) -> np.ndarray:
     minimizer of the per-row convex surrogate, so each sweep cannot
     increase the surrogate objective. Support rows are returned untouched.
     The first two terms come from ``state.base_logits``; only the neighbor
-    sum is computed afresh. The softmax runs in place in the fresh neighbor
-    sum, which becomes the new read-only ``z``.
+    sum is computed afresh, for the query rows alone, straight into the query
+    rows of the new read-only ``z``, where the softmax then runs in place.
     """
     n_s = state.n_support
     # the cached part first: building it is the sweep's largest allocation
     base = state.base_logits(spec.hyper.kl_weight)
-    z_new = state.graph.propagate(state.z)
+    z_new = np.empty_like(state.z)
     z_new[:n_s] = state.z[:n_s]
-    logits = z_new[n_s:]
+    logits = state.graph.propagate(state.z, start=n_s, out=z_new[n_s:])
     logits += base
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)

@@ -1,14 +1,15 @@
 """Validated data types for transductive embedding classification.
 
 All types are immutable after construction (arrays are marked read-only)
-and safe to share across threads. No algorithms live here.
+and safe to share across threads. The only algorithms here are row
+normalization and the graph's weighted neighbor sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,9 +19,6 @@ from .errors import (
     NonFiniteValue,
     NormTooFarFromUnit,
 )
-
-if TYPE_CHECKING:  # importing scipy.sparse costs about 0.2 s of start-up
-    from scipy.sparse import csr_matrix
 
 # Row norms may deviate this much from 1.0 before the row is rejected as
 # corrupt instead of silently renormalized.
@@ -42,6 +40,11 @@ VAR_FLOOR = 1e-12
 # bytes, which bounds its temporaries; a row's norm does not depend on the
 # block it is in.
 _NORM_BLOCK_BYTES = 256 * 1024
+
+# AffinityGraph.propagate gathers neighbor rows in row blocks of about this
+# many bytes, small enough to stay in cache; the block does not change the
+# result.
+_PROPAGATE_BYTES = 512 * 1024
 
 
 def _freeze(arr: np.ndarray, source=None) -> np.ndarray:
@@ -181,35 +184,86 @@ class GmmParams:
 
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """Sparse directed nearest-neighbor graph: one read-only scipy CSR matrix.
+    """Sparse directed nearest-neighbor graph in compressed sparse row form.
 
-    Row i holds node i's neighbors and their non-negative weights, by
-    descending weight, without self-edges. ``affinity.build_knn`` makes this
-    hold; nothing re-checks it. Row order is part of ``propagate``'s bits.
+    Node i's neighbors are ``indices[indptr[i]:indptr[i + 1]]`` with the
+    non-negative ``weights`` at the same positions, by descending weight,
+    without self-edges. ``affinity.build_knn`` makes this hold; nothing
+    re-checks it. Row order is part of ``propagate``'s bits. The three
+    arrays are read-only views of the ones given, never copies.
     """
 
-    csr: csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64), ("weights", np.float64)):
+            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def n_nodes(self) -> int:
-        return self.csr.shape[0]
+        return self.indptr.size - 1
 
     @property
     def n_edges(self) -> int:
-        return int(self.csr.nnz)
+        return self.indices.size
 
     def neighbors(self, i: int):
         """(indices, weights) views for node i."""
-        lo, hi = self.csr.indptr[i], self.csr.indptr[i + 1]
-        return self.csr.indices[lo:hi], self.csr.data[lo:hi]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.weights[lo:hi]
 
-    def propagate(self, values: np.ndarray) -> np.ndarray:
-        """Weighted neighbor sum: row i of the result is sum_j w_ij * values[j].
+    def propagate(self, values: np.ndarray, start: int = 0, out: Optional[np.ndarray] = None):
+        """Weighted neighbor sums of nodes start..N-1: row r of the result is
+        sum_j w_ij * values[j] for node i = start + r. Written into ``out``
+        when given, and returned.
 
-        Accumulates each node's neighbors left to right in stored order,
-        so the result is independent of thread count.
+        Each node's neighbors are added left to right in stored order,
+        starting from 0, as a sequential CSR matrix product adds them; the
+        bits do not depend on the row blocks.
+        The c slots that every row has are summed by one slot-major einsum
+        per row block; each further slot j is added to the rows whose
+        degree exceeds j.
         """
-        return self.csr @ values
+        values = np.asarray(values, dtype=np.float64)
+        ptr = self.indptr[start:]
+        degree = np.diff(ptr)
+        m = degree.size
+        if out is None:
+            out = np.empty((m, values.shape[1]))
+        # einsum adds in slot order while the slots are its outer loop, as they
+        # are in slot-major blocks of two rows or more; for one row of one
+        # column they would be its inner loop, summed out of order, so a lone
+        # row takes the slot loop below
+        c = int(degree.min()) if m > 1 else 0
+        if c == 0:
+            out[...] = 0.0
+        else:
+            slots = np.arange(c)[:, None]
+            n_blocks = max(1, min(m // 2, m * c * values.shape[1] * 8 // _PROPAGATE_BYTES))
+            bounds = np.arange(n_blocks + 1) * m // n_blocks
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                pos = ptr[a:b] + slots
+                np.einsum("kn,knc->nc", self.weights[pos], values[self.indices[pos]], out=out[a:b])
+        heavy = np.flatnonzero(degree > c)
+        if heavy.size:
+            # the rows with a slot j, by descending degree, are a prefix of
+            # these; their sums are carried in one compact copy
+            heavy = heavy[np.argsort(-degree[heavy], kind="stable")]
+            neg_degree = -degree[heavy]
+            first = ptr[heavy]
+            acc = out[heavy]
+            for j in range(c, -int(neg_degree[0])):
+                rows = np.searchsorted(neg_degree, -j)
+                pos = first[:rows] + j
+                term = values[self.indices[pos]]
+                term *= self.weights[pos, None]
+                acc[:rows] += term
+            out[heavy] = acc
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -63,8 +63,7 @@ def test_deterministic(rng):
     data = EmbeddingMatrix(unit_rows(rng, 30, 6))
     a = build_knn(data, k=3)
     b = build_knn(data, k=3)
-    for x, y in ((a.csr.indptr, b.csr.indptr), (a.csr.indices, b.csr.indices),
-                 (a.csr.data, b.csr.data)):
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.weights, b.weights)):
         assert x.tobytes() == y.tobytes()
 
 
@@ -147,8 +146,8 @@ def test_csr_invariants(data, seed, n, tied, symmetrize):
     rows = _tied_rows(r, n, pool=8) if tied else unit_rows(r, n, 5)
     k = data.draw(st.integers(0, n + 2), label="k")
     g = build_knn(EmbeddingMatrix(rows), k=k, symmetrize=symmetrize)
-    indptr, indices, w = g.csr.indptr, g.csr.indices, g.csr.data
-    assert g.n_nodes == n and g.csr.shape == (n, n)
+    indptr, indices, w = g.indptr, g.indices, g.weights
+    assert g.n_nodes == n and indptr.shape == (n + 1,)
     assert indptr[0] == 0 and indptr[-1] == g.n_edges == indices.size == w.size
     degree = np.diff(indptr)
     assert np.all(degree >= 0)
@@ -268,8 +267,8 @@ def test_near_ties_match_einsum_reference_bitwise(draws, seed, n, d, k):
     rows = EmbeddingMatrix(_near_tie_rows(r, n, d, n_close)).data
     g = build_knn(EmbeddingMatrix(rows), k=k)
     exp_idx, exp_w = _einsum_reference(rows, k)
-    np.testing.assert_array_equal(g.csr.indices.reshape(n, k), exp_idx)
-    assert g.csr.data.tobytes() == exp_w.tobytes()
+    np.testing.assert_array_equal(g.indices.reshape(n, k), exp_idx)
+    assert g.weights.tobytes() == exp_w.tobytes()
 
 
 @pytest.mark.parametrize("near_ties", [False, True])
@@ -277,8 +276,8 @@ def test_symmetrized_weights_are_bitwise_symmetric(near_ties):
     r = np.random.default_rng(5)
     rows = _near_tie_rows(r, 600, 32, 40) if near_ties else unit_rows(r, 600, 32)
     g = build_knn(EmbeddingMatrix(rows), k=5, symmetrize=True)
-    coo = g.csr.tocoo()
-    w = {(i, j): x for i, j, x in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())}
+    src = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+    w = {(i, j): x for i, j, x in zip(src.tolist(), g.indices.tolist(), g.weights.tolist())}
     assert all(w[(j, i)] == x for (i, j), x in w.items())
 
 
@@ -292,9 +291,9 @@ def test_both_sides_of_the_dense_switch_agree_bitwise(monkeypatch, symmetrize):
         graphs = []
         for share in (0, 10**9):
             monkeypatch.setattr(affinity, "_DENSE_SHARE", share)
-            graphs.append(build_knn(data, k=4, symmetrize=symmetrize).csr)
+            graphs.append(build_knn(data, k=4, symmetrize=symmetrize))
         a, b = graphs
-        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.weights, b.weights)):
             assert x.tobytes() == y.tobytes()
 
 
@@ -319,7 +318,7 @@ def test_identical_rows_stay_bounded(k, seconds, peak_mib):
         tracemalloc.stop()
     # ties go to the lower index: the k lowest indices other than the row's own
     others = np.arange(3000)[None, :] + (np.arange(3000)[None, :] >= np.arange(3000)[:, None])
-    np.testing.assert_array_equal(g.csr.indices.reshape(3000, k), others[:, :k])
-    assert np.unique(g.csr.data).size == 1
+    np.testing.assert_array_equal(g.indices.reshape(3000, k), others[:, :k])
+    assert np.unique(g.weights).size == 1
     assert elapsed <= seconds, f"build took {elapsed:.2f} s"
     assert peak <= peak_mib * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -130,6 +131,14 @@ class TestRunFs:
             assert len(rows) == len(calls) == 71
         else:
             assert calls == [] and not trace.exists()
+
+    def test_empty_grid_exits_one_before_the_graph(self, task_dir, tmp_path, monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(solver, "build_knn", lambda *a, **k: builds.append(1))
+        out = tmp_path / "pred.csv"
+        assert main(_fs_args(task_dir, out, ["--gamma-grid", ","])) == 1
+        assert "support-weight grid must be non-empty" in capsys.readouterr().err
+        assert builds == [] and not out.exists()
 
     def test_missing_support_labels_exits_one(self, task_dir, tmp_path, capsys):
         args = [
@@ -320,13 +329,32 @@ class TestHelp:
             assert token in text
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # importing scipy.sparse takes about 0.2 s, which every invocation would
-    # pay before reading its input; the graph builder imports it on use
+def test_cli_runs_with_scipy_unimportable(task_dir, tmp_path):
+    # the CLI imports numpy alone: a None entry in sys.modules makes every
+    # import of scipy raise, so any use of it fails the run
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, transduct.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
+    commands = [
+        ["synth", "--out-dir", str(tmp_path / "synth"), "--classes", "3", "--dim", "4",
+         "--per-class", "5", "--seed", "1"],
+        _zs_args(task_dir, tmp_path / "zs.csv", [
+            "--dump-graph", str(tmp_path / "edges.txt"), "--symmetrize-graph",
+        ]),
+        _fs_args(task_dir, tmp_path / "fs.csv", [
+            "--validation", str(task_dir / "validation.emb"),
+            "--validation-labels", str(task_dir / "validation.labels"),
+        ]),
+        ["eval", "--pred", str(tmp_path / "fs.csv"), "--truth", str(task_dir / "truth.labels")],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from transduct.cli import main\n"
+        "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))\n"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "edges.txt").stat().st_size > 0
+    assert "accuracy" in out.stdout

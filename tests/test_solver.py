@@ -3,7 +3,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 from scipy.stats import norm
 
 from transduct import solver
@@ -340,8 +339,7 @@ class TestObjective:
         g1 = state.graph
 
         def scaled(c):
-            csr = g1.csr
-            return AffinityGraph(csr_matrix((c * csr.data, csr.indices, csr.indptr), shape=csr.shape))
+            return AffinityGraph(g1.indptr, g1.indices, c * g1.weights)
 
         vals = {}
         for name, g in (("w", g1), ("2w", scaled(2.0)), ("0", scaled(0.0))):

@@ -193,12 +193,8 @@ class TestGmmParams:
 
 
 class TestAffinityGraph:
-    def _graph(self, indptr, indices, weights):
-        n = len(indptr) - 1
-        return AffinityGraph(csr_matrix((weights, indices, indptr), shape=(n, n)))
-
     def test_valid_graph(self):
-        g = self._graph([0, 2, 3, 4], [1, 2, 0, 0], [0.9, 0.1, 0.5, 0.2])
+        g = AffinityGraph([0, 2, 3, 4], [1, 2, 0, 0], [0.9, 0.1, 0.5, 0.2])
         idx, w = g.neighbors(0)
         np.testing.assert_array_equal(idx, [1, 2])
         np.testing.assert_allclose(w, [0.9, 0.1])
@@ -206,12 +202,56 @@ class TestAffinityGraph:
         assert g.n_edges == 4
 
     def test_propagate_matches_manual_sum(self, rng):
-        g = self._graph([0, 2, 3, 3], [1, 2, 0], [0.5, 0.25, 1.0])
+        g = AffinityGraph([0, 2, 3, 3], [1, 2, 0], [0.5, 0.25, 1.0])
         values = rng.standard_normal((3, 4))
         out = g.propagate(values)
         np.testing.assert_allclose(out[0], 0.5 * values[1] + 0.25 * values[2])
         np.testing.assert_allclose(out[1], values[0])
         np.testing.assert_allclose(out[2], 0.0)
+
+    def test_arrays_are_read_only_views_of_the_inputs(self):
+        arrays = np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, 0.5])
+        g = AffinityGraph(*arrays)
+        for given_arr, held in zip(arrays, (g.indptr, g.indices, g.weights)):
+            assert np.shares_memory(given_arr, held)
+            assert not held.flags.writeable and given_arr.flags.writeable
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_propagate_is_bitwise_the_csr_product(self, data):
+        # oracle: scipy's CSR product, which adds each row's entries left to
+        # right from +0.0, so a lone zero weight times a negative value,
+        # -0.0, must come out as +0.0
+        n = data.draw(st.integers(1, 40), label="n")
+        n_cols = data.draw(st.sampled_from([1, 2, 3, 100]), label="K")
+        r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # every row has `common` slots; some rows may have up to n - 1
+        common = data.draw(st.integers(0, n - 1), label="common degree")
+        degree = np.full(n, common)
+        if data.draw(st.booleans(), label="variable degree"):
+            degree += r.integers(0, n - common, size=n)
+        if data.draw(st.booleans(), label="empty rows"):
+            degree[r.random(n) < 0.2] = 0
+        indptr = np.concatenate([[0], np.cumsum(degree)])
+        indices = r.integers(0, n, size=indptr[-1])  # repeats allowed
+        weights = r.random(indptr[-1])
+        weights[r.random(weights.size) < 0.2] = 0.0
+        values = r.standard_normal((n, n_cols))
+        start = data.draw(st.one_of(st.integers(0, n), st.just(n - 1)), label="start")
+        budget = data.draw(st.sampled_from([1, 4096, types._PROPAGATE_BYTES]), label="budget")
+        expected = (csr_matrix((weights, indices, indptr), shape=(n, n)) @ values)[start:]
+        g = AffinityGraph(indptr, indices, weights)
+        saved = types._PROPAGATE_BYTES
+        types._PROPAGATE_BYTES = budget
+        try:
+            got = g.propagate(values, start=start)
+            into = np.full((n - start, n_cols), np.nan)
+            returned = g.propagate(values, start=start, out=into)
+        finally:
+            types._PROPAGATE_BYTES = saved
+        assert returned is into
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes() == into.tobytes()
 
 
 class TestHyperparams:
