@@ -29,6 +29,7 @@ from .solver import PreparedTask, SolverState, prepare, run
 from .types import (
     FEWSHOT_KL_WEIGHT,
     GAMMA_GRID,
+    EmbeddingMatrix,
     SimplexAssignments,
     SupportSet,
     TaskSpec,
@@ -38,6 +39,10 @@ from .zeroshot import hard_predict
 
 # Per-class validation count: min(_MAX_VALIDATION_PER_CLASS, class shot count).
 _MAX_VALIDATION_PER_CLASS = 4
+# bytes of float64 validation-to-query cosines per block of validation rows.
+# Splitting a product's rows can change its last bits, so every task that
+# fits one block keeps the bits of the whole product.
+_NEAREST_BYTES = 32 * 2**20
 
 
 def split_shots(
@@ -101,6 +106,17 @@ def split_shots(
     return train, validation
 
 
+def _nearest_queries(validation: EmbeddingMatrix, query: EmbeddingMatrix) -> np.ndarray:
+    """Each validation row's most cosine-similar query row, ties to the
+    lower index, from the product taken in blocks of validation rows."""
+    nearest = np.empty(validation.n_rows, dtype=np.intp)
+    step = max(1, _NEAREST_BYTES // (8 * query.n_rows))
+    for lo in range(0, validation.n_rows, step):
+        sims = validation.data[lo : lo + step] @ query.data.T
+        np.argmax(sims, axis=1, out=nearest[lo : lo + step])
+    return nearest
+
+
 def search_gamma(
     spec_base: TaskSpec,
     validation: SupportSet,
@@ -119,8 +135,7 @@ def search_gamma(
         raise ValueError("support-weight grid must be non-empty")
     if prepared is None:
         prepared = prepare(spec_base)
-    # each validation sample's most cosine-similar query; ties go to the lower index
-    nearest = np.argmax(validation.embeddings.data @ spec_base.query.data.T, axis=1)
+    nearest = _nearest_queries(validation.embeddings, spec_base.query)
     table: list[tuple[float, float]] = []
     best_gamma, best_acc, best = 0.0, -1.0, None
     for gamma in map(float, grid):

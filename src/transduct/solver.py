@@ -23,13 +23,15 @@ points but weigh the assignment trade-off differently.
 
 The solver works on plain float64 arrays. Assignments are validated as
 ``SimplexAssignments`` where they enter (the soft labels and the support
-one-hot rows) and once where they leave (the query rows ``run`` returns);
-the sweeps in between produce row softmaxes, which lie on the simplex by
-construction. ``state.z`` is always a read-only array, and each sweep
-replaces it rather than writing into it. Everything runs in the calling
-thread. ``gmm_log_probs`` walks the rows in fixed blocks of
-``_CHUNK_ROWS`` to bound its temporaries; the block boundaries are part
-of the output bits of larger tasks.
+one-hot rows) and once where they leave (the query rows ``run`` returns,
+a read-only view of ``state.z``, not a copy); the sweeps in between
+produce row softmaxes, which lie on the simplex by construction.
+``state.z`` is always a read-only array, and each sweep replaces it rather
+than writing into it. Everything runs in the calling thread.
+``gmm_log_probs`` walks the rows in fixed blocks of ``_CHUNK_ROWS``, one
+GEMM each, and squares the features in sub-blocks of about
+``_ROW_BLOCK_BYTES``, so it makes no N x d temporary; the GEMM block
+boundaries are part of the output bits of larger tasks.
 
 Log-density values omit the constant -(d/2) log(2 pi): it cancels in every
 row softmax and offsets both objectives by an assignment-independent
@@ -49,9 +51,13 @@ drops it when the value it came from is assigned. ``z`` (a read-only
 array) and ``gmm`` (a frozen record) are immutable, so assignment is the
 only way they change:
 
-* assigning ``gmm`` drops the GMM log-densities and the sweep-invariant
-  logits ``kl_weight * log prior + log-densities``, which the first sweep
-  of an outer iteration builds and the others reuse;
+* assigning ``gmm`` drops the sweep-invariant logits
+  ``kl_weight * log prior + log-densities``, which the first sweep of an
+  outer iteration builds in the query rows of a fresh ``gmm_log_probs``
+  output and the others reuse, and the full log-densities, which only the
+  objective reads. An untraced solve never evaluates the objective, so it
+  keeps no log-densities beside the base logits; a traced one computes them
+  once more per outer iteration;
 * assigning ``z`` drops the moments that ``mu_step`` computes and
   ``sigma_step`` reuses, keyed on the support weight.
 """
@@ -78,10 +84,15 @@ from .zeroshot import compute_soft_labels, init_prototypes_support, init_prototy
 # Floor applied inside log() so exactly-zero prior entries stay finite.
 PRIOR_LOG_FLOOR = 1e-300
 
-# gmm_log_probs works through the rows in blocks of this many, which bounds
-# its rows x d temporary. Changing it can change the last bits of the output
-# for tasks with more rows than this.
+# gmm_log_probs works through the rows in blocks of this many, one GEMM each.
+# Changing it can change the last bits of the output for tasks with more rows
+# than this.
 _CHUNK_ROWS = 8192
+
+# Row-wise passes whose bits do not depend on the row count (the squared
+# feature norms, the prior added into the base logits) take rows in blocks
+# of about this many bytes, which bounds their temporaries.
+_ROW_BLOCK_BYTES = 256 * 1024
 
 # Classes whose mean-update denominator falls below this keep their
 # previous prototype instead of dividing by ~0.
@@ -144,12 +155,25 @@ class SolverState:
 
     def base_logits(self, kl_weight: float) -> np.ndarray:
         """The sweep-invariant part of the query logits:
-        ``kl_weight * log prior + log-densities`` of the query rows."""
+        ``kl_weight * log prior + log-densities`` of the query rows.
+
+        Built in the query rows of a fresh ``gmm_log_probs`` output, which the
+        prior is added into in row blocks, so neither the log-density cache
+        nor a second N x K array is made; IEEE addition commutes, so the bits
+        are those of the sum in either order.
+        """
         if self._base_logits is None or self._base_logits[0] != kl_weight:
-            base = kl_weight * self.log_prior
-            base += self.log_probs()[self.n_support :]
+            base = gmm_log_probs(self.features, self.gmm)[self.n_support :]
+            step = _rows_per_block(base.shape[1])
+            for lo in range(0, base.shape[0], step):
+                base[lo : lo + step] += kl_weight * self.log_prior[lo : lo + step]
             self._base_logits = (kl_weight, base)
         return self._base_logits[1]
+
+
+def _rows_per_block(width: int) -> int:
+    """Rows of ``width`` float64 values in about ``_ROW_BLOCK_BYTES``."""
+    return max(1, _ROW_BLOCK_BYTES // (8 * width))
 
 
 def gmm_log_probs(features, gmm: GmmParams) -> np.ndarray:
@@ -164,9 +188,15 @@ def gmm_log_probs(features, gmm: GmmParams) -> np.ndarray:
     scaled_means = gmm.means * inv_var
     mean_sq = np.einsum("kd,kd->k", gmm.means, scaled_means)
     out = np.empty((data.shape[0], gmm.n_classes))
+    step = _rows_per_block(data.shape[1])
     for lo in range(0, data.shape[0], _CHUNK_ROWS):
         block = data[lo : lo + _CHUNK_ROWS]
-        feat_sq = np.einsum("nd,d->n", block * block, inv_var)
+        # a row's einsum bits do not depend on the rows beside it, so the
+        # squares are taken in sub-blocks, not as one rows x d temporary
+        feat_sq = np.empty(block.shape[0])
+        for a in range(0, block.shape[0], step):
+            part = block[a : a + step]
+            np.einsum("nd,d->n", part * part, inv_var, out=feat_sq[a : a + step])
         # -0.5 * (log_det + feat_sq - 2 * cross + mean_sq), built in place in
         # the output rows so no N x K temporary is allocated
         rows = out[lo : lo + _CHUNK_ROWS]
@@ -359,18 +389,19 @@ def prepare(spec: TaskSpec) -> PreparedTask:
     weights, so one record serves every support-weight candidate.
     """
     spec = validate_task(spec)
+    # The graph is built on the held rows: wrapping them in another
+    # EmbeddingMatrix would copy them, as it copies any array it did not
+    # make. The stacked rows are unit already, so wrapping them changes no bit.
     if spec.support is not None:
-        features = np.concatenate([spec.support.embeddings.data, spec.query.data])
-        features.setflags(write=False)
+        rows = EmbeddingMatrix(np.concatenate([spec.support.embeddings.data, spec.query.data]))
     else:
-        features = spec.query.data
+        rows = spec.query
+    features = rows.data
     # The graph comes first: its row blocks are the largest temporaries of a
     # solve, and the arrays made after it reuse the heap space they free.
     # Built last, that space stays resident beside them: with glibc malloc
     # the zero-shot peak RSS at 5000 x 100 x 128 rose by about 4 MiB.
-    graph = build_knn(
-        EmbeddingMatrix(features), spec.hyper.k_nn, symmetrize=spec.hyper.symmetrize_graph
-    )
+    graph = build_knn(rows, spec.hyper.k_nn, symmetrize=spec.hyper.symmetrize_graph)
     soft = compute_soft_labels(spec.query, spec.text, spec.temperature)
     if spec.support is not None:
         means = init_prototypes_support(
@@ -435,8 +466,9 @@ def run(
     followed by one mean and one variance refresh. With record_trace, both
     objective flavors are logged after every block update. The final
     prediction for query row i is the argmax of its assignment row. The
-    returned assignments are validated; ``state.z`` is the plain array.
-    ``prepared`` is passed on to ``init_state``.
+    returned assignments are validated and hold a read-only view of the
+    query rows of ``state.z``, not a copy. ``prepared`` is passed on to
+    ``init_state``.
     """
     state = init_state(spec, prepared)
 
@@ -464,5 +496,4 @@ def run(
         state.gmm = GmmParams(means, variances)
         record(it, "sigma")
 
-    query_assignments = SimplexAssignments(state.z[state.n_support :])
-    return query_assignments, state
+    return SimplexAssignments(state.z[state.n_support :]), state

@@ -1,8 +1,12 @@
 """Validated data types for transductive embedding classification.
 
 All types are immutable after construction (arrays are marked read-only)
-and safe to share across threads. The only algorithms here are row
-normalization and the graph's weighted neighbor sum.
+and safe to share across threads. Input arrays are copied unless the type
+can keep them: an ``AffinityGraph`` keeps read-only views of the arrays it
+is given, and a ``SimplexAssignments`` keeps a float64 array that is
+already read-only and C-contiguous, such as the solver's assignment rows,
+and copies a writable one. The only algorithms here are row normalization
+and the graph's weighted neighbor sum.
 """
 
 from __future__ import annotations
@@ -118,7 +122,13 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SimplexAssignments:
-    """N x K matrix of per-row probability vectors over classes."""
+    """N x K matrix of per-row probability vectors over classes.
+
+    A float64 array that is already read-only and C-contiguous is kept as
+    given, not copied, as ``AffinityGraph`` keeps its arrays: the solver
+    hands over read-only views of its assignments. A writable array is
+    copied.
+    """
 
     z: np.ndarray
 
@@ -132,7 +142,9 @@ class SimplexAssignments:
             raise ValueError("assignment entries must lie in [0, 1]")
         if np.any(np.abs(z.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise ValueError("assignment rows must sum to 1")
-        object.__setattr__(self, "z", _freeze(z))
+        if z.flags.writeable or not z.flags.c_contiguous:
+            z = _freeze(z)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def one_hot(cls, labels: np.ndarray, n_classes: int) -> "SimplexAssignments":

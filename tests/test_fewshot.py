@@ -119,6 +119,19 @@ class TestSearchGamma:
         accs = [acc for _, acc in table]
         assert accs.index(max(accs)) == 3
 
+    def test_blocked_nearest_queries_tie_to_the_lower_index(self, rng, monkeypatch):
+        # query rows 2j and 2j + 1 are exact duplicates, and validation row j
+        # is query row 2j, so every validation row ties between two queries
+        rows = unit_rows(rng, 6, 5)
+        query = EmbeddingMatrix(np.repeat(rows, 2, axis=0))
+        validation = EmbeddingMatrix(rows)
+        whole = fewshot._nearest_queries(validation, query)
+        # 2 validation rows per block: blocks end between validation rows
+        monkeypatch.setattr(fewshot, "_NEAREST_BYTES", 2 * 8 * query.n_rows)
+        blocked = fewshot._nearest_queries(validation, query)
+        np.testing.assert_array_equal(blocked, 2 * np.arange(6))
+        np.testing.assert_array_equal(whole, blocked)
+
 
 class TestRunFewshot:
     def test_requires_support(self, rng):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -432,7 +433,8 @@ class TestPlainArrays:
         want = -0.5 * (np.log(gmm.variances).sum() + (diff**2 / gmm.variances).sum(axis=2))
         assert got.shape == (50, 4)
         assert np.abs(got - want).max() <= 1e-12
-        # the in-place arithmetic is the expanded formula, bit for bit
+        # the in-place arithmetic is the expanded formula, bit for bit, with
+        # the squared norms of a whole block in one einsum
         inv_var = 1.0 / gmm.variances
         scaled = gmm.means * inv_var
         mean_sq = np.einsum("kd,kd->k", gmm.means, scaled)
@@ -442,6 +444,11 @@ class TestPlainArrays:
             expanded = -0.5 * (float(np.log(gmm.variances).sum()) + feat_sq[:, None]
                                - 2.0 * (block @ scaled.T) + mean_sq[None, :])
             assert got[lo : lo + 7].tobytes() == expanded.tobytes()
+        # squared norms taken in sub-blocks of 1, 2 and 3 rows, which split
+        # the 7-row blocks unevenly, give the same bits
+        for sub_rows in (1, 2, 3):
+            monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", sub_rows * 8 * 6)
+            assert gmm_log_probs(feats, gmm).tobytes() == got.tobytes()
 
     def test_small_blocks_give_the_same_run(self, rng, monkeypatch):
         spec = random_task(rng, n_query=50, n_classes=5, dim=8)
@@ -450,6 +457,85 @@ class TestPlainArrays:
         got, _ = run(spec, record_trace=False)
         np.testing.assert_array_equal(hard_predict(got), hard_predict(want))
         assert np.abs(got.z - want.z).max() <= 1e-12
+
+
+class TestMemory:
+    """A solve holds its assignments, the new sweep and the base logits, and
+    builds the base logits in the query rows of one log-density output."""
+
+    def test_run_peak_in_n_by_k_arrays(self, rng):
+        # K >> d, so the N x d and K x d arrays are small beside N x K; above
+        # the prepared arrays the peak is z, the sweep's new z and the base
+        # logits being rebuilt, and the result is a view of the final z
+        n, k = 2000, 400
+        spec = random_task(rng, n_query=n, n_classes=k, dim=6, outer_iters=2)
+        prepared = solver.prepare(spec)
+        one = n * k * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assignments, state = run(spec, prepared=prepared)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3.25 * one
+        assert held - base <= 1.1 * one
+
+    def test_untraced_run_keeps_no_log_densities(self, rng, monkeypatch):
+        def full_log_probs(self):
+            raise AssertionError("an untraced solve asked for the full log-densities")
+
+        spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=2,
+                           support_weight=0.1)
+        with monkeypatch.context() as m:
+            m.setattr(SolverState, "log_probs", full_log_probs)
+            _, state = run(spec)
+        assert state._log_probs is None
+        # the objective still fills the cache on demand
+        objective(state, spec)
+        assert state._log_probs is not None
+
+    @pytest.mark.parametrize("kl_weight", [0.0, 0.5, 1.0])
+    def test_base_logits_are_prior_plus_log_densities(self, rng, monkeypatch, kl_weight):
+        # 12 support rows: the 7-row GEMM block over rows 7..13 straddles the
+        # support/query boundary, and the prior is added in 3-row blocks
+        spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=3,
+                           support_weight=0.1)
+        monkeypatch.setattr(solver, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 3 * 8 * 4)
+        state = init_state(spec)
+        state.z = z_step(state, spec)
+        state.gmm = GmmParams(mu_step(state, spec), state.gmm.variances)
+        want = kl_weight * state.log_prior + gmm_log_probs(state.features, state.gmm)[12:]
+        assert state.base_logits(kl_weight).tobytes() == want.tobytes()
+        assert state._log_probs is None
+
+    @pytest.mark.parametrize("shots", [0, 2])
+    def test_graph_is_built_on_the_held_features(self, rng, monkeypatch, shots):
+        seen = []
+        build = solver.build_knn
+
+        def spy(embeddings, k, symmetrize=False):
+            seen.append(embeddings.data)
+            return build(embeddings, k, symmetrize=symmetrize)
+
+        monkeypatch.setattr(solver, "build_knn", spy)
+        spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots)
+        prepared = solver.prepare(spec)
+        assert len(seen) == 1 and seen[0] is prepared.features
+        if not shots:
+            assert prepared.features is spec.query.data
+
+    @pytest.mark.parametrize("shots", [0, 2])
+    def test_assignments_are_a_read_only_view_of_z(self, rng, shots):
+        spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots,
+                           support_weight=0.1)
+        assignments, state = run(spec)
+        assert np.shares_memory(assignments.z, state.z)
+        assert assignments.z.base is state.z
+        assert not assignments.z.flags.writeable
+        assert assignments.z.tobytes() == state.z[state.n_support :].tobytes()
 
 
 class TestEmEquivalence:

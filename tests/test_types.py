@@ -173,6 +173,24 @@ class TestSimplexAssignments:
         a = SimplexAssignments.one_hot(np.array([2, 0]), 3)
         np.testing.assert_array_equal(a.z, [[0, 0, 1], [1, 0, 0]])
 
+    def test_writable_input_is_copied(self):
+        z = np.array([[0.25, 0.75], [1.0, 0.0]])
+        a = SimplexAssignments(z)
+        assert not np.shares_memory(a.z, z)
+        assert not a.z.flags.writeable and z.flags.writeable
+
+    def test_read_only_contiguous_input_is_kept(self):
+        z = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+        z.setflags(write=False)
+        assert SimplexAssignments(z).z is z
+        rows = z[1:]
+        assert SimplexAssignments(rows).z is rows
+        # a read-only column slice is not C-contiguous: copied
+        wide = np.array([[0.5, 0.5, 9.0], [0.0, 1.0, 9.0]])
+        wide.setflags(write=False)
+        got = SimplexAssignments(wide[:, :2]).z
+        assert got.flags.c_contiguous and not np.shares_memory(got, wide)
+
 
 class TestGmmParams:
     def test_valid(self, rng):
