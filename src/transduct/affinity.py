@@ -218,11 +218,3 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src2, minlength=n), out=indptr[1:])
     return AffinityGraph(indptr, dst2, w2)
-
-
-def dump_edges(graph: AffinityGraph, path) -> None:
-    """Write one 'i j w' line per stored edge, in storage order."""
-    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    edges = zip(src.tolist(), graph.indices.tolist(), graph.weights.tolist())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(map("%d %d %.9g\n".__mod__, edges))

@@ -31,7 +31,6 @@ import sys
 import numpy as np
 
 from . import __version__, fileio, synth
-from .affinity import dump_edges
 from .errors import DimensionMismatch, ParseError, TransductError
 from .fewshot import run_fewshot
 from .solver import run
@@ -161,7 +160,7 @@ def _report_accuracies(args, state, assignments) -> None:
     if args.trace:
         fileio.write_trace(state.trace, args.trace)
     if args.dump_graph:
-        dump_edges(state.graph, args.dump_graph)
+        fileio.dump_edges(state.graph, args.dump_graph)
     if args.truth:
         truth = fileio.read_labels(args.truth)
         zs_acc = _accuracy(hard_predict(state.soft_labels), truth)

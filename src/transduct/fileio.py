@@ -23,6 +23,9 @@ writes them (see ``write_predictions``); it proves each digit string with an
 error bound and hands the values it cannot prove to ``'%.9g'``.
 ``read_predictions`` reads back only the ``pred`` column.
 
+Graph edges: one ``i j w`` line per stored edge of an AffinityGraph, in
+storage order, with the weight as ``'%.9g'``.
+
 Every reader and writer reports an OS error (missing file or directory,
 permissions, a full disk) as IoFailure("cannot read|write PATH: reason").
 """
@@ -46,7 +49,7 @@ from .errors import (
     RaggedCsv,
     TruncatedFile,
 )
-from .types import EmbeddingMatrix, SimplexAssignments
+from .types import AffinityGraph, EmbeddingMatrix, SimplexAssignments
 
 _MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
@@ -416,3 +419,11 @@ def write_score_table(table: Sequence[tuple[float, float]], path) -> None:
         fh.write("gamma,validation_accuracy\n")
         for gamma, acc in table:
             fh.write(f"{gamma:.9g},{acc:.9g}\n")
+
+
+def dump_edges(graph: AffinityGraph, path) -> None:
+    """Write one 'i j w' line per stored edge, in storage order."""
+    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    edges = zip(src.tolist(), graph.indices.tolist(), graph.weights.tolist())
+    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
+        fh.writelines(map("%d %d %.9g\n".__mod__, edges))

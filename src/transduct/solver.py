@@ -46,20 +46,9 @@ the initial means. It returns a frozen ``PreparedTask`` that ``run`` and
 (the few-shot grid search) share one graph. Without a record,
 ``init_state`` prepares the task itself.
 
-``SolverState`` caches what one solve reuses between block updates and
-drops it when the value it came from is assigned. ``z`` (a read-only
-array) and ``gmm`` (a frozen record) are immutable, so assignment is the
-only way they change:
-
-* assigning ``gmm`` drops the sweep-invariant logits
-  ``kl_weight * log prior + log-densities``, which the first sweep of an
-  outer iteration builds in the query rows of a fresh ``gmm_log_probs``
-  output and the others reuse, and the full log-densities, which only the
-  objective reads. An untraced solve never evaluates the objective, so it
-  keeps no log-densities beside the base logits; a traced one computes them
-  once more per outer iteration;
-* assigning ``z`` drops the moments that ``mu_step`` computes and
-  ``sigma_step`` reuses, keyed on the support weight.
+``SolverState`` holds the iterate and the task's arrays. ``run`` owns what
+an outer iteration reuses: the base logits its sweeps share, the moments
+its mean and variance steps share and, traced, the objective's log-densities.
 """
 
 from __future__ import annotations
@@ -127,18 +116,6 @@ class SolverState:
     features: np.ndarray
     n_support: int
     trace: list = field(default_factory=list)
-    _log_probs: Optional[np.ndarray] = None
-    # (kl_weight, array) for base_logits
-    _base_logits: Optional[tuple] = None
-    # (support_weight, moments) for _group_moments
-    _moments: Optional[tuple] = None
-
-    def __setattr__(self, name, value):
-        if name == "gmm":
-            self._log_probs = self._base_logits = None
-        elif name == "z":
-            self._moments = None
-        object.__setattr__(self, name, value)
 
     @property
     def objective_trace(self) -> list:
@@ -147,28 +124,6 @@ class SolverState:
     @property
     def n_query(self) -> int:
         return self.features.shape[0] - self.n_support
-
-    def log_probs(self) -> np.ndarray:
-        if self._log_probs is None:
-            self._log_probs = gmm_log_probs(self.features, self.gmm)
-        return self._log_probs
-
-    def base_logits(self, kl_weight: float) -> np.ndarray:
-        """The sweep-invariant part of the query logits:
-        ``kl_weight * log prior + log-densities`` of the query rows.
-
-        Built in the query rows of a fresh ``gmm_log_probs`` output, which the
-        prior is added into in row blocks, so neither the log-density cache
-        nor a second N x K array is made; IEEE addition commutes, so the bits
-        are those of the sum in either order.
-        """
-        if self._base_logits is None or self._base_logits[0] != kl_weight:
-            base = gmm_log_probs(self.features, self.gmm)[self.n_support :]
-            step = _rows_per_block(base.shape[1])
-            for lo in range(0, base.shape[0], step):
-                base[lo : lo + step] += kl_weight * self.log_prior[lo : lo + step]
-            self._base_logits = (kl_weight, base)
-        return self._base_logits[1]
 
 
 def _rows_per_block(width: int) -> int:
@@ -208,7 +163,23 @@ def gmm_log_probs(features, gmm: GmmParams) -> np.ndarray:
     return out
 
 
-def z_step(state: SolverState, spec: TaskSpec) -> np.ndarray:
+def _base_logits(state: SolverState, spec: TaskSpec) -> np.ndarray:
+    """The sweep-invariant part of the query logits:
+    ``kl_weight * log prior + log-densities`` of the query rows.
+
+    Built in the query rows of one ``gmm_log_probs`` output, which the prior
+    is added into in row blocks, so no second N x K array is made; IEEE
+    addition commutes, so the bits are those of the sum in either order.
+    """
+    base = gmm_log_probs(state.features, state.gmm)[state.n_support :]
+    kl_weight = spec.hyper.kl_weight
+    step = _rows_per_block(base.shape[1])
+    for lo in range(0, base.shape[0], step):
+        base[lo : lo + step] += kl_weight * state.log_prior[lo : lo + step]
+    return base
+
+
+def z_step(state: SolverState, spec: TaskSpec, base: np.ndarray) -> np.ndarray:
     """One simultaneous sweep of the query assignments.
 
     Every query row i becomes the softmax over classes of
@@ -219,13 +190,12 @@ def z_step(state: SolverState, spec: TaskSpec) -> np.ndarray:
     rows contribute their one-hot labels). The softmax is the exact
     minimizer of the per-row convex surrogate, so each sweep cannot
     increase the surrogate objective. Support rows are returned untouched.
-    The first two terms come from ``state.base_logits``; only the neighbor
-    sum is computed afresh, for the query rows alone, straight into the query
-    rows of the new read-only ``z``, where the softmax then runs in place.
+    The first two terms are ``base``, from ``_base_logits`` for the current
+    ``state.gmm``; only the neighbor sum is computed afresh, for the query
+    rows alone, straight into the query rows of the new read-only ``z``,
+    where the softmax then runs in place.
     """
     n_s = state.n_support
-    # the cached part first: building it is the sweep's largest allocation
-    base = state.base_logits(spec.hyper.kl_weight)
     z_new = np.empty_like(state.z)
     z_new[:n_s] = state.z[:n_s]
     logits = state.graph.propagate(state.z, start=n_s, out=z_new[n_s:])
@@ -241,14 +211,8 @@ def _group_moments(state: SolverState, spec: TaskSpec):
     """Support- and query-weighted first moments shared by the mean and
     variance updates. Returns (weighted z-mass per class, weighted z'F,
     weighted sum of z row-sums times f^2).
-
-    The result is cached on the state until ``z`` is assigned, keyed on the
-    support weight, so the variance update reuses the mean update's pass.
     """
     gamma = spec.hyper.support_weight
-    cached = state._moments
-    if cached is not None and cached[0] == gamma:
-        return cached[1]
     z = state.z
     feats = state.features
     n_s, n_q = state.n_support, state.n_query
@@ -264,31 +228,31 @@ def _group_moments(state: SolverState, spec: TaskSpec):
         mass = mass + w * zs.sum(axis=0)
         first = first + w * (zs.T @ fs)
         sq = sq + w * (zs.sum(axis=1) @ (fs * fs))
-    state._moments = (gamma, (mass, first, sq))
     return mass, first, sq
 
 
-def mu_step(state: SolverState, spec: TaskSpec) -> np.ndarray:
+def mu_step(state: SolverState, spec: TaskSpec, moments) -> np.ndarray:
     """Closed-form mean update: per class, the support/query weighted
-    average of embeddings under the current assignments.
+    average of embeddings under the current assignments, whose
+    ``_group_moments`` are ``moments``.
 
     A class whose total assignment mass is ~0 keeps its previous mean.
     """
-    mass, first, _ = _group_moments(state, spec)
+    mass, first, _ = moments
     means = state.gmm.means.copy()
     live = mass >= _EMPTY_CLASS_EPS
     means[live] = first[live] / mass[live, None]
     return means
 
 
-def sigma_step(state: SolverState, spec: TaskSpec) -> np.ndarray:
+def sigma_step(state: SolverState, spec: TaskSpec, moments) -> np.ndarray:
     """Closed-form shared-variance update, floored at VAR_FLOOR.
 
     Expects the means in ``state.gmm`` to be the ones produced this outer
-    iteration (block order: assignments, means, variances). The moments
-    come from the preceding ``mu_step`` when ``state.z`` is unchanged.
+    iteration (block order: assignments, means, variances) and ``moments``
+    to be the ``_group_moments`` the mean update read.
     """
-    mass, first, sq = _group_moments(state, spec)
+    mass, first, sq = moments
     means = state.gmm.means
     gamma = spec.hyper.support_weight
     scatter = sq - 2.0 * np.einsum("kd,kd->d", means, first) + np.einsum(
@@ -302,14 +266,14 @@ def _entropy_sum(z: np.ndarray) -> float:
     return float(np.sum(z * np.log(np.maximum(z, PRIOR_LOG_FLOOR))))
 
 
-def _objective_terms(state: SolverState, spec: TaskSpec):
+def _objective_terms(state: SolverState, spec: TaskSpec, log_p: np.ndarray):
     """Raw objective pieces: query likelihood, prior penalty, graph term,
-    support likelihood. The graph term sums w_ij z_i . z_j over the stored
+    support likelihood, given the ``gmm_log_probs`` of every row under
+    ``state.gmm``. The graph term sums w_ij z_i . z_j over the stored
     directed edges (each ordered pair once)."""
     n_s = state.n_support
     z = state.z
     zq = z[n_s:]
-    log_p = state.log_probs()
 
     nll_query = -float(np.sum(zq * log_p[n_s:]))
     kl = _entropy_sum(zq) - spec.hyper.kl_weight * float(np.sum(zq * state.log_prior))
@@ -338,7 +302,8 @@ def objective(state: SolverState, spec: TaskSpec, which: str = "update_consisten
     """
     if which not in ("normalized", "update_consistent"):
         raise ValueError(f"unknown objective flavor {which!r}")
-    return _assemble(_objective_terms(state, spec), state, spec, which)
+    log_p = gmm_log_probs(state.features, state.gmm)
+    return _assemble(_objective_terms(state, spec, log_p), state, spec, which)
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,10 +436,14 @@ def run(
     ``init_state``.
     """
     state = init_state(spec, prepared)
+    log_p = None  # a traced solve's log-densities under state.gmm
 
     def record(iteration: int, block: str) -> None:
+        nonlocal log_p
         if record_trace:
-            terms = _objective_terms(state, spec)
+            if log_p is None:
+                log_p = gmm_log_probs(state.features, state.gmm)
+            terms = _objective_terms(state, spec, log_p)
             state.trace.append(
                 TraceRow(
                     iteration,
@@ -486,14 +455,19 @@ def run(
 
     record(0, "init")
     for it in range(1, spec.hyper.outer_iters + 1):
+        base = _base_logits(state, spec) if spec.hyper.inner_z_iters else None
         for _ in range(spec.hyper.inner_z_iters):
-            state.z = z_step(state, spec)
+            state.z = z_step(state, spec, base)
             record(it, "z")
-        means = mu_step(state, spec)
+        del base  # N x K, dead before the mean step
+        moments = _group_moments(state, spec)
+        means = mu_step(state, spec, moments)
         state.gmm = GmmParams(means, state.gmm.variances)
+        log_p = None
         record(it, "mu")
-        variances = sigma_step(state, spec)
+        variances = sigma_step(state, spec, moments)
         state.gmm = GmmParams(means, variances)
+        log_p = None
         record(it, "sigma")
 
     return SimplexAssignments(state.z[state.n_support :]), state

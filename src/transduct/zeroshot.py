@@ -32,6 +32,8 @@ def compute_soft_labels(
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
+    # read-only, so SimplexAssignments keeps it rather than copying it
+    logits.setflags(write=False)
     return SimplexAssignments(logits)
 
 

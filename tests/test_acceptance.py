@@ -91,9 +91,9 @@ def test_criterion_1_simplex_preserved_on_random_suite(random_suite, monkeypatch
     checked = 0
     start = time.perf_counter()
 
-    def checked_sweep(state, spec):
+    def checked_sweep(state, spec, base):
         nonlocal checked
-        z = z_step(state, spec)
+        z = z_step(state, spec, base)
         assert np.all(z >= 0.0)
         assert np.abs(z.sum(axis=1) - 1.0).max() <= 1e-9
         checked += 1
@@ -170,8 +170,8 @@ def test_criterion_4_em_oracle_equivalence():
         mu0 = state.gmm.means.copy()
         var0 = state.gmm.variances.copy()
         for it in range(1, 11):
-            state.z = z_step(state, spec)
-            means = mu_step(state, spec)
+            state.z = z_step(state, spec, solver._base_logits(state, spec))
+            means = mu_step(state, spec, solver._group_moments(state, spec))
             state.gmm = GmmParams(means, state.gmm.variances)
             resp, em_means = oracles.em_reference(
                 spec.query.data, spec.n_classes, mu0, var0, it
@@ -221,7 +221,8 @@ def test_criterion_5_assignment_update_kkt_certification():
         )
         assert a.max() - a.min() < 8.0, "fixture left the oracle's stable range"
         coeff_rows.append(np.concatenate([a, np.full(k_max - k, a.max() + 50.0)]))
-        sweep_rows.append((k, z_step(state, spec)[qnode]))
+        base = solver._base_logits(state, spec)
+        sweep_rows.append((k, z_step(state, spec, base)[qnode]))
 
     pg = oracles.simplex_pg_minimize(np.array(coeff_rows))
     worst_pg = worst_closed = 0.0
@@ -266,9 +267,11 @@ def test_criterion_6_closed_form_stationarity():
             support_weight=0.2 if shots else 0.0,
         )
         state = init_state(spec)
+        base = solver._base_logits(state, spec)
         for _ in range(3):
-            state.z = z_step(state, spec)
-        means = mu_step(state, spec)
+            state.z = z_step(state, spec, base)
+        moments = solver._group_moments(state, spec)
+        means = mu_step(state, spec, moments)
         state.gmm = GmmParams(means, state.gmm.variances)
 
         grad_mean = oracles.finite_diff_grad(
@@ -277,7 +280,7 @@ def test_criterion_6_closed_form_stationarity():
         )
         worst_mean = max(worst_mean, float(np.abs(grad_mean).max()))
 
-        variances = sigma_step(state, spec)
+        variances = sigma_step(state, spec, moments)
         assert variances.min() > 1e-10  # away from the floor
         state.gmm = GmmParams(means, variances)
         grad_logvar = oracles.finite_diff_grad(

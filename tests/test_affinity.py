@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transduct import affinity
-from transduct.affinity import build_knn, dump_edges
+from transduct.affinity import build_knn
+from transduct.fileio import dump_edges
 from transduct.types import EmbeddingMatrix
 from helpers import unit_rows
 import oracles

@@ -80,6 +80,13 @@ class TestRunZs:
         assert len(rows) == 71
         assert len(edges.read_text().strip().split("\n")) == 48 * 3
 
+    def test_unwritable_graph_dump_exits_one(self, task_dir, tmp_path, capsys):
+        edges = tmp_path / "missing" / "edges.txt"
+        rc = main(_zs_args(task_dir, tmp_path / "pred.csv", ["--dump-graph", str(edges)]))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "cannot write" in err and str(edges) in err
+
     def test_byte_identical_across_reruns_and_threads(self, task_dir, tmp_path):
         outputs = []
         for name in ("a", "b", "c"):

@@ -18,7 +18,7 @@ from transduct.errors import (
     RaggedCsv,
     TruncatedFile,
 )
-from transduct.types import SimplexAssignments
+from transduct.types import AffinityGraph, SimplexAssignments
 from helpers import read_prediction_rows, read_score_table, unit_rows
 
 
@@ -455,6 +455,7 @@ class TestIoFailure:
             (fileio.write_config, {"knn": 3}),
             (fileio.write_trace, []),
             (fileio.write_score_table, [(0.01, 0.5)]),
+            (fileio.dump_edges, AffinityGraph(np.array([0, 0]), np.array([]), np.array([]))),
         ],
     )
     def test_missing_directory(self, tmp_path, writer, value):

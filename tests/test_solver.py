@@ -9,7 +9,6 @@ from scipy.stats import norm
 from transduct import solver
 from transduct.solver import (
     PRIOR_LOG_FLOOR,
-    SolverState,
     gmm_log_probs,
     init_state,
     mu_step,
@@ -67,6 +66,19 @@ def _single_query_state(rng, d=5, kl_weight=1.0):
     return spec, init_state(spec)
 
 
+def _sweep(state, spec):
+    """z_step with the base logits run passes for the current gmm."""
+    return z_step(state, spec, solver._base_logits(state, spec))
+
+
+def _mean_step(state, spec):
+    return mu_step(state, spec, solver._group_moments(state, spec))
+
+
+def _variance_step(state, spec):
+    return sigma_step(state, spec, solver._group_moments(state, spec))
+
+
 class TestZStep:
     def test_uniform_density_and_no_graph_returns_prior(self, rng):
         spec = random_task(rng, n_query=6, n_classes=3, dim=4, k_nn=0)
@@ -75,13 +87,13 @@ class TestZStep:
         state.gmm = GmmParams(
             np.tile(state.gmm.means[:1], (3, 1)), state.gmm.variances
         )
-        out = z_step(state, spec)
+        out = _sweep(state, spec)
         np.testing.assert_allclose(out, state.soft_labels.z, atol=1e-12)
 
     def test_no_prior_and_no_graph_is_density_posterior(self, rng):
         spec = random_task(rng, n_query=6, n_classes=3, dim=4, k_nn=0, kl_weight=0.0)
         state = init_state(spec)
-        out = z_step(state, spec)
+        out = _sweep(state, spec)
         log_p = gmm_log_probs(spec.query, state.gmm)
         want = np.exp(log_p - log_p.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
@@ -101,7 +113,7 @@ class TestZStep:
             + gmm_log_probs(spec.query, state.gmm)[0]
             + neighbor_sum
         )
-        got = z_step(state, spec)[query_node]
+        got = _sweep(state, spec)[query_node]
         pg = oracles.simplex_pg_minimize(a)
         np.testing.assert_allclose(got, pg, atol=1e-6)
         closed = np.exp(-a - (-a).max())
@@ -111,14 +123,14 @@ class TestZStep:
     def test_support_rows_untouched(self, rng):
         spec, state = _single_query_state(rng)
         before = state.z[: spec.n_support].tobytes()
-        out = z_step(state, spec)
+        out = _sweep(state, spec)
         assert out[: spec.n_support].tobytes() == before
 
     def test_rows_stay_on_simplex(self, rng):
         spec = random_task(rng, n_query=40, n_classes=7, dim=9)
         state = init_state(spec)
         for _ in range(4):
-            state.z = z_step(state, spec)
+            state.z = _sweep(state, spec)
             z = state.z
             assert np.all(z >= 0)
             np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-9)
@@ -128,9 +140,9 @@ class TestZStep:
         # reference in any order matches the vectorized sweep bitwise
         spec = random_task(rng, n_query=12, n_classes=4, dim=6)
         state = init_state(spec)
-        swept = z_step(state, spec)
+        swept = _sweep(state, spec)
 
-        log_p = state.log_probs()
+        log_p = gmm_log_probs(state.features, state.gmm)
         prior = spec.hyper.kl_weight * np.log(state.soft_labels.z)
         z_prev = state.z
         for order in (range(12), reversed(range(12))):
@@ -174,7 +186,7 @@ class TestMuStep:
         state = init_state(spec)
         labels = np.repeat(np.arange(3), 3)
         state.z = SimplexAssignments.one_hot(labels, 3).z
-        means = mu_step(state, spec)
+        means = _mean_step(state, spec)
         for cls in range(3):
             np.testing.assert_allclose(
                 means[cls], spec.query.data[labels == cls].mean(axis=0), atol=1e-12
@@ -189,7 +201,7 @@ class TestMuStep:
             hyper=Hyperparams(support_weight=1.0),
         )
         state = init_state(spec)
-        means = mu_step(state, spec)
+        means = _mean_step(state, spec)
         mid = 0.5 * (support.embeddings.data[0] + spec.query.data[0])
         np.testing.assert_allclose(means[0], mid, atol=1e-14)
 
@@ -206,9 +218,9 @@ class TestMuStep:
         )
         state = init_state(spec)
         # a couple of sweeps to land on generic soft assignments
-        state.z = z_step(state, spec)
-        state.z = z_step(state, spec)
-        means = mu_step(state, spec)
+        state.z = _sweep(state, spec)
+        state.z = _sweep(state, spec)
+        means = _mean_step(state, spec)
         want = _fraction_weighted_mean(
             state.z[:2].tolist(),
             support.embeddings.data.tolist(),
@@ -225,7 +237,7 @@ class TestMuStep:
         z[:, 0] = 1.0  # classes 1 and 2 get zero mass
         state.z = z
         before = state.gmm.means.copy()
-        means = mu_step(state, spec)
+        means = _mean_step(state, spec)
         np.testing.assert_array_equal(means[1:], before[1:])
         assert not np.array_equal(means[0], before[0])
 
@@ -258,14 +270,14 @@ class TestSigmaStep:
         )
         state = init_state(spec)
         state.gmm = GmmParams(row.copy(), state.gmm.variances)
-        np.testing.assert_array_equal(sigma_step(state, spec), 1e-12)
+        np.testing.assert_array_equal(_variance_step(state, spec), 1e-12)
 
     def test_single_class_gives_population_variance(self, rng):
         spec = random_task(rng, n_query=10, n_classes=1, dim=6, k_nn=0)
         state = init_state(spec)
-        means = mu_step(state, spec)
+        means = _mean_step(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
-        got = sigma_step(state, spec)
+        got = _variance_step(state, spec)
         want = np.mean((spec.query.data - means[0]) ** 2, axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -281,10 +293,10 @@ class TestSigmaStep:
             hyper=Hyperparams(support_weight=gamma),
         )
         state = init_state(spec)
-        state.z = z_step(state, spec)
-        means = mu_step(state, spec)
+        state.z = _sweep(state, spec)
+        means = _mean_step(state, spec)
         state.gmm = GmmParams(means, state.gmm.variances)
-        got = sigma_step(state, spec)
+        got = _variance_step(state, spec)
         want = _fraction_shared_variance(
             state.z[:2].tolist(),
             support.embeddings.data.tolist(),
@@ -363,8 +375,8 @@ class TestRun:
         spec = random_task(rng, n_query=10, n_classes=1, dim=4)
         seen = []
 
-        def recording(state, spec):
-            seen.append(z_step(state, spec))
+        def recording(state, spec, base):
+            seen.append(z_step(state, spec, base))
             return seen[-1]
 
         monkeypatch.setattr(solver, "z_step", recording)
@@ -414,12 +426,13 @@ class TestPlainArrays:
 
     @pytest.mark.parametrize("shots", [0, 1])
     def test_z_is_read_only(self, rng, shots):
-        # the moments cache is dropped only when z is assigned, so an in-place
-        # write would hand stale moments to the mean and variance updates
+        # z starts as the prepared record's z0, which every solve of the task
+        # shares, and run returns a view of the final z: an in-place write
+        # would change another solve's start or the caller's assignments
         spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots,
                            support_weight=0.1)
         state = init_state(spec)
-        for z in (state.z, z_step(state, spec), run(spec, record_trace=False)[1].z):
+        for z in (state.z, _sweep(state, spec), run(spec, record_trace=False)[1].z):
             assert isinstance(z, np.ndarray) and not z.flags.writeable
             with pytest.raises(ValueError):
                 z[-1, 0] = 0.5
@@ -460,8 +473,9 @@ class TestPlainArrays:
 
 
 class TestMemory:
-    """A solve holds its assignments, the new sweep and the base logits, and
-    builds the base logits in the query rows of one log-density output."""
+    """A solve holds its assignments, the new sweep and the base logits,
+    builds the base logits in the query rows of one log-density output, and
+    drops them before the mean step."""
 
     def test_run_peak_in_n_by_k_arrays(self, rng):
         # K >> d, so the N x d and K x d arrays are small beside N x K; above
@@ -482,34 +496,68 @@ class TestMemory:
         assert peak - base <= 3.25 * one
         assert held - base <= 1.1 * one
 
-    def test_untraced_run_keeps_no_log_densities(self, rng, monkeypatch):
-        def full_log_probs(self):
-            raise AssertionError("an untraced solve asked for the full log-densities")
+    def test_base_logits_are_dead_before_the_mean_step(self, rng, monkeypatch):
+        # at the moments pass only z is left above the prepared arrays: the
+        # base logits the sweeps shared have been dropped
+        n, k = 2000, 400
+        spec = random_task(rng, n_query=n, n_classes=k, dim=6, outer_iters=2)
+        prepared = solver.prepare(spec)
+        seen = []
+        group_moments = solver._group_moments
 
+        def measuring(state, spec):
+            seen.append(tracemalloc.get_traced_memory()[0])
+            return group_moments(state, spec)
+
+        monkeypatch.setattr(solver, "_group_moments", measuring)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(spec, prepared=prepared)
+        finally:
+            tracemalloc.stop()
+        assert seen and max(seen) - base <= 1.1 * n * k * 8
+
+    def test_untraced_run_keeps_no_log_densities(self, rng, monkeypatch):
+        # one log-density pass per outer iteration builds the base logits,
+        # none when no sweep reads them, and nothing else asks for them
+        assert self._log_density_passes(rng, monkeypatch, record_trace=False) == 3
+        assert self._log_density_passes(rng, monkeypatch, record_trace=False,
+                                        inner_z_iters=0) == 0
+
+    def test_traced_run_makes_one_pass_per_gmm(self, rng, monkeypatch):
+        # beside the base logits, one pass for the initial gmm and one after
+        # each mean and variance update serve every trace row
+        assert self._log_density_passes(rng, monkeypatch, record_trace=True) == 1 + 3 * 3
+
+    @staticmethod
+    def _log_density_passes(rng, monkeypatch, record_trace, **hyper):
+        calls = []
+        log_probs = solver.gmm_log_probs
+
+        def counting(features, gmm):
+            calls.append(1)
+            return log_probs(features, gmm)
+
+        monkeypatch.setattr(solver, "gmm_log_probs", counting)
         spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=2,
-                           support_weight=0.1)
-        with monkeypatch.context() as m:
-            m.setattr(SolverState, "log_probs", full_log_probs)
-            _, state = run(spec)
-        assert state._log_probs is None
-        # the objective still fills the cache on demand
-        objective(state, spec)
-        assert state._log_probs is not None
+                           support_weight=0.1, outer_iters=3, **hyper)
+        run(spec, record_trace=record_trace)
+        return len(calls)
 
     @pytest.mark.parametrize("kl_weight", [0.0, 0.5, 1.0])
     def test_base_logits_are_prior_plus_log_densities(self, rng, monkeypatch, kl_weight):
         # 12 support rows: the 7-row GEMM block over rows 7..13 straddles the
         # support/query boundary, and the prior is added in 3-row blocks
         spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=3,
-                           support_weight=0.1)
+                           support_weight=0.1, kl_weight=kl_weight)
         monkeypatch.setattr(solver, "_CHUNK_ROWS", 7)
         monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 3 * 8 * 4)
         state = init_state(spec)
-        state.z = z_step(state, spec)
-        state.gmm = GmmParams(mu_step(state, spec), state.gmm.variances)
+        state.z = _sweep(state, spec)
+        state.gmm = GmmParams(_mean_step(state, spec), state.gmm.variances)
         want = kl_weight * state.log_prior + gmm_log_probs(state.features, state.gmm)[12:]
-        assert state.base_logits(kl_weight).tobytes() == want.tobytes()
-        assert state._log_probs is None
+        assert solver._base_logits(state, spec).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shots", [0, 2])
     def test_graph_is_built_on_the_held_features(self, rng, monkeypatch, shots):
@@ -549,8 +597,8 @@ class TestEmEquivalence:
             mu0 = state.gmm.means.copy()
             var0 = state.gmm.variances.copy()
             for it in range(1, 6):
-                state.z = z_step(state, spec)
-                means = mu_step(state, spec)
+                state.z = _sweep(state, spec)
+                means = _mean_step(state, spec)
                 state.gmm = GmmParams(means, state.gmm.variances)
                 resp, em_means = oracles.em_reference(
                     spec.query.data, 4, mu0, var0, it
@@ -622,17 +670,11 @@ def _reference_run(spec):
     return state, trace
 
 
-def _fresh(state):
-    """A copy of the state with every cache empty."""
-    return SolverState(z=state.z, gmm=state.gmm, soft_labels=state.soft_labels,
-                       log_prior=state.log_prior, graph=state.graph, features=state.features,
-                       n_support=state.n_support)
-
-
 class TestCachedBlocks:
-    """run() caches the sweep-invariant logits and the moments shared by the
-    mean and variance updates; its results must equal, bit for bit, a loop
-    that recomputes both on every call."""
+    """run() builds the sweep-invariant logits once per outer iteration and
+    hands one moments pass to both the mean and the variance update; its
+    results must equal, bit for bit, a loop that recomputes both on every
+    call."""
 
     @pytest.mark.parametrize(
         "shots, hyper",
@@ -662,36 +704,6 @@ class TestCachedBlocks:
             assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
             assert got.objective_trace == (want_trace if record_trace else [])
 
-    def test_replacing_gmm_gives_fresh_logits(self, rng):
-        spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=1,
-                           support_weight=0.1)
-        state = init_state(spec)
-        state.z = z_step(state, spec)
-        state.gmm = GmmParams(_old_mu(state, spec), state.gmm.variances * 0.5)
-        assert z_step(state, spec).tobytes() == _old_sweep(state, spec).tobytes()
-        assert objective(state, spec) == objective(_fresh(state), spec)
-        # another kl_weight on the same state rebuilds the cached part too
-        other = spec.with_hyper(kl_weight=0.25)
-        assert z_step(state, other).tobytes() == _old_sweep(state, other).tobytes()
-
-    def test_replacing_z_gives_fresh_moments(self, rng):
-        spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=2,
-                           support_weight=0.3)
-        state = init_state(spec)
-        for _ in range(20):
-            z_next = z_step(state, spec)
-            mu_step(state, spec)
-            # drop the z the moments were computed from before building the
-            # next one: CPython then often reuses its address, so a cache
-            # keyed on id() would hand back stale moments
-            state.z = None
-            state.z = z_next.copy()
-            assert mu_step(state, spec).tobytes() == _old_mu(state, spec).tobytes()
-            assert sigma_step(state, spec).tobytes() == _old_sigma(state, spec).tobytes()
-        # another support weight on the same z recomputes the moments
-        other = spec.with_hyper(support_weight=0.7)
-        assert sigma_step(state, other).tobytes() == _old_sigma(state, other).tobytes()
-
     def test_solves_share_the_prepared_log_prior(self, rng):
         spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=2)
         prepared = solver.prepare(spec)
@@ -702,11 +714,15 @@ class TestCachedBlocks:
         want = np.log(np.maximum(prepared.soft_labels.z, PRIOR_LOG_FLOOR))
         assert prepared.log_prior.tobytes() == want.tobytes()
 
-    def test_sigma_step_reuses_the_mean_step_pass(self, rng):
-        spec = random_task(rng, n_query=20, n_classes=3, dim=5)
-        state = init_state(spec)
-        mu_step(state, spec)
-        moments = state._moments[1]
-        got = sigma_step(state, spec)
-        assert state._moments[1] is moments
-        assert got.tobytes() == sigma_step(_fresh(state), spec).tobytes()
+    def test_sigma_step_reuses_the_mean_step_pass(self, rng, monkeypatch):
+        # one moments pass per outer iteration serves both updates
+        calls = []
+        group_moments = solver._group_moments
+
+        def counting(state, spec):
+            calls.append(1)
+            return group_moments(state, spec)
+
+        monkeypatch.setattr(solver, "_group_moments", counting)
+        run(random_task(rng, n_query=20, n_classes=3, dim=5, outer_iters=4))
+        assert len(calls) == 4

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -75,6 +77,23 @@ class TestComputeSoftLabels:
         base = hard_predict(compute_soft_labels(q, t, 1.0))
         for tau in (0.1, 3.0, 45.0, 200.0):
             assert np.array_equal(base, hard_predict(compute_soft_labels(q, t, tau)))
+
+    def test_peak_is_the_soft_labels_alone(self, rng):
+        # the softmax runs in the one N x K product, which is kept, not copied;
+        # the validation's N x K bool masks add an eighth
+        n, k = 2000, 400
+        q = EmbeddingMatrix(unit_rows(rng, n, 6))
+        t = EmbeddingMatrix(unit_rows(rng, k, 6))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            soft = compute_soft_labels(q, t, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not soft.z.flags.writeable
+        assert peak - base <= 1.2 * n * k * 8
 
 
 class TestHardPredict:
