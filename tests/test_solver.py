@@ -79,6 +79,19 @@ def _variance_step(state, spec):
     return sigma_step(state, spec, solver._group_moments(state, spec))
 
 
+def _count_calls(monkeypatch, name):
+    """Patch ``solver.<name>`` to note each call; returns the list of notes."""
+    calls = []
+    original = getattr(solver, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
 class TestZStep:
     def test_uniform_density_and_no_graph_returns_prior(self, rng):
         spec = random_task(rng, n_query=6, n_classes=3, dim=4, k_nn=0)
@@ -532,14 +545,7 @@ class TestMemory:
 
     @staticmethod
     def _log_density_passes(rng, monkeypatch, record_trace, **hyper):
-        calls = []
-        log_probs = solver.gmm_log_probs
-
-        def counting(features, gmm):
-            calls.append(1)
-            return log_probs(features, gmm)
-
-        monkeypatch.setattr(solver, "gmm_log_probs", counting)
+        calls = _count_calls(monkeypatch, "gmm_log_probs")
         spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=2,
                            support_weight=0.1, outer_iters=3, **hyper)
         run(spec, record_trace=record_trace)
@@ -716,13 +722,6 @@ class TestCachedBlocks:
 
     def test_sigma_step_reuses_the_mean_step_pass(self, rng, monkeypatch):
         # one moments pass per outer iteration serves both updates
-        calls = []
-        group_moments = solver._group_moments
-
-        def counting(state, spec):
-            calls.append(1)
-            return group_moments(state, spec)
-
-        monkeypatch.setattr(solver, "_group_moments", counting)
+        calls = _count_calls(monkeypatch, "_group_moments")
         run(random_task(rng, n_query=20, n_classes=3, dim=5, outer_iters=4))
         assert len(calls) == 4
