@@ -7,14 +7,14 @@ its most cosine-similar query sample. Validation samples are never part of
 the query or support sets of those search runs.
 
 The support weight only reweights the labeled-shot likelihood term, so the
-candidates share one ``solver.prepare`` record: one set of soft labels and
-their log prior, one kNN graph and one set of initial means for the whole
-search, and one validation-to-query nearest-neighbor index. With a validation pool no shot
-is carved out, the search runs on the full support set, and the winning
-search run is the final result; it is solved again on the same record only
-when the objective trace is requested. When shots are carved, the final
-solve prepares the full-support task once more, so a few-shot run builds
-at most two graphs.
+candidates share one prepared state from ``solver.prepare``: one set of
+soft labels and their log prior, one kNN graph and one set of initial
+means for the whole search, and one validation-to-query nearest-neighbor
+index. With a validation pool no shot is carved out, the search runs on the
+full support set, and the winning search run is the final result; it is
+solved again from the same prepared state only when the objective trace is
+requested. When shots are carved, the final solve prepares the
+full-support task once more, so a few-shot run builds at most two graphs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientShots
-from .solver import PreparedTask, SolverState, prepare, run
+from .solver import SolverState, prepare, run
 from .types import (
     FEWSHOT_KL_WEIGHT,
     GAMMA_GRID,
@@ -121,11 +121,11 @@ def search_gamma(
     spec_base: TaskSpec,
     validation: SupportSet,
     grid: Sequence[float] = GAMMA_GRID,
-    prepared: Optional[PreparedTask] = None,
+    prepared: Optional[SolverState] = None,
 ) -> tuple[float, list[tuple[float, float]], tuple[SimplexAssignments, SolverState]]:
     """Grid-search the support weight by validation accuracy.
 
-    Runs the solver once per candidate on one shared ``prepared`` record
+    Runs the solver once per candidate from one shared ``prepared`` state
     (built here when None), scores each run with the 1-NN rule, and returns
     the best value (ties go to the smaller weight, whatever the grid
     order), the full score table in grid order, and the best candidate's

@@ -41,25 +41,28 @@ likelihoods.
 Work that does not depend on the term weights is done once per task by
 ``prepare``: the soft labels and their log prior, the stacked
 support-then-query features, the kNN graph, the starting assignments and
-the initial means. It returns a frozen ``PreparedTask`` that ``run`` and
-``init_state`` accept, so solves that differ only in ``support_weight``
-(the few-shot grid search) share one graph. Without a record,
+the initial mixture. It returns the initial ``SolverState``, which ``run``
+and ``init_state`` accept, so solves that differ only in ``support_weight``
+(the few-shot grid search) share one graph. Without a prepared state,
 ``init_state`` prepares the task itself.
 
-``SolverState`` holds the iterate and the task's arrays. ``run`` owns what
-an outer iteration reuses: the base logits its sweeps share, the moments
-its mean and variance steps share and, traced, the objective's log-densities.
+A ``SolverState`` is frozen: ``run`` steps it with ``dataclasses.replace``,
+so every state of a task shares the prepared state's arrays. ``run`` owns
+what an outer iteration reuses: the base logits its sweeps share, the
+moments its mean and variance steps share and, traced, the objective's
+log-densities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .affinity import build_knn
 from .types import (
+    PRIOR_LOG_FLOOR,
     VAR_FLOOR,
     AffinityGraph,
     EmbeddingMatrix,
@@ -69,9 +72,6 @@ from .types import (
     validate_task,
 )
 from .zeroshot import compute_soft_labels, init_prototypes_support, init_prototypes_topk
-
-# Floor applied inside log() so exactly-zero prior entries stay finite.
-PRIOR_LOG_FLOOR = 1e-300
 
 # gmm_log_probs works through the rows in blocks of this many, one GEMM each.
 # Changing it can change the last bits of the output for tasks with more rows
@@ -96,16 +96,17 @@ class TraceRow:
     update_consistent: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SolverState:
-    """Everything the block updates read and write.
+    """One iterate of a solve plus the task's arrays, all read-only.
 
-    ``z`` is a read-only float64 array. Rows 0..n_support-1 are the one-hot
-    support labels and are never modified; the remaining rows are the query
+    ``z`` is a float64 array. Rows 0..n_support-1 are the one-hot support
+    labels and are never modified; the remaining rows are the query
     assignments.
     ``features`` stacks support embeddings above query embeddings in the
     same order as ``z`` and the graph nodes; ``log_prior`` is the log of
-    the soft labels, shared with the ``PreparedTask``.
+    the soft labels floored at ``PRIOR_LOG_FLOOR``. ``task`` is the spec the
+    state was prepared from; ``init_state`` checks a spec against it.
     """
 
     z: np.ndarray
@@ -115,6 +116,7 @@ class SolverState:
     graph: AffinityGraph
     features: np.ndarray
     n_support: int
+    task: TaskSpec
     trace: list = field(default_factory=list)
 
     @property
@@ -125,27 +127,41 @@ class SolverState:
     def n_query(self) -> int:
         return self.features.shape[0] - self.n_support
 
+    def matches(self, spec: TaskSpec) -> bool:
+        """Whether ``spec`` is the task this state was prepared from: the
+        same query, text and support objects and the same temperature, graph
+        and initialization settings."""
+        task = self.task
+        return (
+            spec.query is task.query
+            and spec.text is task.text
+            and spec.support is task.support
+            and spec.temperature == task.temperature
+            and spec.hyper.k_nn == task.hyper.k_nn
+            and spec.hyper.symmetrize_graph == task.hyper.symmetrize_graph
+            and spec.hyper.init_top_m == task.hyper.init_top_m
+        )
+
 
 def _rows_per_block(width: int) -> int:
     """Rows of ``width`` float64 values in about ``_ROW_BLOCK_BYTES``."""
     return max(1, _ROW_BLOCK_BYTES // (8 * width))
 
 
-def gmm_log_probs(features, gmm: GmmParams) -> np.ndarray:
+def gmm_log_probs(features: np.ndarray, gmm: GmmParams) -> np.ndarray:
     """Per-sample, per-class Gaussian log-densities under a shared diagonal
     covariance, without the 2*pi constant.
 
     Entry (i, k) is -0.5 * sum_d [log var_d + (f_id - mean_kd)^2 / var_d].
     """
-    data = features.data if isinstance(features, EmbeddingMatrix) else np.asarray(features)
     inv_var = 1.0 / gmm.variances
     log_det = float(np.log(gmm.variances).sum())
     scaled_means = gmm.means * inv_var
     mean_sq = np.einsum("kd,kd->k", gmm.means, scaled_means)
-    out = np.empty((data.shape[0], gmm.n_classes))
-    step = _rows_per_block(data.shape[1])
-    for lo in range(0, data.shape[0], _CHUNK_ROWS):
-        block = data[lo : lo + _CHUNK_ROWS]
+    out = np.empty((features.shape[0], gmm.n_classes))
+    step = _rows_per_block(features.shape[1])
+    for lo in range(0, features.shape[0], _CHUNK_ROWS):
+        block = features[lo : lo + _CHUNK_ROWS]
         # a row's einsum bits do not depend on the rows beside it, so the
         # squares are taken in sub-blocks, not as one rows x d temporary
         feat_sq = np.empty(block.shape[0])
@@ -306,52 +322,16 @@ def objective(state: SolverState, spec: TaskSpec, which: str = "update_consisten
     return _assemble(_objective_terms(state, spec, log_p), state, spec, which)
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedTask:
-    """The task-invariant part of a solve, shared by solves that differ only
-    in the term weights or iteration counts.
-
-    ``features`` stacks support rows above query rows; ``log_prior`` is the
-    log of the soft labels floored at ``PRIOR_LOG_FLOOR``; ``z0`` is the
-    starting assignment (one-hot support rows, then the soft labels) and
-    ``means`` the initial class means. Every array is read-only. ``task`` is
-    the spec the record was made from; ``init_state`` checks a spec against it.
-    """
-
-    features: np.ndarray
-    soft_labels: SimplexAssignments
-    log_prior: np.ndarray
-    z0: np.ndarray
-    means: np.ndarray
-    graph: AffinityGraph
-    n_support: int
-    task: TaskSpec
-
-    def matches(self, spec: TaskSpec) -> bool:
-        """Whether ``spec`` is the task this record was made from: the same
-        query, text and support objects and the same temperature, graph and
-        initialization settings."""
-        task = self.task
-        return (
-            spec.query is task.query
-            and spec.text is task.text
-            and spec.support is task.support
-            and spec.temperature == task.temperature
-            and spec.hyper.k_nn == task.hyper.k_nn
-            and spec.hyper.symmetrize_graph == task.hyper.symmetrize_graph
-            and spec.hyper.init_top_m == task.hyper.init_top_m
-        )
-
-
-def prepare(spec: TaskSpec) -> PreparedTask:
-    """Validate a task and build the task-invariant inputs of its solves.
+def prepare(spec: TaskSpec) -> SolverState:
+    """Validate a task and build the initial state of its solves.
 
     Soft labels come from the temperature softmax of query/text cosines;
     the graph spans support-then-query rows; means start from labeled
     class averages (few-shot) or each class's most confident queries
-    (zero-shot); query assignments start at the soft labels and support
-    rows at their one-hot labels. None of these depend on the term
-    weights, so one record serves every support-weight candidate.
+    (zero-shot), and every variance at 1/d; query assignments start at the
+    soft labels and support rows at their one-hot labels. None of these
+    depend on the term weights, so one prepared state serves every
+    support-weight candidate.
     """
     spec = validate_task(spec)
     # The graph is built on the held rows: wrapping them in another
@@ -361,7 +341,6 @@ def prepare(spec: TaskSpec) -> PreparedTask:
         rows = EmbeddingMatrix(np.concatenate([spec.support.embeddings.data, spec.query.data]))
     else:
         rows = spec.query
-    features = rows.data
     # The graph comes first: its row blocks are the largest temporaries of a
     # solve, and the arrays made after it reuse the heap space they free.
     # Built last, that space stays resident beside them: with glibc malloc
@@ -376,54 +355,44 @@ def prepare(spec: TaskSpec) -> PreparedTask:
             [SimplexAssignments.one_hot(spec.support.labels, spec.n_classes).z, soft.z]
         )
         z0.setflags(write=False)
+        # the query rows of z0 are the soft labels: keep them once, as a view
+        soft = SimplexAssignments(z0[spec.n_support :])
     else:
         means = init_prototypes_topk(spec.query, soft, spec.hyper.init_top_m)
         z0 = soft.z  # already read-only
-    means.setflags(write=False)
     log_prior = np.maximum(soft.z, PRIOR_LOG_FLOOR)
     np.log(log_prior, out=log_prior)
     log_prior.setflags(write=False)
 
-    return PreparedTask(
-        features=features,
+    return SolverState(
+        z=z0,
+        gmm=GmmParams(means, np.full(spec.query.dim, 1.0 / spec.query.dim)),
         soft_labels=soft,
         log_prior=log_prior,
-        z0=z0,
-        means=means,
         graph=graph,
+        features=rows.data,
         n_support=spec.n_support,
         task=spec,
     )
 
 
-def init_state(spec: TaskSpec, prepared: Optional[PreparedTask] = None) -> SolverState:
-    """Build the initial solver state for a validated task.
+def init_state(spec: TaskSpec, prepared: Optional[SolverState] = None) -> SolverState:
+    """The initial solver state of a task: ``prepared`` itself, or a fresh
+    ``prepare(spec)`` when it is None.
 
-    The task-invariant inputs come from ``prepared``, or from a fresh
-    ``prepare(spec)`` when it is None; a record that matches ``spec`` was
-    made from a validated task. Every variance starts at 1/d. Raises
-    ValueError when ``prepared`` was made from a different task.
+    Raises ValueError when ``prepared`` was made from a different task.
     """
     if prepared is None:
-        prepared = prepare(spec)
-    elif not prepared.matches(spec):
-        raise ValueError("prepared task was made from a different task")
-    variances = np.full(spec.query.dim, 1.0 / spec.query.dim)
-    return SolverState(
-        z=prepared.z0,
-        gmm=GmmParams(prepared.means, variances),
-        soft_labels=prepared.soft_labels,
-        log_prior=prepared.log_prior,
-        graph=prepared.graph,
-        features=prepared.features,
-        n_support=prepared.n_support,
-    )
+        return prepare(spec)
+    if not prepared.matches(spec):
+        raise ValueError("prepared state was made from a different task")
+    return prepared
 
 
 def run(
     spec: TaskSpec,
     record_trace: bool = False,
-    prepared: Optional[PreparedTask] = None,
+    prepared: Optional[SolverState] = None,
 ) -> tuple[SimplexAssignments, SolverState]:
     """Full transduction pipeline; returns query assignments and final state.
 
@@ -433,9 +402,9 @@ def run(
     prediction for query row i is the argmax of its assignment row. The
     returned assignments are validated and hold a read-only view of the
     query rows of ``state.z``, not a copy. ``prepared`` is passed on to
-    ``init_state``.
+    ``init_state``; the solve starts from it with a trace of its own.
     """
-    state = init_state(spec, prepared)
+    state = replace(init_state(spec, prepared), trace=[])
     log_p = None  # a traced solve's log-densities under state.gmm
 
     def record(iteration: int, block: str) -> None:
@@ -457,16 +426,16 @@ def run(
     for it in range(1, spec.hyper.outer_iters + 1):
         base = _base_logits(state, spec) if spec.hyper.inner_z_iters else None
         for _ in range(spec.hyper.inner_z_iters):
-            state.z = z_step(state, spec, base)
+            state = replace(state, z=z_step(state, spec, base))
             record(it, "z")
         del base  # N x K, dead before the mean step
         moments = _group_moments(state, spec)
         means = mu_step(state, spec, moments)
-        state.gmm = GmmParams(means, state.gmm.variances)
+        state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         log_p = None
         record(it, "mu")
         variances = sigma_step(state, spec, moments)
-        state.gmm = GmmParams(means, variances)
+        state = replace(state, gmm=GmmParams(means, variances))
         log_p = None
         record(it, "sigma")
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import fileio
-from .types import EmbeddingMatrix, Hyperparams, SupportSet, TaskSpec
+from .types import EmbeddingMatrix, SupportSet, TaskSpec
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ def generate_task(
     temperature: float = 30.0,
     seed: int = 0,
     n_validation_per_class: int = 0,
-    hyper: Optional[Hyperparams] = None,
 ) -> SynthTask:
     """Generate one seeded task plus its ground-truth query labels."""
     if n_classes < 1 or dim < 2 or n_query_per_class < 1:
@@ -74,7 +73,6 @@ def generate_task(
         text=EmbeddingMatrix(text),
         support=support,
         temperature=temperature,
-        hyper=hyper if hyper is not None else Hyperparams(),
     )
     return SynthTask(spec=spec, query_labels=query_labels, validation=validation)
 

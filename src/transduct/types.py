@@ -27,8 +27,6 @@ from .errors import (
 # Row norms may deviate this much from 1.0 before the row is rejected as
 # corrupt instead of silently renormalized.
 NORM_GATE = 1e-2
-# Guaranteed row-norm accuracy after normalization.
-NORM_TOL = 1e-4
 # Rows already this close to unit norm are left untouched, which makes
 # normalization bitwise idempotent.
 _NORM_SKIP = 1e-12
@@ -38,6 +36,9 @@ ROW_SUM_TOL = 1e-9
 
 # Lower bound applied to every per-dimension variance.
 VAR_FLOOR = 1e-12
+
+# Floor applied inside log() so exactly-zero prior entries stay finite.
+PRIOR_LOG_FLOOR = 1e-300
 
 
 # normalize_rows checks and measures rows in blocks of about this many
@@ -136,9 +137,12 @@ class SimplexAssignments:
         z = np.asarray(self.z, dtype=np.float64)
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
             raise DimensionMismatch(f"expected a 2-d matrix, got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
+        # a NaN propagates through both extremes and an infinity is one of
+        # them, so no N x K mask is made
+        lo, hi = z.min(), z.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteValue("assignment matrix contains non-finite entries")
-        if np.any(z < 0.0) or np.any(z > 1.0):
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("assignment entries must lie in [0, 1]")
         if np.any(np.abs(z.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise ValueError("assignment rows must sum to 1")
@@ -315,6 +319,13 @@ class Hyperparams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        # the prior term weighs log(PRIOR_LOG_FLOOR) by kl_weight; beyond this
+        # the solver's logits overflow
+        if not math.isfinite(self.kl_weight * math.log(PRIOR_LOG_FLOOR)):
+            raise ValueError(
+                f"kl_weight must keep kl_weight * log({PRIOR_LOG_FLOOR:g}) finite, "
+                f"got {self.kl_weight}"
+            )
         if self.outer_iters < 0 or self.inner_z_iters < 0:
             raise ValueError("iteration counts must be non-negative")
         if self.k_nn < 0:

@@ -9,6 +9,7 @@ regression.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from transduct import fileio, solver
 from transduct.cli import main
 from transduct.solver import (
-    SolverState,
     gmm_log_probs,
     init_state,
     mu_step,
@@ -170,9 +170,9 @@ def test_criterion_4_em_oracle_equivalence():
         mu0 = state.gmm.means.copy()
         var0 = state.gmm.variances.copy()
         for it in range(1, 11):
-            state.z = z_step(state, spec, solver._base_logits(state, spec))
+            state = replace(state, z=z_step(state, spec, solver._base_logits(state, spec)))
             means = mu_step(state, spec, solver._group_moments(state, spec))
-            state.gmm = GmmParams(means, state.gmm.variances)
+            state = replace(state, gmm=GmmParams(means, state.gmm.variances))
             resp, em_means = oracles.em_reference(
                 spec.query.data, spec.n_classes, mu0, var0, it
             )
@@ -207,7 +207,7 @@ def test_criterion_5_assignment_update_kkt_certification():
             k_nn=2,
         )
         state = init_state(spec)
-        state.gmm = GmmParams(state.gmm.means, np.ones(6))
+        state = replace(state, gmm=GmmParams(state.gmm.means, np.ones(6)))
 
         qnode = spec.n_support
         idx, w = state.graph.neighbors(qnode)
@@ -216,7 +216,7 @@ def test_criterion_5_assignment_update_kkt_certification():
             neighbor += wt * state.z[j]
         a = -(
             spec.hyper.kl_weight * np.log(state.soft_labels.z[0])
-            + gmm_log_probs(spec.query, state.gmm)[0]
+            + gmm_log_probs(spec.query.data, state.gmm)[0]
             + neighbor
         )
         assert a.max() - a.min() < 8.0, "fixture left the oracle's stable range"
@@ -242,15 +242,7 @@ def test_criterion_5_assignment_update_kkt_certification():
 
 
 def _state_with_gmm(state, means, variances):
-    return SolverState(
-        z=state.z,
-        gmm=GmmParams(means, variances),
-        soft_labels=state.soft_labels,
-        log_prior=state.log_prior,
-        graph=state.graph,
-        features=state.features,
-        n_support=state.n_support,
-    )
+    return replace(state, gmm=GmmParams(means, variances))
 
 
 def test_criterion_6_closed_form_stationarity():
@@ -269,10 +261,10 @@ def test_criterion_6_closed_form_stationarity():
         state = init_state(spec)
         base = solver._base_logits(state, spec)
         for _ in range(3):
-            state.z = z_step(state, spec, base)
+            state = replace(state, z=z_step(state, spec, base))
         moments = solver._group_moments(state, spec)
         means = mu_step(state, spec, moments)
-        state.gmm = GmmParams(means, state.gmm.variances)
+        state = replace(state, gmm=GmmParams(means, state.gmm.variances))
 
         grad_mean = oracles.finite_diff_grad(
             lambda m: objective(_state_with_gmm(state, m, state.gmm.variances), spec),
@@ -282,7 +274,7 @@ def test_criterion_6_closed_form_stationarity():
 
         variances = sigma_step(state, spec, moments)
         assert variances.min() > 1e-10  # away from the floor
-        state.gmm = GmmParams(means, variances)
+        state = replace(state, gmm=GmmParams(means, variances))
         grad_logvar = oracles.finite_diff_grad(
             lambda lv: objective(_state_with_gmm(state, means, np.exp(lv)), spec),
             np.log(variances),

@@ -166,8 +166,9 @@ class TestRunFs:
 
 
 class TestNonFiniteSettings:
-    """A NaN or infinite weight or temperature fails before the graph build,
-    with an error naming the setting and no numpy warning."""
+    """A NaN or infinite weight or temperature, or a prior weight that would
+    overflow the solver's logits, fails before the graph build, with an error
+    naming the setting and no numpy warning."""
 
     @pytest.mark.parametrize("command, extra, name", [
         ("run-zs", ["--tau", "inf"], "temperature"),
@@ -176,6 +177,8 @@ class TestNonFiniteSettings:
         ("run-fs", ["--gamma", "nan"], "support_weight"),
         ("run-fs", ["--gamma-grid", "nan,0.1"], "support_weight"),
         ("run-fs", ["--tau", "nan"], "temperature"),
+        ("run-zs", ["--lambda", "1e308"], "kl_weight"),
+        ("run-fs", ["--lambda", "1e308"], "kl_weight"),
     ])
     def test_exits_one_before_the_graph(self, task_dir, tmp_path, monkeypatch, capsys,
                                         recwarn, command, extra, name):
@@ -194,6 +197,21 @@ class TestNonFiniteSettings:
         assert name in capsys.readouterr().err
         assert builds == [] and not out.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_largest_kl_weight_solves_without_nan(self, tmp_path):
+        # pytest turns RuntimeWarning into an error, so an overflow fails here;
+        # the objective at such a weight is inf, which the trace writes as is
+        task = tmp_path / "k1000"
+        assert main(["synth", "--out-dir", str(task), "--classes", "1000", "--dim", "16",
+                     "--per-class", "1", "--seed", "2"]) == 0
+        out, trace = tmp_path / "pred.csv", tmp_path / "trace.csv"
+        assert main(_zs_args(task, out, ["--lambda", "2.6024e305", "--outer-iters", "1",
+                                         "--trace", str(trace)])) == 0
+        _, probs = read_prediction_rows(out)
+        assert np.all(np.isfinite(probs))
+        _, *rows = trace.read_text().strip().split("\n")
+        values = [float(v) for row in rows for v in row.split(",")[2:]]
+        assert not any(np.isnan(values))
 
 
 class TestSynth:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import mpmath
@@ -27,6 +28,7 @@ from transduct.types import (
     SupportSet,
     TaskSpec,
 )
+from transduct.synth import generate_task
 from transduct.zeroshot import compute_soft_labels, hard_predict
 from helpers import random_task, row_softmax, unit_rows
 import oracles
@@ -97,8 +99,8 @@ class TestZStep:
         spec = random_task(rng, n_query=6, n_classes=3, dim=4, k_nn=0)
         state = init_state(spec)
         # identical means and variances make the density constant over classes
-        state.gmm = GmmParams(
-            np.tile(state.gmm.means[:1], (3, 1)), state.gmm.variances
+        state = replace(
+            state, gmm=GmmParams(np.tile(state.gmm.means[:1], (3, 1)), state.gmm.variances)
         )
         out = _sweep(state, spec)
         np.testing.assert_allclose(out, state.soft_labels.z, atol=1e-12)
@@ -107,7 +109,7 @@ class TestZStep:
         spec = random_task(rng, n_query=6, n_classes=3, dim=4, k_nn=0, kl_weight=0.0)
         state = init_state(spec)
         out = _sweep(state, spec)
-        log_p = gmm_log_probs(spec.query, state.gmm)
+        log_p = gmm_log_probs(spec.query.data, state.gmm)
         want = np.exp(log_p - log_p.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(out, want, atol=1e-12)
@@ -123,7 +125,7 @@ class TestZStep:
             neighbor_sum += wt * state.z[j]
         a = -(
             spec.hyper.kl_weight * np.log(state.soft_labels.z[0])
-            + gmm_log_probs(spec.query, state.gmm)[0]
+            + gmm_log_probs(spec.query.data, state.gmm)[0]
             + neighbor_sum
         )
         got = _sweep(state, spec)[query_node]
@@ -143,7 +145,7 @@ class TestZStep:
         spec = random_task(rng, n_query=40, n_classes=7, dim=9)
         state = init_state(spec)
         for _ in range(4):
-            state.z = _sweep(state, spec)
+            state = replace(state, z=_sweep(state, spec))
             z = state.z
             assert np.all(z >= 0)
             np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-9)
@@ -198,7 +200,7 @@ class TestMuStep:
         spec = random_task(rng, n_query=9, n_classes=3, dim=5, k_nn=0)
         state = init_state(spec)
         labels = np.repeat(np.arange(3), 3)
-        state.z = SimplexAssignments.one_hot(labels, 3).z
+        state = replace(state, z=SimplexAssignments.one_hot(labels, 3).z)
         means = _mean_step(state, spec)
         for cls in range(3):
             np.testing.assert_allclose(
@@ -231,8 +233,8 @@ class TestMuStep:
         )
         state = init_state(spec)
         # a couple of sweeps to land on generic soft assignments
-        state.z = _sweep(state, spec)
-        state.z = _sweep(state, spec)
+        state = replace(state, z=_sweep(state, spec))
+        state = replace(state, z=_sweep(state, spec))
         means = _mean_step(state, spec)
         want = _fraction_weighted_mean(
             state.z[:2].tolist(),
@@ -248,7 +250,7 @@ class TestMuStep:
         state = init_state(spec)
         z = np.zeros((4, 3))
         z[:, 0] = 1.0  # classes 1 and 2 get zero mass
-        state.z = z
+        state = replace(state, z=z)
         before = state.gmm.means.copy()
         means = _mean_step(state, spec)
         np.testing.assert_array_equal(means[1:], before[1:])
@@ -282,14 +284,14 @@ class TestSigmaStep:
             hyper=Hyperparams(k_nn=0),
         )
         state = init_state(spec)
-        state.gmm = GmmParams(row.copy(), state.gmm.variances)
+        state = replace(state, gmm=GmmParams(row.copy(), state.gmm.variances))
         np.testing.assert_array_equal(_variance_step(state, spec), 1e-12)
 
     def test_single_class_gives_population_variance(self, rng):
         spec = random_task(rng, n_query=10, n_classes=1, dim=6, k_nn=0)
         state = init_state(spec)
         means = _mean_step(state, spec)
-        state.gmm = GmmParams(means, state.gmm.variances)
+        state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         got = _variance_step(state, spec)
         want = np.mean((spec.query.data - means[0]) ** 2, axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -306,9 +308,9 @@ class TestSigmaStep:
             hyper=Hyperparams(support_weight=gamma),
         )
         state = init_state(spec)
-        state.z = _sweep(state, spec)
+        state = replace(state, z=_sweep(state, spec))
         means = _mean_step(state, spec)
-        state.gmm = GmmParams(means, state.gmm.variances)
+        state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         got = _variance_step(state, spec)
         want = _fraction_shared_variance(
             state.z[:2].tolist(),
@@ -333,7 +335,7 @@ class TestObjective:
             hyper=Hyperparams(k_nn=0),
         )
         state = init_state(spec)
-        state.gmm = GmmParams(np.tile(v, (k, 1)), np.full(d, k ** (2.0 / d)))
+        state = replace(state, gmm=GmmParams(np.tile(v, (k, 1)), np.full(d, k ** (2.0 / d))))
         assert abs(objective(state, spec, "normalized") - np.log(k)) < 1e-10
         assert abs(objective(state, spec, "update_consistent") - n * np.log(k)) < 1e-9
 
@@ -345,7 +347,7 @@ class TestObjective:
         spec = random_task(rng, n_query=n, n_classes=k, dim=d, k_nn=0, kl_weight=0.0)
         state = init_state(spec)
         labels = rng.integers(0, k, size=n)
-        state.z = SimplexAssignments.one_hot(labels, k).z
+        state = replace(state, z=SimplexAssignments.one_hot(labels, k).z)
         got = objective(state, spec, "normalized")
 
         nll = 0.0
@@ -369,7 +371,7 @@ class TestObjective:
 
         vals = {}
         for name, g in (("w", g1), ("2w", scaled(2.0)), ("0", scaled(0.0))):
-            state.graph = g
+            state = replace(state, graph=g)
             vals[name] = objective(state, spec, "update_consistent")
         np.testing.assert_allclose(
             vals["2w"] - vals["0"], 2.0 * (vals["w"] - vals["0"]), rtol=1e-12
@@ -439,7 +441,7 @@ class TestPlainArrays:
 
     @pytest.mark.parametrize("shots", [0, 1])
     def test_z_is_read_only(self, rng, shots):
-        # z starts as the prepared record's z0, which every solve of the task
+        # z starts as the prepared state's z, which every solve of the task
         # shares, and run returns a view of the final z: an in-place write
         # would change another solve's start or the caller's assignments
         spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots,
@@ -560,10 +562,26 @@ class TestMemory:
         monkeypatch.setattr(solver, "_CHUNK_ROWS", 7)
         monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 3 * 8 * 4)
         state = init_state(spec)
-        state.z = _sweep(state, spec)
-        state.gmm = GmmParams(_mean_step(state, spec), state.gmm.variances)
+        state = replace(state, z=_sweep(state, spec))
+        state = replace(state, gmm=GmmParams(_mean_step(state, spec), state.gmm.variances))
         want = kl_weight * state.log_prior + gmm_log_probs(state.features, state.gmm)[12:]
         assert solver._base_logits(state, spec).tobytes() == want.tobytes()
+
+    def test_fewshot_prepare_holds_the_soft_labels_once(self):
+        # the soft labels are a view of z0's query rows, so the prepared
+        # state holds z0 (support rows too) and the log prior: 2.2 N_q x K
+        task = generate_task(n_classes=400, dim=8, n_query_per_class=5, shots_per_class=1,
+                             seed=3)
+        spec = task.spec
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prepared = solver.prepare(spec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert prepared.soft_labels.z.base is prepared.z
+        assert held - base <= 2.3 * spec.n_query * spec.n_classes * 8
 
     @pytest.mark.parametrize("shots", [0, 2])
     def test_graph_is_built_on_the_held_features(self, rng, monkeypatch, shots):
@@ -603,9 +621,9 @@ class TestEmEquivalence:
             mu0 = state.gmm.means.copy()
             var0 = state.gmm.variances.copy()
             for it in range(1, 6):
-                state.z = _sweep(state, spec)
+                state = replace(state, z=_sweep(state, spec))
                 means = _mean_step(state, spec)
-                state.gmm = GmmParams(means, state.gmm.variances)
+                state = replace(state, gmm=GmmParams(means, state.gmm.variances))
                 resp, em_means = oracles.em_reference(
                     spec.query.data, 4, mu0, var0, it
                 )
@@ -666,12 +684,12 @@ def _reference_run(spec):
     trace = [objective(state, spec)]
     for _ in range(spec.hyper.outer_iters):
         for _ in range(spec.hyper.inner_z_iters):
-            state.z = _old_sweep(state, spec)
+            state = replace(state, z=_old_sweep(state, spec))
             trace.append(objective(state, spec))
         means = _old_mu(state, spec)
-        state.gmm = GmmParams(means, state.gmm.variances)
+        state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         trace.append(objective(state, spec))
-        state.gmm = GmmParams(means, _old_sigma(state, spec))
+        state = replace(state, gmm=GmmParams(means, _old_sigma(state, spec)))
         trace.append(objective(state, spec))
     return state, trace
 
@@ -719,6 +737,23 @@ class TestCachedBlocks:
         assert not prepared.log_prior.flags.writeable
         want = np.log(np.maximum(prepared.soft_labels.z, PRIOR_LOG_FLOOR))
         assert prepared.log_prior.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shots", [0, 2])
+    def test_solves_start_from_the_prepared_state(self, rng, shots):
+        # the prepared state is the first iterate of every solve: frozen, so
+        # a solve steps away from it and leaves it, trace included, as it was
+        spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots,
+                           support_weight=0.1)
+        prepared = solver.prepare(spec)
+        z0, gmm0 = prepared.z, prepared.gmm
+        assert init_state(spec, prepared) is prepared
+        with pytest.raises(FrozenInstanceError):
+            prepared.z = z0
+        _, state = run(spec, record_trace=True, prepared=prepared)
+        assert state.trace and prepared.trace == []
+        assert prepared.z is z0 and prepared.gmm is gmm0
+        for name in ("graph", "features", "log_prior", "soft_labels"):
+            assert getattr(state, name) is getattr(prepared, name)
 
     def test_sigma_step_reuses_the_mean_step_pass(self, rng, monkeypatch):
         # one moments pass per outer iteration serves both updates

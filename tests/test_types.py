@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from transduct.errors import (
 )
 from transduct import types
 from transduct.types import (
+    PRIOR_LOG_FLOOR,
     AffinityGraph,
     EmbeddingMatrix,
     GmmParams,
@@ -169,6 +171,17 @@ class TestSimplexAssignments:
         with pytest.raises(ValueError):
             SimplexAssignments(np.array([[-0.1, 1.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries_before_range(self, bad):
+        for row in ([bad, 1.0], [bad, -0.5], [1.5, bad]):
+            with pytest.raises(NonFiniteValue):
+                SimplexAssignments(np.array([row, [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [-0.5, 1.5], [0.0, 1.0 + 1e-15]])
+    def test_rejects_entries_outside_the_unit_interval(self, row):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SimplexAssignments(np.array([[0.5, 0.5], row]))
+
     def test_one_hot(self):
         a = SimplexAssignments.one_hot(np.array([2, 0]), 3)
         np.testing.assert_array_equal(a.z, [[0, 0, 1], [1, 0, 0]])
@@ -301,6 +314,14 @@ class TestHyperparams:
     def test_rejects_non_finite_weights(self, name, value):
         with pytest.raises(ValueError, match=name):
             Hyperparams(**{name: value})
+
+    def test_kl_weight_keeps_the_floored_prior_term_finite(self):
+        # the largest weight whose product with log(PRIOR_LOG_FLOOR) is finite
+        largest = 2.6024273620868736e305
+        assert math.isfinite(Hyperparams(kl_weight=largest).kl_weight * math.log(PRIOR_LOG_FLOOR))
+        for value in (math.nextafter(largest, math.inf), 1e308):
+            with pytest.raises(ValueError, match="kl_weight"):
+                Hyperparams(kl_weight=value)
 
 
 class TestValidateTask:

@@ -79,8 +79,9 @@ class TestComputeSoftLabels:
             assert np.array_equal(base, hard_predict(compute_soft_labels(q, t, tau)))
 
     def test_peak_is_the_soft_labels_alone(self, rng):
-        # the softmax runs in the one N x K product, which is kept, not copied;
-        # the validation's N x K bool masks add an eighth
+        # the softmax runs in the one N x K product, which is kept, not copied,
+        # and validated without N x K masks; numpy's row reductions buffer
+        # about 80 KB, 0.013 N x K here
         n, k = 2000, 400
         q = EmbeddingMatrix(unit_rows(rng, n, 6))
         t = EmbeddingMatrix(unit_rows(rng, k, 6))
@@ -93,7 +94,7 @@ class TestComputeSoftLabels:
         finally:
             tracemalloc.stop()
         assert not soft.z.flags.writeable
-        assert peak - base <= 1.2 * n * k * 8
+        assert peak - base <= 1.02 * n * k * 8
 
 
 class TestHardPredict:
