@@ -77,7 +77,8 @@ def _add_common_solver_flags(p: argparse.ArgumentParser, kl_default: float) -> N
                    help="weight of the text-prior KL penalty")
     p.add_argument("--knn", type=int, default=3, help="graph neighbors per sample (0 disables)")
     p.add_argument("--outer-iters", type=int, default=10, help="outer block iterations")
-    p.add_argument("--inner-iters", type=int, default=5, help="assignment sweeps per outer iteration")
+    p.add_argument("--inner-iters", type=int, default=5, metavar="N",
+                   help="at most N sweeps per outer iteration")
     p.add_argument("--top-m", type=int, default=8,
                    help="confident samples averaged per class at initialization")
     p.add_argument("--symmetrize-graph", action="store_true",

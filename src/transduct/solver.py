@@ -2,10 +2,14 @@
 
 The objective couples three blocks of variables: per-sample class
 assignments constrained to the probability simplex, class means, and one
-shared diagonal covariance. Each outer iteration runs several simultaneous
-(Jacobi) assignment sweeps, then refreshes the means and variances with
-their closed-form minimizers. Assignment rows belonging to labeled support
-samples stay frozen at their one-hot labels.
+shared diagonal covariance. Each outer iteration runs up to
+``inner_z_iters`` simultaneous (Jacobi) assignment sweeps, then refreshes
+the means and variances with their closed-form minimizers. A sweep is a
+pure function of the iterate and the outer iteration's base logits, so once
+one returns its query rows bit for bit unchanged, every later sweep of that
+outer iteration would too: ``run`` skips them, and the result, trace
+included, is that of running them all. Assignment rows belonging to
+labeled support samples stay frozen at their one-hot labels.
 
 Two flavors of the objective are exposed:
 
@@ -148,6 +152,21 @@ def _rows_per_block(width: int) -> int:
     return max(1, _ROW_BLOCK_BYTES // (8 * width))
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays of one shape hold the same bits.
+
+    The rows are compared as uint64 in blocks of ``_rows_per_block``, up to
+    the first block that differs, so arrays that differ early cost one
+    block; -0.0 and 0.0 differ, and a NaN equals its own bits.
+    """
+    a, b = a.view(np.uint64), b.view(np.uint64)
+    step = _rows_per_block(a.shape[1])
+    return all(
+        np.array_equal(a[lo : lo + step], b[lo : lo + step])
+        for lo in range(0, a.shape[0], step)
+    )
+
+
 def gmm_log_probs(features: np.ndarray, gmm: GmmParams) -> np.ndarray:
     """Per-sample, per-class Gaussian log-densities under a shared diagonal
     covariance, without the 2*pi constant.
@@ -253,16 +272,19 @@ def mu_step(state: SolverState, spec: TaskSpec, moments) -> np.ndarray:
     ``_group_moments`` are ``moments``.
 
     A class whose total assignment mass is ~0 keeps its previous mean.
+    The result is read-only, so ``GmmParams`` keeps it without a copy.
     """
     mass, first, _ = moments
     means = state.gmm.means.copy()
     live = mass >= _EMPTY_CLASS_EPS
     means[live] = first[live] / mass[live, None]
+    means.setflags(write=False)
     return means
 
 
 def sigma_step(state: SolverState, spec: TaskSpec, moments) -> np.ndarray:
-    """Closed-form shared-variance update, floored at VAR_FLOOR.
+    """Closed-form shared-variance update, floored at VAR_FLOOR; read-only,
+    like the mean update's result.
 
     Expects the means in ``state.gmm`` to be the ones produced this outer
     iteration (block order: assignments, means, variances) and ``moments``
@@ -274,7 +296,9 @@ def sigma_step(state: SolverState, spec: TaskSpec, moments) -> np.ndarray:
     scatter = sq - 2.0 * np.einsum("kd,kd->d", means, first) + np.einsum(
         "kd,kd,k->d", means, means, mass
     )
-    return np.maximum(scatter / (gamma + 1.0), VAR_FLOOR)
+    variances = np.maximum(scatter / (gamma + 1.0), VAR_FLOOR)
+    variances.setflags(write=False)
+    return variances
 
 
 def _entropy_sum(z: np.ndarray) -> float:
@@ -396,13 +420,16 @@ def run(
 ) -> tuple[SimplexAssignments, SolverState]:
     """Full transduction pipeline; returns query assignments and final state.
 
-    Runs ``outer_iters`` rounds of ``inner_z_iters`` assignment sweeps
-    followed by one mean and one variance refresh. With record_trace, both
-    objective flavors are logged after every block update. The final
-    prediction for query row i is the argmax of its assignment row. The
-    returned assignments are validated and hold a read-only view of the
-    query rows of ``state.z``, not a copy. ``prepared`` is passed on to
-    ``init_state``; the solve starts from it with a trace of its own.
+    Runs ``outer_iters`` rounds of at most ``inner_z_iters`` assignment
+    sweeps followed by one mean and one variance refresh. A round's sweeps
+    end at the first whose query rows have the bits of its input; the state
+    keeps its own ``z`` and drops the equal copy, and the skipped sweeps
+    would have returned the same bits. With record_trace, both objective
+    flavors are logged after every block update, a skipped sweep included.
+    The final prediction for query row i is the argmax of its assignment
+    row. The returned assignments are validated and hold a read-only view
+    of the query rows of ``state.z``, not a copy. ``prepared`` is passed on
+    to ``init_state``; the solve starts from it with a trace of its own.
     """
     state = replace(init_state(spec, prepared), trace=[])
     log_p = None  # a traced solve's log-densities under state.gmm
@@ -423,10 +450,19 @@ def run(
             )
 
     record(0, "init")
+    n_s = state.n_support
     for it in range(1, spec.hyper.outer_iters + 1):
         base = _base_logits(state, spec) if spec.hyper.inner_z_iters else None
+        settled = False
         for _ in range(spec.hyper.inner_z_iters):
-            state = replace(state, z=z_step(state, spec, base))
+            if not settled:
+                z_new = z_step(state, spec, base)
+                # the equal copy is dropped: holding it beside z through the
+                # mean step would raise the peak by one N x K array
+                settled = _same_bits(z_new[n_s:], state.z[n_s:])
+                if not settled:
+                    state = replace(state, z=z_new)
+                del z_new
             record(it, "z")
         del base  # N x K, dead before the mean step
         moments = _group_moments(state, spec)

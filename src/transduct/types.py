@@ -3,10 +3,10 @@
 All types are immutable after construction (arrays are marked read-only)
 and safe to share across threads. Input arrays are copied unless the type
 can keep them: an ``AffinityGraph`` keeps read-only views of the arrays it
-is given, and a ``SimplexAssignments`` keeps a float64 array that is
-already read-only and C-contiguous, such as the solver's assignment rows,
-and copies a writable one. The only algorithms here are row normalization
-and the graph's weighted neighbor sum.
+is given, and a ``SimplexAssignments`` or ``GmmParams`` keeps a float64
+array that is already read-only and C-contiguous, such as the solver's
+assignment rows or means, and copies a writable one. The only algorithms
+here are row normalization and the graph's weighted neighbor sum.
 """
 
 from __future__ import annotations
@@ -168,7 +168,13 @@ class SimplexAssignments:
 
 @dataclass(frozen=True, eq=False)
 class GmmParams:
-    """K class means plus one shared vector of per-dimension variances."""
+    """K class means plus one shared vector of per-dimension variances.
+
+    Like ``SimplexAssignments``, a float64 array that is already read-only
+    and C-contiguous is kept as given: the solver's mean and variance steps
+    return read-only arrays, and an outer iteration's two parameter sets
+    share their means. A writable array is copied.
+    """
 
     means: np.ndarray
     variances: np.ndarray
@@ -186,8 +192,10 @@ class GmmParams:
             raise NonFiniteValue("GMM parameters contain non-finite entries")
         if np.any(variances < VAR_FLOOR):
             raise ValueError(f"variances must be >= {VAR_FLOOR}")
-        object.__setattr__(self, "means", _freeze(means))
-        object.__setattr__(self, "variances", _freeze(variances))
+        for name, arr in (("means", means), ("variances", variances)):
+            if arr.flags.writeable or not arr.flags.c_contiguous:
+                arr = _freeze(arr)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_classes(self) -> int:

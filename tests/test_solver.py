@@ -397,7 +397,9 @@ class TestRun:
         monkeypatch.setattr(solver, "z_step", recording)
         assignments, _ = run(spec)
         assert np.array_equal(hard_predict(assignments), np.zeros(10, dtype=int))
-        assert len(seen) == 50
+        # each outer iteration's first sweep returns its input, all ones, so
+        # its other four are skipped
+        assert len(seen) == 10
         for z in seen:
             np.testing.assert_array_equal(z, 1.0)
 
@@ -451,6 +453,27 @@ class TestPlainArrays:
             assert isinstance(z, np.ndarray) and not z.flags.writeable
             with pytest.raises(ValueError):
                 z[-1, 0] = 0.5
+
+    @pytest.mark.parametrize("shots", [0, 2])
+    def test_mixture_steps_are_shared_not_copied(self, rng, monkeypatch, shots):
+        # the mean and variance steps return read-only arrays, which GmmParams
+        # keeps: an outer iteration's two parameter sets share their means
+        spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots,
+                           support_weight=0.1, outer_iters=2)
+        made = []
+        for name in ("mu_step", "sigma_step"):
+            original = getattr(solver, name)
+
+            def keeping(*args, original=original):
+                made.append(original(*args))
+                return made[-1]
+
+            monkeypatch.setattr(solver, name, keeping)
+        _, state = run(spec, record_trace=True)
+        assert len(made) == 4
+        assert all(not arr.flags.writeable for arr in made)
+        assert np.shares_memory(state.gmm.means, made[2])
+        assert np.shares_memory(state.gmm.variances, made[3])
 
     def test_small_blocks_cover_every_row(self, rng, monkeypatch):
         feats = unit_rows(rng, 50, 6)
@@ -679,19 +702,69 @@ def _old_sigma(state, spec):
 
 
 def _reference_run(spec):
-    """run() as a plain loop that caches nothing between block updates."""
+    """run() as a plain loop that caches nothing between block updates and
+    runs every sweep. Also returns how many sweeps run() makes: those of each
+    outer iteration up to and including the first that returns its input."""
     state = init_state(spec)
     trace = [objective(state, spec)]
+    n_s, sweeps = state.n_support, 0
     for _ in range(spec.hyper.outer_iters):
+        settled = False
         for _ in range(spec.hyper.inner_z_iters):
-            state = replace(state, z=_old_sweep(state, spec))
+            z = _old_sweep(state, spec)
+            if not settled:
+                sweeps += 1
+                settled = z[n_s:].tobytes() == state.z[n_s:].tobytes()
+            state = replace(state, z=z)
             trace.append(objective(state, spec))
         means = _old_mu(state, spec)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         trace.append(objective(state, spec))
         state = replace(state, gmm=GmmParams(means, _old_sigma(state, spec)))
         trace.append(objective(state, spec))
-    return state, trace
+    return state, trace, sweeps
+
+
+def _assert_run_matches_reference(spec, monkeypatch):
+    """run(), traced and untraced, against ``_reference_run``, bit for bit;
+    returns the sweeps each run made and the sweeps scheduled."""
+    want, want_trace, want_sweeps = _reference_run(spec)
+    calls = _count_calls(monkeypatch, "z_step")
+    # the untraced run must not depend on the objective calls' caching
+    for record_trace in (False, True):
+        calls.clear()
+        _, got = run(spec, record_trace=record_trace)
+        assert got.z.tobytes() == want.z.tobytes()
+        assert got.gmm.means.tobytes() == want.gmm.means.tobytes()
+        assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
+        assert got.objective_trace == (want_trace if record_trace else [])
+        assert len(calls) == want_sweeps
+    return want_sweeps, spec.hyper.outer_iters * spec.hyper.inner_z_iters
+
+
+class TestSameBits:
+    """run() ends an outer iteration's sweeps at one whose query rows have
+    the bits of its input; _same_bits compares them in row blocks."""
+
+    def test_equal_arrays(self, rng):
+        a = rng.standard_normal((7, 3))
+        assert solver._same_bits(a, a.copy())
+
+    def test_signed_zeros_differ(self):
+        a = np.zeros((2, 3))
+        b = a.copy()
+        b[1, 2] = -0.0
+        assert a.tolist() == b.tolist() and not solver._same_bits(a, b)
+
+    @pytest.mark.parametrize("rows", [9, 10])
+    def test_difference_in_the_last_block_is_found(self, rng, monkeypatch, rows):
+        # blocks of 2 rows; a last block of one row or of two
+        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 2 * 8 * 3)
+        a = rng.standard_normal((rows, 3))
+        b = a.copy()
+        b[-1, 1] = np.nextafter(b[-1, 1], np.inf)
+        assert not solver._same_bits(a, b)
+        assert solver._same_bits(a[:-1], b[:-1])
 
 
 class TestCachedBlocks:
@@ -715,18 +788,32 @@ class TestCachedBlocks:
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_run_matches_uncached_loop(self, seed, shots, hyper):
+    def test_run_matches_uncached_loop(self, seed, shots, hyper, monkeypatch):
         r = np.random.default_rng(900 + seed)
         spec = random_task(r, n_query=int(r.integers(15, 60)), n_classes=int(r.integers(2, 7)),
                            dim=int(r.integers(3, 12)), shots_per_class=shots, **hyper)
-        want, want_trace = _reference_run(spec)
-        # the untraced run must not depend on the objective calls' caching
-        for record_trace in (False, True):
-            _, got = run(spec, record_trace=record_trace)
-            assert got.z.tobytes() == want.z.tobytes()
-            assert got.gmm.means.tobytes() == want.gmm.means.tobytes()
-            assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
-            assert got.objective_trace == (want_trace if record_trace else [])
+        _assert_run_matches_reference(spec, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # every sweep of one class returns the all-ones input
+            lambda: random_task(np.random.default_rng(900), n_query=20, n_classes=1, dim=5),
+            # the sweeps of these settle from a few outer iterations on,
+            # with the graph, the prior and, few-shot, the support rows
+            lambda: generate_task(n_classes=20, dim=39, n_query_per_class=2, class_sep=3.3,
+                                  prototype_noise=0.06, temperature=49.0, seed=9037).spec,
+            lambda: generate_task(n_classes=6, dim=47, n_query_per_class=3, shots_per_class=1,
+                                  class_sep=2.6, prototype_noise=0.8, temperature=38.0,
+                                  seed=9018).spec.with_hyper(support_weight=0.2),
+        ],
+        ids=["single-class", "zero-shot", "few-shot"],
+    )
+    def test_run_matches_uncached_loop_when_sweeps_settle(self, make, monkeypatch):
+        # run() skips the sweeps after one that returns its input; the
+        # reference runs them all and must still agree bit for bit
+        made, scheduled = _assert_run_matches_reference(make(), monkeypatch)
+        assert made < scheduled
 
     def test_solves_share_the_prepared_log_prior(self, rng):
         spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=2)

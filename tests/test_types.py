@@ -222,6 +222,29 @@ class TestGmmParams:
         with pytest.raises(DimensionMismatch):
             GmmParams(rng.standard_normal((2, 3)), np.ones(4))
 
+    def test_writable_input_is_copied(self, rng):
+        means, variances = rng.standard_normal((2, 3)), np.ones(3)
+        g = GmmParams(means, variances)
+        assert not np.shares_memory(g.means, means)
+        assert not np.shares_memory(g.variances, variances)
+        assert not g.means.flags.writeable and not g.variances.flags.writeable
+
+    def test_read_only_contiguous_input_is_kept(self, rng):
+        g = GmmParams(rng.standard_normal((2, 3)), np.ones(3))
+        # another GmmParams's arrays are read-only already: shared, not copied
+        again = GmmParams(g.means, g.variances)
+        assert again.means is g.means and again.variances is g.variances
+        # a read-only column slice is not C-contiguous: copied
+        wide = rng.standard_normal((2, 5))
+        wide.setflags(write=False)
+        got = GmmParams(wide[:, :3], g.variances).means
+        assert got.flags.c_contiguous and not np.shares_memory(got, wide)
+        # a float32 array is converted, and the float64 copy is frozen
+        narrow = np.ones((2, 3), dtype=np.float32)
+        narrow.setflags(write=False)
+        got = GmmParams(narrow, g.variances).means
+        assert got.dtype == np.float64 and not got.flags.writeable
+
 
 class TestAffinityGraph:
     def test_valid_graph(self):
