@@ -12,14 +12,13 @@ top-8 confident initialization, support-weight grid 0.002/0.01/0.02/0.2).
 Any flag can also be supplied via ``--config file`` holding ``key=value``
 lines; explicit command-line flags win over the file.
 
-Determinism: the solver starts no threads of its own, and for a fixed
-BLAS thread count the outputs are byte-identical across reruns. Across
-BLAS thread counts they are byte-identical only when threadpoolctl is
-available to pin BLAS pools while solving; without it, probabilities may
-differ in the last bits (predicted classes did not change in testing), so
-fix ``OPENBLAS_NUM_THREADS`` when bytes must match. The ``--dump-graph``
-file is byte-identical at any BLAS thread count: the graph's weights come
-from einsum dots that do not call the BLAS.
+Determinism: the solver starts no threads of its own, and for a fixed BLAS
+thread count and CPU kernel set reruns write byte-identical outputs. The
+CSV bits depend on both: numpy's AVX-512 ``exp``/``log``, the OpenBLAS core
+type and, unless threadpoolctl pins it, a multi-threaded BLAS move last
+bits (predicted classes did not change in testing), so no golden may be CSV
+bytes. The ``--dump-graph`` file is byte-identical on any CPU and at any
+BLAS thread count: its weights come from einsum dots that skip the BLAS.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ its most cosine-similar query sample. Validation samples are never part of
 the query or support sets of those search runs.
 
 The support weight only reweights the labeled-shot likelihood term, so the
-candidates share one prepared state from ``solver.prepare``: one set of
-soft labels and their log prior, one kNN graph and one set of initial
-means for the whole search, and one validation-to-query nearest-neighbor
-index. With a validation pool no shot is carved out, the search runs on the
-full support set, and the winning search run is the final result; it is
-solved again from the same prepared state only when the objective trace is
+candidates share one prepared state from ``solver.prepare`` (the starting
+assignments, one kNN graph and the initial means; it holds no soft labels
+and no log prior) and one validation-to-query nearest-neighbor index. With
+a validation pool no shot is carved out, the search runs on the full
+support set, and the winning search run is the final result; it is solved
+again from the same prepared state only when the objective trace is
 requested. When shots are carved, the final solve prepares the
 full-support task once more, so a few-shot run builds at most two graphs.
 """
@@ -177,10 +177,9 @@ def run_fewshot(
     the full support set (a validation pool) and no trace is requested, the
     winning search run is the final result.
     """
-    spec = validate_task(spec)
+    spec = validate_task(spec.with_hyper(kl_weight=kl_weight))
     if spec.support is None:
         raise ValueError("few-shot run requires a support set")
-    spec = spec.with_hyper(kl_weight=kl_weight)
     # an empty grid and a weight that Hyperparams rejects fail here, before
     # any graph is built
     candidates = grid if gamma is None else (gamma,)

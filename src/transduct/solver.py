@@ -11,50 +11,45 @@ outer iteration would too: ``run`` skips them, and the result, trace
 included, is that of running them all. Assignment rows belonging to
 labeled support samples stay frozen at their one-hot labels.
 
-Two flavors of the objective are exposed:
-
-* ``normalized``: the GMM term is averaged over the query set and the
-  support term carries weight gamma / n_support.
-* ``update_consistent``: every query sample contributes at unit weight and
-  the support term carries gamma * n_query / n_support. This is the exact
-  Lyapunov function of the implemented updates: the assignment sweep
-  minimizes its per-sample convex surrogate, and the mean/variance formulas
-  are its stationary points. Descent diagnostics use this flavor.
-
-The two differ by a positive rescaling of the likelihood terms relative to
-the graph and prior terms, so they share the mean/variance stationary
-points but weigh the assignment trade-off differently.
+Two flavors of the objective are exposed. ``normalized`` averages the GMM
+term over the query set and weighs the support term by gamma / n_support.
+``update_consistent`` weighs each query sample by 1 and the support term
+by gamma * n_query / n_support; it is the exact Lyapunov function of the
+implemented updates (the sweep minimizes its per-sample convex surrogate,
+and the mean/variance formulas are its stationary points), and descent
+diagnostics use it. The two differ by a positive rescaling of the
+likelihood terms, so they share the mean/variance stationary points but
+weigh the assignment trade-off differently.
 
 The solver works on plain float64 arrays. Assignments are validated as
 ``SimplexAssignments`` where they enter (the soft labels and the support
-one-hot rows) and once where they leave (the query rows ``run`` returns,
-a read-only view of ``state.z``, not a copy); the sweeps in between
-produce row softmaxes, which lie on the simplex by construction.
-``state.z`` is always a read-only array, and each sweep replaces it rather
-than writing into it. Everything runs in the calling thread.
-``gmm_log_probs`` walks the rows in fixed blocks of ``_CHUNK_ROWS``, one
-GEMM each, and squares the features in sub-blocks of about
-``_ROW_BLOCK_BYTES``, so it makes no N x d temporary; the GEMM block
-boundaries are part of the output bits of larger tasks.
+one-hot rows) and once where they leave (the query rows ``run`` returns, a
+read-only view of ``state.z``); the sweeps in between produce row
+softmaxes, which lie on the simplex by construction. ``state.z`` is always
+read-only, and each sweep replaces it. Everything runs in the calling
+thread.
 
-Log-density values omit the constant -(d/2) log(2 pi): it cancels in every
-row softmax and offsets both objectives by an assignment-independent
-constant, so tests compare objective differences rather than absolute
-likelihoods.
+The log prior, log softmax(tau * Q T^T), is tau * f_i . t_k less a row
+constant, and the log-density is f_i . mu_k / var - mu_k . mu_k / (2 var)
+less another; the sweep's softmax cancels row constants. So an outer
+iteration's base logits are one GEMM of the query rows against
+mu_k / var + kl_weight * tau * t_k, plus a class bias, and no log prior or
+soft labels are held. The objective takes the exact log-softmax, with no
+floor, and its log-densities omit the constant -(d/2) log(2 pi), which
+offsets both flavors by an assignment-independent constant. The GEMMs run
+in fixed blocks of ``_CHUNK_ROWS`` rows, whose boundaries are part of the
+output bits of larger tasks.
 
-Work that does not depend on the term weights is done once per task by
-``prepare``: the soft labels and their log prior, the stacked
-support-then-query features, the kNN graph, the starting assignments and
-the initial mixture. It returns the initial ``SolverState``, which ``run``
-and ``init_state`` accept, so solves that differ only in ``support_weight``
-(the few-shot grid search) share one graph. Without a prepared state,
-``init_state`` prepares the task itself.
-
-A ``SolverState`` is frozen: ``run`` steps it with ``dataclasses.replace``,
-so every state of a task shares the prepared state's arrays. ``run`` owns
-what an outer iteration reuses: the base logits its sweeps share, the
-moments its mean and variance steps share and, traced, the objective's
-log-densities.
+``prepare`` does the work that does not depend on the term weights once
+per task: the stacked support-then-query features, the kNN graph, the
+starting assignments and the initial mixture. It returns the initial
+``SolverState``, which ``run`` and ``init_state`` accept, so the solves of
+a few-shot grid search share one graph. A ``SolverState`` is frozen:
+``run`` steps it with ``dataclasses.replace``, so every state of a task
+shares the prepared state's arrays. ``run`` owns what an outer iteration
+reuses: the base logits its sweeps share, the moments its mean and
+variance steps share and, traced, the objective's log-densities and log
+prior.
 """
 
 from __future__ import annotations
@@ -75,16 +70,19 @@ from .types import (
     TaskSpec,
     validate_task,
 )
-from .zeroshot import compute_soft_labels, init_prototypes_support, init_prototypes_topk
+from .zeroshot import (
+    compute_soft_labels,
+    init_prototypes_support,
+    init_prototypes_topk,
+    log_soft_labels,
+)
 
-# gmm_log_probs works through the rows in blocks of this many, one GEMM each.
-# Changing it can change the last bits of the output for tasks with more rows
-# than this.
+# gmm_log_probs and the base logits work through the rows in blocks of this
+# many, one GEMM each. Changing it can change the last bits of the output for
+# tasks with more rows than this.
 _CHUNK_ROWS = 8192
 
-# Row-wise passes whose bits do not depend on the row count (the squared
-# feature norms, the prior added into the base logits) take rows in blocks
-# of about this many bytes, which bounds their temporaries.
+# _same_bits compares rows in blocks of about this many bytes.
 _ROW_BLOCK_BYTES = 256 * 1024
 
 # Classes whose mean-update denominator falls below this keep their
@@ -108,15 +106,13 @@ class SolverState:
     labels and are never modified; the remaining rows are the query
     assignments.
     ``features`` stacks support embeddings above query embeddings in the
-    same order as ``z`` and the graph nodes; ``log_prior`` is the log of
-    the soft labels floored at ``PRIOR_LOG_FLOOR``. ``task`` is the spec the
-    state was prepared from; ``init_state`` checks a spec against it.
+    same order as ``z`` and the graph nodes. ``task`` is the spec the state
+    was prepared from; ``init_state`` checks a spec against it. ``z`` is the
+    only N x K array held: the soft labels are computed afresh on request.
     """
 
     z: np.ndarray
     gmm: GmmParams
-    soft_labels: SimplexAssignments
-    log_prior: np.ndarray
     graph: AffinityGraph
     features: np.ndarray
     n_support: int
@@ -126,6 +122,12 @@ class SolverState:
     @property
     def objective_trace(self) -> list:
         return [row.update_consistent for row in self.trace]
+
+    @property
+    def soft_labels(self) -> SimplexAssignments:
+        """The task's soft labels, computed afresh."""
+        task = self.task
+        return compute_soft_labels(task.query, task.text, task.temperature)
 
     @property
     def n_query(self) -> int:
@@ -147,24 +149,36 @@ class SolverState:
         )
 
 
-def _rows_per_block(width: int) -> int:
-    """Rows of ``width`` float64 values in about ``_ROW_BLOCK_BYTES``."""
-    return max(1, _ROW_BLOCK_BYTES // (8 * width))
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two float64 arrays of one shape hold the same bits.
 
-    The rows are compared as uint64 in blocks of ``_rows_per_block``, up to
-    the first block that differs, so arrays that differ early cost one
+    The rows are compared as uint64 in blocks of about ``_ROW_BLOCK_BYTES``,
+    up to the first block that differs, so arrays that differ early cost one
     block; -0.0 and 0.0 differ, and a NaN equals its own bits.
     """
     a, b = a.view(np.uint64), b.view(np.uint64)
-    step = _rows_per_block(a.shape[1])
+    step = max(1, _ROW_BLOCK_BYTES // (8 * a.shape[1]))
     return all(
         np.array_equal(a[lo : lo + step], b[lo : lo + step])
         for lo in range(0, a.shape[0], step)
     )
+
+
+def _gemm_rows(rows: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``rows @ weights.T + bias``, one GEMM per block of ``_CHUNK_ROWS`` rows,
+    with the bias added in place."""
+    out = np.empty((rows.shape[0], weights.shape[0]))
+    for lo in range(0, rows.shape[0], _CHUNK_ROWS):
+        part = out[lo : lo + _CHUNK_ROWS]
+        np.matmul(rows[lo : lo + _CHUNK_ROWS], weights.T, out=part)
+        part += bias
+    return out
+
+
+def _class_terms(gmm: GmmParams):
+    """The class terms of a log-density: mu_k / var and -0.5 * mu_k . mu_k / var."""
+    scaled_means = gmm.means * (1.0 / gmm.variances)
+    return scaled_means, -0.5 * np.einsum("kd,kd->k", gmm.means, scaled_means)
 
 
 def gmm_log_probs(features: np.ndarray, gmm: GmmParams) -> np.ndarray:
@@ -173,45 +187,21 @@ def gmm_log_probs(features: np.ndarray, gmm: GmmParams) -> np.ndarray:
 
     Entry (i, k) is -0.5 * sum_d [log var_d + (f_id - mean_kd)^2 / var_d].
     """
-    inv_var = 1.0 / gmm.variances
-    log_det = float(np.log(gmm.variances).sum())
-    scaled_means = gmm.means * inv_var
-    mean_sq = np.einsum("kd,kd->k", gmm.means, scaled_means)
-    out = np.empty((features.shape[0], gmm.n_classes))
-    step = _rows_per_block(features.shape[1])
-    for lo in range(0, features.shape[0], _CHUNK_ROWS):
-        block = features[lo : lo + _CHUNK_ROWS]
-        # a row's einsum bits do not depend on the rows beside it, so the
-        # squares are taken in sub-blocks, not as one rows x d temporary
-        feat_sq = np.empty(block.shape[0])
-        for a in range(0, block.shape[0], step):
-            part = block[a : a + step]
-            np.einsum("nd,d->n", part * part, inv_var, out=feat_sq[a : a + step])
-        # -0.5 * (log_det + feat_sq - 2 * cross + mean_sq), built in place in
-        # the output rows so no N x K temporary is allocated
-        rows = out[lo : lo + _CHUNK_ROWS]
-        np.matmul(block, scaled_means.T, out=rows)
-        rows *= 2.0
-        np.subtract((log_det + feat_sq)[:, None], rows, out=rows)
-        rows += mean_sq
-        rows *= -0.5
+    out = _gemm_rows(features, *_class_terms(gmm))
+    # less half of log det + sum_d f_d^2 / var_d, from an einsum that makes
+    # no N x d temporary
+    row = np.einsum("nd,nd,d->n", features, features, 1.0 / gmm.variances)
+    out -= 0.5 * (row + float(np.log(gmm.variances).sum()))[:, None]
     return out
 
 
 def _base_logits(state: SolverState, spec: TaskSpec) -> np.ndarray:
-    """The sweep-invariant part of the query logits:
-    ``kl_weight * log prior + log-densities`` of the query rows.
-
-    Built in the query rows of one ``gmm_log_probs`` output, which the prior
-    is added into in row blocks, so no second N x K array is made; IEEE
-    addition commutes, so the bits are those of the sum in either order.
-    """
-    base = gmm_log_probs(state.features, state.gmm)[state.n_support :]
-    kl_weight = spec.hyper.kl_weight
-    step = _rows_per_block(base.shape[1])
-    for lo in range(0, base.shape[0], step):
-        base[lo : lo + step] += kl_weight * state.log_prior[lo : lo + step]
-    return base
+    """The sweep-invariant part of the query logits, ``kl_weight * log prior
+    + log-densities``, up to a constant per row: one GEMM of the query rows
+    against mu_k / var + kl_weight * tau * t_k, plus the class bias."""
+    scaled_means, bias = _class_terms(state.gmm)
+    weights = scaled_means + (spec.hyper.kl_weight * spec.temperature) * spec.text.data
+    return _gemm_rows(state.features[state.n_support :], weights, bias)
 
 
 def z_step(state: SolverState, spec: TaskSpec, base: np.ndarray) -> np.ndarray:
@@ -226,9 +216,9 @@ def z_step(state: SolverState, spec: TaskSpec, base: np.ndarray) -> np.ndarray:
     minimizer of the per-row convex surrogate, so each sweep cannot
     increase the surrogate objective. Support rows are returned untouched.
     The first two terms are ``base``, from ``_base_logits`` for the current
-    ``state.gmm``; only the neighbor sum is computed afresh, for the query
-    rows alone, straight into the query rows of the new read-only ``z``,
-    where the softmax then runs in place.
+    ``state.gmm``, up to a row constant; only the neighbor sum is computed
+    afresh, for the query rows alone, straight into the query rows of the
+    new read-only ``z``, where the softmax then runs in place.
     """
     n_s = state.n_support
     z_new = np.empty_like(state.z)
@@ -255,14 +245,14 @@ def _group_moments(state: SolverState, spec: TaskSpec):
     zq, fq = z[n_s:], feats[n_s:]
     mass = zq.sum(axis=0) / n_q
     first = (zq.T @ fq) / n_q
-    row_tot = zq.sum(axis=1)
-    sq = (row_tot @ (fq * fq)) / n_q
+    # one einsum per set, so no rows x d square is made
+    sq = np.einsum("n,nd,nd->d", zq.sum(axis=1), fq, fq) / n_q
     if n_s and gamma > 0:
         zs, fs = z[:n_s], feats[:n_s]
         w = gamma / n_s
         mass = mass + w * zs.sum(axis=0)
         first = first + w * (zs.T @ fs)
-        sq = sq + w * (zs.sum(axis=1) @ (fs * fs))
+        sq = sq + w * np.einsum("n,nd,nd->d", zs.sum(axis=1), fs, fs)
     return mass, first, sq
 
 
@@ -306,17 +296,18 @@ def _entropy_sum(z: np.ndarray) -> float:
     return float(np.sum(z * np.log(np.maximum(z, PRIOR_LOG_FLOOR))))
 
 
-def _objective_terms(state: SolverState, spec: TaskSpec, log_p: np.ndarray):
+def _objective_terms(state: SolverState, spec: TaskSpec, log_p: np.ndarray,
+                     log_prior: np.ndarray):
     """Raw objective pieces: query likelihood, prior penalty, graph term,
     support likelihood, given the ``gmm_log_probs`` of every row under
-    ``state.gmm``. The graph term sums w_ij z_i . z_j over the stored
-    directed edges (each ordered pair once)."""
+    ``state.gmm`` and the task's ``log_soft_labels``. The graph term sums
+    w_ij z_i . z_j over the stored directed edges (each ordered pair once)."""
     n_s = state.n_support
     z = state.z
     zq = z[n_s:]
 
     nll_query = -float(np.sum(zq * log_p[n_s:]))
-    kl = _entropy_sum(zq) - spec.hyper.kl_weight * float(np.sum(zq * state.log_prior))
+    kl = _entropy_sum(zq) - spec.hyper.kl_weight * float(np.sum(zq * log_prior))
     laplacian = -float(np.sum(z * state.graph.propagate(z)))
     nll_support = 0.0
     if n_s and spec.hyper.support_weight > 0:
@@ -343,7 +334,8 @@ def objective(state: SolverState, spec: TaskSpec, which: str = "update_consisten
     if which not in ("normalized", "update_consistent"):
         raise ValueError(f"unknown objective flavor {which!r}")
     log_p = gmm_log_probs(state.features, state.gmm)
-    return _assemble(_objective_terms(state, spec, log_p), state, spec, which)
+    log_prior = log_soft_labels(spec.query, spec.text, spec.temperature)
+    return _assemble(_objective_terms(state, spec, log_p, log_prior), state, spec, which)
 
 
 def prepare(spec: TaskSpec) -> SolverState:
@@ -375,24 +367,17 @@ def prepare(spec: TaskSpec) -> SolverState:
         means = init_prototypes_support(
             spec.support.embeddings, spec.support.labels, spec.n_classes
         )
-        z0 = np.concatenate(
-            [SimplexAssignments.one_hot(spec.support.labels, spec.n_classes).z, soft.z]
-        )
+        one_hot = SimplexAssignments.one_hot(spec.support.labels, spec.n_classes)
+        z0 = np.concatenate([one_hot.z, soft.z])
         z0.setflags(write=False)
-        # the query rows of z0 are the soft labels: keep them once, as a view
-        soft = SimplexAssignments(z0[spec.n_support :])
     else:
         means = init_prototypes_topk(spec.query, soft, spec.hyper.init_top_m)
         z0 = soft.z  # already read-only
-    log_prior = np.maximum(soft.z, PRIOR_LOG_FLOOR)
-    np.log(log_prior, out=log_prior)
-    log_prior.setflags(write=False)
-
+    # the state holds no soft labels and no log prior: the sweeps take the
+    # prior from the text rows, so z0 is the only N x K array held
     return SolverState(
         z=z0,
         gmm=GmmParams(means, np.full(spec.query.dim, 1.0 / spec.query.dim)),
-        soft_labels=soft,
-        log_prior=log_prior,
         graph=graph,
         features=rows.data,
         n_support=spec.n_support,
@@ -425,7 +410,8 @@ def run(
     end at the first whose query rows have the bits of its input; the state
     keeps its own ``z`` and drops the equal copy, and the skipped sweeps
     would have returned the same bits. With record_trace, both objective
-    flavors are logged after every block update, a skipped sweep included.
+    flavors are logged after every block update; a skipped sweep leaves the
+    state, so its row repeats the one before it.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
     of the query rows of ``state.z``, not a copy. ``prepared`` is passed on
@@ -433,21 +419,16 @@ def run(
     """
     state = replace(init_state(spec, prepared), trace=[])
     log_p = None  # a traced solve's log-densities under state.gmm
+    log_prior = log_soft_labels(spec.query, spec.text, spec.temperature) if record_trace else None
 
     def record(iteration: int, block: str) -> None:
         nonlocal log_p
         if record_trace:
             if log_p is None:
                 log_p = gmm_log_probs(state.features, state.gmm)
-            terms = _objective_terms(state, spec, log_p)
-            state.trace.append(
-                TraceRow(
-                    iteration,
-                    block,
-                    _assemble(terms, state, spec, "normalized"),
-                    _assemble(terms, state, spec, "update_consistent"),
-                )
-            )
+            terms = _objective_terms(state, spec, log_p, log_prior)
+            row = [_assemble(terms, state, spec, f) for f in ("normalized", "update_consistent")]
+            state.trace.append(TraceRow(iteration, block, *row))
 
     record(0, "init")
     n_s = state.n_support
@@ -455,14 +436,18 @@ def run(
         base = _base_logits(state, spec) if spec.hyper.inner_z_iters else None
         settled = False
         for _ in range(spec.hyper.inner_z_iters):
+            if settled:
+                # a skipped sweep leaves the state, so its row is the last one
+                if record_trace:
+                    state.trace.append(replace(state.trace[-1]))
+                continue
+            z_new = z_step(state, spec, base)
+            # the equal copy is dropped: holding it beside z through the
+            # mean step would raise the peak by one N x K array
+            settled = _same_bits(z_new[n_s:], state.z[n_s:])
             if not settled:
-                z_new = z_step(state, spec, base)
-                # the equal copy is dropped: holding it beside z through the
-                # mean step would raise the peak by one N x K array
-                settled = _same_bits(z_new[n_s:], state.z[n_s:])
-                if not settled:
-                    state = replace(state, z=z_new)
-                del z_new
+                state = replace(state, z=z_new)
+            del z_new
             record(it, "z")
         del base  # N x K, dead before the mean step
         moments = _group_moments(state, spec)

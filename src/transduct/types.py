@@ -37,8 +37,13 @@ ROW_SUM_TOL = 1e-9
 # Lower bound applied to every per-dimension variance.
 VAR_FLOOR = 1e-12
 
-# Floor applied inside log() so exactly-zero prior entries stay finite.
+# Floor applied inside log() so exactly-zero assignments stay finite in z log z.
 PRIOR_LOG_FLOOR = 1e-300
+
+# The sweep's logits carry kl_weight * temperature * f . t_k, |f . t_k| <= 1,
+# beside far smaller terms, and its max-shift takes the difference of two;
+# at a quarter of the largest float both stay finite.
+KL_LOGIT_MAX = float(np.finfo(np.float64).max) / 4
 
 
 # normalize_rows checks and measures rows in blocks of about this many
@@ -327,13 +332,6 @@ class Hyperparams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        # the prior term weighs log(PRIOR_LOG_FLOOR) by kl_weight; beyond this
-        # the solver's logits overflow
-        if not math.isfinite(self.kl_weight * math.log(PRIOR_LOG_FLOOR)):
-            raise ValueError(
-                f"kl_weight must keep kl_weight * log({PRIOR_LOG_FLOOR:g}) finite, "
-                f"got {self.kl_weight}"
-            )
         if self.outer_iters < 0 or self.inner_z_iters < 0:
             raise ValueError("iteration counts must be non-negative")
         if self.k_nn < 0:
@@ -381,7 +379,9 @@ def validate_task(spec: TaskSpec) -> TaskSpec:
 
     Embedding rows are already unit-normalized by EmbeddingMatrix (rows more
     than NORM_GATE from unit norm are rejected at construction), so a second
-    validation is a no-op, which makes this function idempotent.
+    validation is a no-op, which makes this function idempotent. The prior
+    weight and the temperature must keep their product at most
+    ``KL_LOGIT_MAX``, so the sweep's logits stay finite.
     """
     if spec.text.dim != spec.query.dim:
         raise DimensionMismatch(
@@ -399,4 +399,7 @@ def validate_task(spec: TaskSpec) -> TaskSpec:
             )
     if not (math.isfinite(spec.temperature) and spec.temperature > 0):
         raise ValueError(f"temperature must be finite and positive, got {spec.temperature}")
+    if not float(spec.hyper.kl_weight) * float(spec.temperature) <= KL_LOGIT_MAX:
+        raise ValueError(f"kl_weight * temperature must be at most {KL_LOGIT_MAX!r}, "
+                         f"got {spec.hyper.kl_weight} * {spec.temperature}")
     return spec

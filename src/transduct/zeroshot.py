@@ -13,6 +13,18 @@ from .errors import DimensionMismatch, EmptyClass
 from .types import EmbeddingMatrix, SimplexAssignments
 
 
+def _shifted_logits(query: EmbeddingMatrix, text: EmbeddingMatrix, temperature: float):
+    """t * f_i . t_k less its row's maximum, so large logits cannot overflow."""
+    if query.dim != text.dim:
+        raise DimensionMismatch(f"query dim {query.dim} != text dim {text.dim}")
+    if temperature < 0:
+        raise ValueError("temperature must be non-negative")
+    logits = query.data @ text.data.T
+    logits *= temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    return logits
+
+
 def compute_soft_labels(
     query: EmbeddingMatrix, text: EmbeddingMatrix, temperature: float
 ) -> SimplexAssignments:
@@ -21,20 +33,21 @@ def compute_soft_labels(
     Entry (i, k) is exp(t * f_i . t_k) normalized over k. A temperature of 0
     yields uniform rows.
     """
-    if query.dim != text.dim:
-        raise DimensionMismatch(f"query dim {query.dim} != text dim {text.dim}")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
-    # the row softmax runs in place in the one N x K product, with max
-    # subtraction so large logits cannot overflow
-    logits = query.data @ text.data.T
-    logits *= temperature
-    logits -= logits.max(axis=1, keepdims=True)
+    # the softmax runs in place in the one N x K product
+    logits = _shifted_logits(query, text, temperature)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
     # read-only, so SimplexAssignments keeps it rather than copying it
     logits.setflags(write=False)
     return SimplexAssignments(logits)
+
+
+def log_soft_labels(query: EmbeddingMatrix, text: EmbeddingMatrix, temperature: float):
+    """The log of ``compute_soft_labels`` as a log-softmax, finite also where
+    a soft label underflows to 0."""
+    logits = _shifted_logits(query, text, temperature)
+    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return logits
 
 
 def hard_predict(assignments: SimplexAssignments) -> np.ndarray:

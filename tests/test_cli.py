@@ -199,13 +199,15 @@ class TestNonFiniteSettings:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_largest_kl_weight_solves_without_nan(self, tmp_path):
-        # pytest turns RuntimeWarning into an error, so an overflow fails here;
-        # the objective at such a weight is inf, which the trace writes as is
+        # the largest --lambda at --tau 30, whose product with tau is at most
+        # KL_LOGIT_MAX; pytest turns RuntimeWarning into an error, so an
+        # overflow fails here; the objective at such a weight is inf, which
+        # the trace writes as is
         task = tmp_path / "k1000"
         assert main(["synth", "--out-dir", str(task), "--classes", "1000", "--dim", "16",
                      "--per-class", "1", "--seed", "2"]) == 0
         out, trace = tmp_path / "pred.csv", tmp_path / "trace.csv"
-        assert main(_zs_args(task, out, ["--lambda", "2.6024e305", "--outer-iters", "1",
+        assert main(_zs_args(task, out, ["--lambda", "1.498077612385263e306", "--outer-iters", "1",
                                          "--trace", str(trace)])) == 0
         _, probs = read_prediction_rows(out)
         assert np.all(np.isfinite(probs))

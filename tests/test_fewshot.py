@@ -296,7 +296,6 @@ class TestSharedPreparation:
         prepared = prepare(spec)
         _, _, (_, state) = search_gamma(spec, pool, grid=(0.01, 0.2), prepared=prepared)
         assert state.graph is prepared.graph
-        assert state.soft_labels is prepared.soft_labels
 
     @pytest.mark.parametrize("change", [
         lambda s: replace(s, query=EmbeddingMatrix(s.query.data)),

@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 from transduct import solver
 from transduct.solver import (
-    PRIOR_LOG_FLOOR,
     gmm_log_probs,
     init_state,
     mu_step,
@@ -29,7 +28,7 @@ from transduct.types import (
     TaskSpec,
 )
 from transduct.synth import generate_task
-from transduct.zeroshot import compute_soft_labels, hard_predict
+from transduct.zeroshot import compute_soft_labels, hard_predict, log_soft_labels
 from helpers import random_task, row_softmax, unit_rows
 import oracles
 
@@ -484,22 +483,18 @@ class TestPlainArrays:
         want = -0.5 * (np.log(gmm.variances).sum() + (diff**2 / gmm.variances).sum(axis=2))
         assert got.shape == (50, 4)
         assert np.abs(got - want).max() <= 1e-12
-        # the in-place arithmetic is the expanded formula, bit for bit, with
-        # the squared norms of a whole block in one einsum
+        # the in-place arithmetic is the expanded formula, bit for bit: the
+        # class terms from one GEMM per block, less half the row term, whose
+        # einsum gives a row the same bits in any block
         inv_var = 1.0 / gmm.variances
         scaled = gmm.means * inv_var
-        mean_sq = np.einsum("kd,kd->k", gmm.means, scaled)
+        bias = -0.5 * np.einsum("kd,kd->k", gmm.means, scaled)
         for lo in range(0, 50, 7):
             block = feats[lo : lo + 7]
-            feat_sq = np.einsum("nd,d->n", block * block, inv_var)
-            expanded = -0.5 * (float(np.log(gmm.variances).sum()) + feat_sq[:, None]
-                               - 2.0 * (block @ scaled.T) + mean_sq[None, :])
+            row = 0.5 * (np.einsum("nd,nd,d->n", block, block, inv_var)
+                         + float(np.log(gmm.variances).sum()))
+            expanded = (block @ scaled.T + bias) - row[:, None]
             assert got[lo : lo + 7].tobytes() == expanded.tobytes()
-        # squared norms taken in sub-blocks of 1, 2 and 3 rows, which split
-        # the 7-row blocks unevenly, give the same bits
-        for sub_rows in (1, 2, 3):
-            monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", sub_rows * 8 * 6)
-            assert gmm_log_probs(feats, gmm).tobytes() == got.tobytes()
 
     def test_small_blocks_give_the_same_run(self, rng, monkeypatch):
         spec = random_task(rng, n_query=50, n_classes=5, dim=8)
@@ -512,8 +507,8 @@ class TestPlainArrays:
 
 class TestMemory:
     """A solve holds its assignments, the new sweep and the base logits,
-    builds the base logits in the query rows of one log-density output, and
-    drops them before the mean step."""
+    builds the base logits from one GEMM of the query rows, and drops them
+    before the mean step; the state holds no N x K array but ``z``."""
 
     def test_run_peak_in_n_by_k_arrays(self, rng):
         # K >> d, so the N x d and K x d arrays are small beside N x K; above
@@ -557,42 +552,58 @@ class TestMemory:
         assert seen and max(seen) - base <= 1.1 * n * k * 8
 
     def test_untraced_run_keeps_no_log_densities(self, rng, monkeypatch):
-        # one log-density pass per outer iteration builds the base logits,
-        # none when no sweep reads them, and nothing else asks for them
-        assert self._log_density_passes(rng, monkeypatch, record_trace=False) == 3
-        assert self._log_density_passes(rng, monkeypatch, record_trace=False,
-                                        inner_z_iters=0) == 0
+        # one base-logit pass per outer iteration, none when no sweep reads
+        # them, and no log-density or log-prior pass at all
+        assert self._passes(rng, monkeypatch, record_trace=False) == (3, 0, 0)
+        assert self._passes(rng, monkeypatch, record_trace=False, inner_z_iters=0) == (0, 0, 0)
 
     def test_traced_run_makes_one_pass_per_gmm(self, rng, monkeypatch):
-        # beside the base logits, one pass for the initial gmm and one after
-        # each mean and variance update serve every trace row
-        assert self._log_density_passes(rng, monkeypatch, record_trace=True) == 1 + 3 * 3
+        # beside the base logits, one log-density pass for the initial gmm and
+        # one after each mean and variance update serve every trace row, and
+        # one log prior serves the whole solve
+        assert self._passes(rng, monkeypatch, record_trace=True) == (3, 1 + 2 * 3, 1)
 
     @staticmethod
-    def _log_density_passes(rng, monkeypatch, record_trace, **hyper):
-        calls = _count_calls(monkeypatch, "gmm_log_probs")
+    def _passes(rng, monkeypatch, record_trace, **hyper):
+        """Calls of (_base_logits, gmm_log_probs, log_soft_labels) in a solve."""
+        counted = [_count_calls(monkeypatch, name)
+                   for name in ("_base_logits", "gmm_log_probs", "log_soft_labels")]
         spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=2,
                            support_weight=0.1, outer_iters=3, **hyper)
         run(spec, record_trace=record_trace)
-        return len(calls)
+        return tuple(len(calls) for calls in counted)
 
     @pytest.mark.parametrize("kl_weight", [0.0, 0.5, 1.0])
     def test_base_logits_are_prior_plus_log_densities(self, rng, monkeypatch, kl_weight):
-        # 12 support rows: the 7-row GEMM block over rows 7..13 straddles the
-        # support/query boundary, and the prior is added in 3-row blocks
+        # up to a constant per row, which the sweep's softmax cancels; the
+        # 12 support rows are not in the GEMM, whose 7-row blocks start at
+        # the first query row
         spec = random_task(rng, n_query=30, n_classes=4, dim=6, shots_per_class=3,
                            support_weight=0.1, kl_weight=kl_weight)
         monkeypatch.setattr(solver, "_CHUNK_ROWS", 7)
-        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 3 * 8 * 4)
         state = init_state(spec)
         state = replace(state, z=_sweep(state, spec))
         state = replace(state, gmm=GmmParams(_mean_step(state, spec), state.gmm.variances))
-        want = kl_weight * state.log_prior + gmm_log_probs(state.features, state.gmm)[12:]
-        assert solver._base_logits(state, spec).tobytes() == want.tobytes()
+        got = solver._base_logits(state, spec)
+        # the fused formula, bit for bit
+        scaled = state.gmm.means * (1.0 / state.gmm.variances)
+        bias = -0.5 * np.einsum("kd,kd->k", state.gmm.means, scaled)
+        weights = scaled + (kl_weight * spec.temperature) * spec.text.data
+        for lo in range(0, 30, 7):
+            fused = spec.query.data[lo : lo + 7] @ weights.T + bias
+            assert got[lo : lo + 7].tobytes() == fused.tobytes()
+        # the unfused sum, up to a row constant: within 64 ulp of the largest
+        # magnitude either side holds in the row
+        want = (kl_weight * log_soft_labels(spec.query, spec.text, spec.temperature)
+                + gmm_log_probs(state.features, state.gmm)[12:])
+        offset = want - got
+        scale = np.maximum(np.abs(want).max(axis=1), np.abs(got).max(axis=1))
+        spread = offset.max(axis=1) - offset.min(axis=1)
+        assert np.all(spread <= 64 * np.spacing(scale))
 
-    def test_fewshot_prepare_holds_the_soft_labels_once(self):
-        # the soft labels are a view of z0's query rows, so the prepared
-        # state holds z0 (support rows too) and the log prior: 2.2 N_q x K
+    def test_fewshot_prepare_holds_z0_alone(self):
+        # z0 has the support rows too: 1.2 N_q x K here; no soft labels and
+        # no log prior are held beside it
         task = generate_task(n_classes=400, dim=8, n_query_per_class=5, shots_per_class=1,
                              seed=3)
         spec = task.spec
@@ -603,8 +614,25 @@ class TestMemory:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert prepared.soft_labels.z.base is prepared.z
-        assert held - base <= 2.3 * spec.n_query * spec.n_classes * 8
+        assert prepared.z.shape == (spec.n_support + spec.n_query, spec.n_classes)
+        assert held - base <= 1.25 * spec.n_query * spec.n_classes * 8
+
+    def test_zero_shot_run_peak_with_prepare(self, rng):
+        # prepare included: z0 is the soft labels and is dropped after the
+        # first sweep that moves, so at most z, the new z and the base logits
+        # are live at once
+        n, k = 2000, 400
+        spec = random_task(rng, n_query=n, n_classes=k, dim=6, outer_iters=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assignments, state = run(spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3.3 * n * k * 8
+        assert held - base <= 1.1 * n * k * 8
 
     @pytest.mark.parametrize("shots", [0, 2])
     def test_graph_is_built_on_the_held_features(self, rng, monkeypatch, shots):
@@ -660,25 +688,24 @@ def _old_moments(z, feats, n_s, gamma):
     zq, fq = z[n_s:], feats[n_s:]
     mass = zq.sum(axis=0) / n_q
     first = (zq.T @ fq) / n_q
-    sq = (zq.sum(axis=1) @ (fq * fq)) / n_q
+    sq = np.einsum("n,nd,nd->d", zq.sum(axis=1), fq, fq) / n_q
     if n_s and gamma > 0:
         zs, fs = z[:n_s], feats[:n_s]
         w = gamma / n_s
         mass = mass + w * zs.sum(axis=0)
         first = first + w * (zs.T @ fs)
-        sq = sq + w * (zs.sum(axis=1) @ (fs * fs))
+        sq = sq + w * np.einsum("n,nd,nd->d", zs.sum(axis=1), fs, fs)
     return mass, first, sq
 
 
 def _old_sweep(state, spec):
-    """One assignment sweep with the logits rebuilt from scratch."""
-    n_s, z = state.n_support, state.z
-    log_prior = np.log(np.maximum(state.soft_labels.z, PRIOR_LOG_FLOOR))
-    logits = (
-        spec.hyper.kl_weight * log_prior
-        + gmm_log_probs(state.features, state.gmm)[n_s:]
-        + state.graph.propagate(z)[n_s:]
-    )
+    """One assignment sweep with the logits rebuilt from scratch: the fused
+    prior and class terms of the query rows plus their neighbor sums."""
+    n_s, z, gmm = state.n_support, state.z, state.gmm
+    scaled = gmm.means * (1.0 / gmm.variances)
+    weights = scaled + (spec.hyper.kl_weight * spec.temperature) * spec.text.data
+    bias = -0.5 * np.einsum("kd,kd->k", gmm.means, scaled)
+    logits = state.graph.propagate(z)[n_s:] + (state.features[n_s:] @ weights.T + bias)
     return np.concatenate([z[:n_s], row_softmax(logits)])
 
 
@@ -701,12 +728,17 @@ def _old_sigma(state, spec):
     return np.maximum(scatter / (gamma + 1.0), VAR_FLOOR)
 
 
+def _both_flavors(state, spec):
+    return objective(state, spec, "normalized"), objective(state, spec)
+
+
 def _reference_run(spec):
-    """run() as a plain loop that caches nothing between block updates and
-    runs every sweep. Also returns how many sweeps run() makes: those of each
-    outer iteration up to and including the first that returns its input."""
+    """run() as a plain loop that caches nothing between block updates, runs
+    every sweep and evaluates the objective for every trace row. Also
+    returns how many sweeps run() makes: those of each outer iteration up to
+    and including the first that returns its input."""
     state = init_state(spec)
-    trace = [objective(state, spec)]
+    trace = [_both_flavors(state, spec)]
     n_s, sweeps = state.n_support, 0
     for _ in range(spec.hyper.outer_iters):
         settled = False
@@ -716,20 +748,24 @@ def _reference_run(spec):
                 sweeps += 1
                 settled = z[n_s:].tobytes() == state.z[n_s:].tobytes()
             state = replace(state, z=z)
-            trace.append(objective(state, spec))
+            trace.append(_both_flavors(state, spec))
         means = _old_mu(state, spec)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))
-        trace.append(objective(state, spec))
+        trace.append(_both_flavors(state, spec))
         state = replace(state, gmm=GmmParams(means, _old_sigma(state, spec)))
-        trace.append(objective(state, spec))
+        trace.append(_both_flavors(state, spec))
     return state, trace, sweeps
 
 
 def _assert_run_matches_reference(spec, monkeypatch):
     """run(), traced and untraced, against ``_reference_run``, bit for bit;
-    returns the sweeps each run made and the sweeps scheduled."""
+    returns the sweeps each run made and the sweeps scheduled. The traced
+    run evaluates the objective once per row but a skipped sweep's, whose
+    row repeats the one before it."""
     want, want_trace, want_sweeps = _reference_run(spec)
+    want_bytes = np.array(want_trace).tobytes()
     calls = _count_calls(monkeypatch, "z_step")
+    evaluations = _count_calls(monkeypatch, "_objective_terms")
     # the untraced run must not depend on the objective calls' caching
     for record_trace in (False, True):
         calls.clear()
@@ -737,8 +773,10 @@ def _assert_run_matches_reference(spec, monkeypatch):
         assert got.z.tobytes() == want.z.tobytes()
         assert got.gmm.means.tobytes() == want.gmm.means.tobytes()
         assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
-        assert got.objective_trace == (want_trace if record_trace else [])
+        rows = [(row.normalized, row.update_consistent) for row in got.trace]
+        assert np.array(rows).tobytes() == (want_bytes if record_trace else b"")
         assert len(calls) == want_sweeps
+    assert len(evaluations) == 1 + want_sweeps + 2 * spec.hyper.outer_iters
     return want_sweeps, spec.hyper.outer_iters * spec.hyper.inner_z_iters
 
 
@@ -815,16 +853,6 @@ class TestCachedBlocks:
         made, scheduled = _assert_run_matches_reference(make(), monkeypatch)
         assert made < scheduled
 
-    def test_solves_share_the_prepared_log_prior(self, rng):
-        spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=2)
-        prepared = solver.prepare(spec)
-        for gamma in (0.01, 0.2):
-            _, state = run(spec.with_hyper(support_weight=gamma), prepared=prepared)
-            assert state.log_prior is prepared.log_prior
-        assert not prepared.log_prior.flags.writeable
-        want = np.log(np.maximum(prepared.soft_labels.z, PRIOR_LOG_FLOOR))
-        assert prepared.log_prior.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("shots", [0, 2])
     def test_solves_start_from_the_prepared_state(self, rng, shots):
         # the prepared state is the first iterate of every solve: frozen, so
@@ -839,7 +867,7 @@ class TestCachedBlocks:
         _, state = run(spec, record_trace=True, prepared=prepared)
         assert state.trace and prepared.trace == []
         assert prepared.z is z0 and prepared.gmm is gmm0
-        for name in ("graph", "features", "log_prior", "soft_labels"):
+        for name in ("graph", "features", "task"):
             assert getattr(state, name) is getattr(prepared, name)
 
     def test_sigma_step_reuses_the_mean_step_pass(self, rng, monkeypatch):

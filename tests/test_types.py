@@ -14,8 +14,9 @@ from transduct.errors import (
     NormTooFarFromUnit,
 )
 from transduct import types
+from transduct.solver import run
 from transduct.types import (
-    PRIOR_LOG_FLOOR,
+    KL_LOGIT_MAX,
     AffinityGraph,
     EmbeddingMatrix,
     GmmParams,
@@ -338,13 +339,10 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=name):
             Hyperparams(**{name: value})
 
-    def test_kl_weight_keeps_the_floored_prior_term_finite(self):
-        # the largest weight whose product with log(PRIOR_LOG_FLOOR) is finite
-        largest = 2.6024273620868736e305
-        assert math.isfinite(Hyperparams(kl_weight=largest).kl_weight * math.log(PRIOR_LOG_FLOOR))
-        for value in (math.nextafter(largest, math.inf), 1e308):
-            with pytest.raises(ValueError, match="kl_weight"):
-                Hyperparams(kl_weight=value)
+    def test_large_finite_kl_weight_is_a_valid_setting(self):
+        # the bound on the prior weight depends on the temperature, so it is
+        # a task check, in validate_task
+        assert Hyperparams(kl_weight=1e308).kl_weight == 1e308
 
 
 class TestValidateTask:
@@ -400,6 +398,31 @@ class TestValidateTask:
         )
         with pytest.raises(ValueError):
             validate_task(spec)
+
+    @pytest.mark.parametrize("tau", [30.0, 1e300])
+    def test_kl_weight_times_temperature_bound(self, rng, tau):
+        # the largest weight whose product with tau is at most KL_LOGIT_MAX
+        # is accepted and solves to finite assignments and a trace without
+        # NaN (pytest makes an overflow warning an error); the next float up
+        # is rejected
+        largest = KL_LOGIT_MAX / tau
+        while largest * tau > KL_LOGIT_MAX:
+            largest = math.nextafter(largest, 0.0)
+        while math.nextafter(largest, math.inf) * tau <= KL_LOGIT_MAX:
+            largest = math.nextafter(largest, math.inf)
+        spec = TaskSpec(
+            query=EmbeddingMatrix(unit_rows(rng, 12, 8)),
+            text=EmbeddingMatrix(unit_rows(rng, 3, 8)),
+            temperature=tau,
+            hyper=Hyperparams(kl_weight=largest, outer_iters=2),
+        )
+        assert validate_task(spec) is spec
+        assignments, state = run(spec, record_trace=True)
+        assert np.all(np.isfinite(assignments.z))
+        assert not any(math.isnan(row.normalized) or math.isnan(row.update_consistent)
+                       for row in state.trace)
+        with pytest.raises(ValueError, match="kl_weight"):
+            validate_task(spec.with_hyper(kl_weight=math.nextafter(largest, math.inf)))
 
     @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
     def test_rejects_non_finite_temperature(self, rng, tau):
