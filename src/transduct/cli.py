@@ -6,11 +6,10 @@ Subcommands:
   synth    generate a seeded synthetic task directory
   eval     score a predictions CSV against ground-truth labels
 
-Defaults reproduce the reference configuration (KL weight 1 for run-zs
-and 0.5 for run-fs, 10 outer and 5 inner iterations, 3 graph neighbors,
-top-8 confident initialization, support-weight grid 0.002/0.01/0.02/0.2).
-Any flag can also be supplied via ``--config file`` holding ``key=value``
-lines; explicit command-line flags win over the file.
+Defaults reproduce the reference configuration; ``transduct run-zs --help``
+and ``transduct run-fs --help`` list them. Any flag can also be supplied
+via ``--config file`` holding ``key=value`` lines; explicit command-line
+flags win over the file.
 
 Determinism: the solver starts no threads of its own, and for a fixed BLAS
 thread count and CPU kernel set reruns write byte-identical outputs. The
@@ -33,10 +32,11 @@ from . import __version__, fileio, synth
 from .errors import DimensionMismatch, ParseError, TransductError
 from .fewshot import run_fewshot
 from .solver import run
-from .types import GAMMA_GRID, Hyperparams, SupportSet, TaskSpec
+from .types import FEWSHOT_KL_WEIGHT, GAMMA_GRID, Hyperparams, SupportSet, TaskSpec
 from .zeroshot import hard_predict
 
 _GRID_DEFAULT = ",".join(str(g) for g in GAMMA_GRID)
+_DEFAULTS = Hyperparams()
 
 
 def _pinned_blas():
@@ -74,11 +74,13 @@ def _add_common_solver_flags(p: argparse.ArgumentParser, kl_default: float) -> N
     p.add_argument("--tau", type=float, default=30.0, help="softmax temperature")
     p.add_argument("--lambda", dest="kl_weight", type=float, default=kl_default,
                    help="weight of the text-prior KL penalty")
-    p.add_argument("--knn", type=int, default=3, help="graph neighbors per sample (0 disables)")
-    p.add_argument("--outer-iters", type=int, default=10, help="outer block iterations")
-    p.add_argument("--inner-iters", type=int, default=5, metavar="N",
+    p.add_argument("--knn", type=int, default=_DEFAULTS.k_nn,
+                   help="graph neighbors per sample (0 disables)")
+    p.add_argument("--outer-iters", type=int, default=_DEFAULTS.outer_iters,
+                   help="outer block iterations")
+    p.add_argument("--inner-iters", type=int, default=_DEFAULTS.inner_z_iters, metavar="N",
                    help="at most N sweeps per outer iteration")
-    p.add_argument("--top-m", type=int, default=8,
+    p.add_argument("--top-m", type=int, default=_DEFAULTS.init_top_m,
                    help="confident samples averaged per class at initialization")
     p.add_argument("--symmetrize-graph", action="store_true",
                    help="use the union of both edge directions in the graph")
@@ -97,11 +99,11 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     zs = sub.add_parser("run-zs", help="zero-shot transduction", formatter_class=fmt)
-    _add_common_solver_flags(zs, kl_default=1.0)
+    _add_common_solver_flags(zs, kl_default=_DEFAULTS.kl_weight)
     zs.set_defaults(func=cmd_run_zs)
 
     fs = sub.add_parser("run-fs", help="few-shot transduction", formatter_class=fmt)
-    _add_common_solver_flags(fs, kl_default=0.5)
+    _add_common_solver_flags(fs, kl_default=FEWSHOT_KL_WEIGHT)
     fs.add_argument("--support", required=True, help="labeled shot embeddings")
     fs.add_argument("--support-labels", required=True, help="labels for --support")
     fs.add_argument("--validation", help="validation-pool embeddings (else shots are carved)")
@@ -239,17 +241,9 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         n_validation_per_class=args.validation_per_class,
     )
-    config = {
-        "classes": args.classes,
-        "dim": args.dim,
-        "per-class": args.per_class,
-        "shots": args.shots,
-        "validation-per-class": args.validation_per_class,
-        "class-sep": args.class_sep,
-        "prototype-noise": args.prototype_noise,
-        "tau": args.tau,
-        "seed": args.seed,
-    }
+    # the task settings among the parsed flags, in flag order, spelled as flags
+    config = {key.replace("_", "-"): value for key, value in vars(args).items()
+              if key not in ("command", "func", "out_dir", "config")}
     synth.write_task_dir(task, args.out_dir, config)
     print(f"wrote task directory {args.out_dir}")
     return 0

@@ -7,14 +7,15 @@ its most cosine-similar query sample. Validation samples are never part of
 the query or support sets of those search runs.
 
 The support weight only reweights the labeled-shot likelihood term, so the
-candidates share one prepared state from ``solver.prepare`` (the starting
+candidates share one initial state from ``solver.init_state`` (the starting
 assignments, one kNN graph and the initial means; it holds no soft labels
-and no log prior) and one validation-to-query nearest-neighbor index. With
-a validation pool no shot is carved out, the search runs on the full
-support set, and the winning search run is the final result; it is solved
-again from the same prepared state only when the objective trace is
-requested. When shots are carved, the final solve prepares the
-full-support task once more, so a few-shot run builds at most two graphs.
+and no log prior) and one validation-to-query nearest-neighbor index.
+Every graph is built inside ``init_state``. With a validation pool no shot
+is carved out, the search runs on the full support set, and the winning
+search run is the final result; it is solved again from the same initial
+state only when the objective trace is requested. When shots are carved,
+the final solve builds the full-support task's initial state, so a
+few-shot run builds at most two graphs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientShots
-from .solver import SolverState, prepare, run
+from .solver import SolverState, init_state, run
 from .types import (
     FEWSHOT_KL_WEIGHT,
     GAMMA_GRID,
@@ -125,16 +126,17 @@ def search_gamma(
 ) -> tuple[float, list[tuple[float, float]], tuple[SimplexAssignments, SolverState]]:
     """Grid-search the support weight by validation accuracy.
 
-    Runs the solver once per candidate from one shared ``prepared`` state
-    (built here when None), scores each run with the 1-NN rule, and returns
-    the best value (ties go to the smaller weight, whatever the grid
-    order), the full score table in grid order, and the best candidate's
-    ``(assignments, state)``. Only the best run so far is kept alive.
+    Runs the solver once per candidate from one shared ``prepared`` initial
+    state (``init_state(spec_base)`` when None), scores each run with the
+    1-NN rule, and returns the best value (ties go to the smaller weight,
+    whatever the grid order), the full score table in grid order, and the
+    best candidate's ``(assignments, state)``. Only the best run so far is
+    kept alive.
     """
     if len(grid) == 0:
         raise ValueError("support-weight grid must be non-empty")
     if prepared is None:
-        prepared = prepare(spec_base)
+        prepared = init_state(spec_base)
     nearest = _nearest_queries(validation.embeddings, spec_base.query)
     table: list[tuple[float, float]] = []
     best_gamma, best_acc, best = 0.0, -1.0, None
@@ -197,7 +199,7 @@ def run_fewshot(
             spec.support, spec.n_classes, seed=seed, validation_pool=validation_pool
         )
         search_spec = replace(spec, support=train_support)
-        prepared = prepare(search_spec)
+        prepared = init_state(search_spec)
         gamma, table, best = search_gamma(search_spec, validation, grid=grid, prepared=prepared)
         if train_support is not spec.support:
             prepared = None  # the final task gets the carved shots back

@@ -40,21 +40,21 @@ offsets both flavors by an assignment-independent constant. The GEMMs run
 in fixed blocks of ``_CHUNK_ROWS`` rows, whose boundaries are part of the
 output bits of larger tasks.
 
-``prepare`` does the work that does not depend on the term weights once
-per task: the stacked support-then-query features, the kNN graph, the
-starting assignments and the initial mixture. It returns the initial
-``SolverState``, which ``run`` and ``init_state`` accept, so the solves of
-a few-shot grid search share one graph. A ``SolverState`` is frozen:
+``init_state`` builds a task's initial ``SolverState``, once per task: the
+stacked support-then-query features, the kNN graph, the starting
+assignments and the initial mixture. None of these depend on the term
+weights, so ``run`` also starts from a given initial state, and the solves
+of a few-shot grid search share one graph. A ``SolverState`` is frozen:
 ``run`` steps it with ``dataclasses.replace``, so every state of a task
-shares the prepared state's arrays. ``run`` owns what an outer iteration
-reuses: the base logits its sweeps share, the moments its mean and
-variance steps share and, traced, the objective's log-densities and log
-prior.
+shares the initial state's arrays, and gives the final state its trace, a
+tuple of frozen rows. ``run`` owns what an outer iteration reuses: the
+base logits its sweeps share, the moments its mean and variance steps share
+and, traced, the objective's log-densities and log prior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -90,7 +90,7 @@ _ROW_BLOCK_BYTES = 256 * 1024
 _EMPTY_CLASS_EPS = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceRow:
     iteration: int
     block: str
@@ -107,8 +107,9 @@ class SolverState:
     assignments.
     ``features`` stacks support embeddings above query embeddings in the
     same order as ``z`` and the graph nodes. ``task`` is the spec the state
-    was prepared from; ``init_state`` checks a spec against it. ``z`` is the
-    only N x K array held: the soft labels are computed afresh on request.
+    was built from; ``run`` checks a spec against it. ``z`` is the only
+    N x K array held: the soft labels are computed afresh on request.
+    ``trace`` holds the rows of a traced solve, and is empty otherwise.
     """
 
     z: np.ndarray
@@ -117,7 +118,7 @@ class SolverState:
     features: np.ndarray
     n_support: int
     task: TaskSpec
-    trace: list = field(default_factory=list)
+    trace: tuple[TraceRow, ...] = ()
 
     @property
     def objective_trace(self) -> list:
@@ -134,7 +135,7 @@ class SolverState:
         return self.features.shape[0] - self.n_support
 
     def matches(self, spec: TaskSpec) -> bool:
-        """Whether ``spec`` is the task this state was prepared from: the
+        """Whether ``spec`` is the task this state was built from: the
         same query, text and support objects and the same temperature, graph
         and initialization settings."""
         task = self.task
@@ -297,32 +298,27 @@ def _entropy_sum(z: np.ndarray) -> float:
 
 
 def _objective_terms(state: SolverState, spec: TaskSpec, log_p: np.ndarray,
-                     log_prior: np.ndarray):
-    """Raw objective pieces: query likelihood, prior penalty, graph term,
-    support likelihood, given the ``gmm_log_probs`` of every row under
-    ``state.gmm`` and the task's ``log_soft_labels``. The graph term sums
-    w_ij z_i . z_j over the stored directed edges (each ordered pair once)."""
-    n_s = state.n_support
+                     log_prior: np.ndarray) -> tuple[float, float]:
+    """Both flavors of the objective, ``(normalized, update_consistent)``,
+    given the ``gmm_log_probs`` of every row under ``state.gmm`` and the
+    task's ``log_soft_labels``. The graph term sums w_ij z_i . z_j over the
+    stored directed edges (each ordered pair once)."""
+    n_s, n_q = state.n_support, state.n_query
     z = state.z
     zq = z[n_s:]
+    gamma = spec.hyper.support_weight
 
     nll_query = -float(np.sum(zq * log_p[n_s:]))
     kl = _entropy_sum(zq) - spec.hyper.kl_weight * float(np.sum(zq * log_prior))
     laplacian = -float(np.sum(z * state.graph.propagate(z)))
-    nll_support = 0.0
-    if n_s and spec.hyper.support_weight > 0:
-        nll_support = -float(np.sum(z[:n_s] * log_p[:n_s]))
-    return nll_query, kl, laplacian, nll_support
+    support = 0.0
+    if n_s and gamma > 0:
+        support = gamma / n_s * -float(np.sum(z[:n_s] * log_p[:n_s]))
+    return (nll_query / n_q + kl + laplacian + support,
+            nll_query + kl + laplacian + n_q * support)
 
 
-def _assemble(terms, state: SolverState, spec: TaskSpec, which: str) -> float:
-    nll_query, kl, laplacian, nll_support = terms
-    n_s, n_q = state.n_support, state.n_query
-    gamma = spec.hyper.support_weight
-    support = gamma / n_s * nll_support if (n_s and gamma > 0) else 0.0
-    if which == "normalized":
-        return nll_query / n_q + kl + laplacian + support
-    return nll_query + kl + laplacian + n_q * support
+_FLAVORS = ("normalized", "update_consistent")
 
 
 def objective(state: SolverState, spec: TaskSpec, which: str = "update_consistent") -> float:
@@ -331,14 +327,14 @@ def objective(state: SolverState, spec: TaskSpec, which: str = "update_consisten
     ``which`` selects between the two weightings described in the module
     docstring.
     """
-    if which not in ("normalized", "update_consistent"):
+    if which not in _FLAVORS:
         raise ValueError(f"unknown objective flavor {which!r}")
     log_p = gmm_log_probs(state.features, state.gmm)
     log_prior = log_soft_labels(spec.query, spec.text, spec.temperature)
-    return _assemble(_objective_terms(state, spec, log_p, log_prior), state, spec, which)
+    return _objective_terms(state, spec, log_p, log_prior)[_FLAVORS.index(which)]
 
 
-def prepare(spec: TaskSpec) -> SolverState:
+def init_state(spec: TaskSpec) -> SolverState:
     """Validate a task and build the initial state of its solves.
 
     Soft labels come from the temperature softmax of query/text cosines;
@@ -346,7 +342,7 @@ def prepare(spec: TaskSpec) -> SolverState:
     class averages (few-shot) or each class's most confident queries
     (zero-shot), and every variance at 1/d; query assignments start at the
     soft labels and support rows at their one-hot labels. None of these
-    depend on the term weights, so one prepared state serves every
+    depend on the term weights, so one initial state serves every
     support-weight candidate.
     """
     spec = validate_task(spec)
@@ -385,19 +381,6 @@ def prepare(spec: TaskSpec) -> SolverState:
     )
 
 
-def init_state(spec: TaskSpec, prepared: Optional[SolverState] = None) -> SolverState:
-    """The initial solver state of a task: ``prepared`` itself, or a fresh
-    ``prepare(spec)`` when it is None.
-
-    Raises ValueError when ``prepared`` was made from a different task.
-    """
-    if prepared is None:
-        return prepare(spec)
-    if not prepared.matches(spec):
-        raise ValueError("prepared state was made from a different task")
-    return prepared
-
-
 def run(
     spec: TaskSpec,
     record_trace: bool = False,
@@ -410,25 +393,33 @@ def run(
     end at the first whose query rows have the bits of its input; the state
     keeps its own ``z`` and drops the equal copy, and the skipped sweeps
     would have returned the same bits. With record_trace, both objective
-    flavors are logged after every block update; a skipped sweep leaves the
-    state, so its row repeats the one before it.
+    flavors are recorded after every block update, and the final state's
+    ``trace`` holds the rows; a skipped sweep leaves the state, so its row is
+    the one before it.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
-    of the query rows of ``state.z``, not a copy. ``prepared`` is passed on
-    to ``init_state``; the solve starts from it with a trace of its own.
+    of the query rows of ``state.z``, not a copy. The solve starts from
+    ``prepared``, an ``init_state`` of the same task, or else from a fresh
+    ``init_state(spec)``; raises ValueError when ``prepared`` was built from
+    a different task.
     """
-    state = replace(init_state(spec, prepared), trace=[])
+    if prepared is None:
+        state = init_state(spec)
+    elif prepared.matches(spec):
+        state = prepared
+    else:
+        raise ValueError("prepared state was made from a different task")
     log_p = None  # a traced solve's log-densities under state.gmm
     log_prior = log_soft_labels(spec.query, spec.text, spec.temperature) if record_trace else None
+    trace: list[TraceRow] = []
 
     def record(iteration: int, block: str) -> None:
         nonlocal log_p
         if record_trace:
             if log_p is None:
                 log_p = gmm_log_probs(state.features, state.gmm)
-            terms = _objective_terms(state, spec, log_p, log_prior)
-            row = [_assemble(terms, state, spec, f) for f in ("normalized", "update_consistent")]
-            state.trace.append(TraceRow(iteration, block, *row))
+            flavors = _objective_terms(state, spec, log_p, log_prior)
+            trace.append(TraceRow(iteration, block, *flavors))
 
     record(0, "init")
     n_s = state.n_support
@@ -439,7 +430,7 @@ def run(
             if settled:
                 # a skipped sweep leaves the state, so its row is the last one
                 if record_trace:
-                    state.trace.append(replace(state.trace[-1]))
+                    trace.append(trace[-1])
                 continue
             z_new = z_step(state, spec, base)
             # the equal copy is dropped: holding it beside z through the
@@ -460,4 +451,5 @@ def run(
         log_p = None
         record(it, "sigma")
 
-    return SimplexAssignments(state.z[state.n_support :]), state
+    state = replace(state, trace=tuple(trace))
+    return SimplexAssignments(state.z[n_s:]), state

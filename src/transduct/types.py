@@ -41,8 +41,9 @@ VAR_FLOOR = 1e-12
 PRIOR_LOG_FLOOR = 1e-300
 
 # The sweep's logits carry kl_weight * temperature * f . t_k, |f . t_k| <= 1,
-# beside far smaller terms, and its max-shift takes the difference of two;
-# at a quarter of the largest float both stay finite.
+# beside far smaller terms, and the soft labels' logits temperature * f . t_k;
+# each max-shift takes the difference of two. With kl_weight * temperature
+# and temperature at most a quarter of the largest float, all stay finite.
 KL_LOGIT_MAX = float(np.finfo(np.float64).max) / 4
 
 
@@ -201,14 +202,6 @@ class GmmParams:
             if arr.flags.writeable or not arr.flags.c_contiguous:
                 arr = _freeze(arr)
             object.__setattr__(self, name, arr)
-
-    @property
-    def n_classes(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,9 +372,9 @@ def validate_task(spec: TaskSpec) -> TaskSpec:
 
     Embedding rows are already unit-normalized by EmbeddingMatrix (rows more
     than NORM_GATE from unit norm are rejected at construction), so a second
-    validation is a no-op, which makes this function idempotent. The prior
-    weight and the temperature must keep their product at most
-    ``KL_LOGIT_MAX``, so the sweep's logits stay finite.
+    validation is a no-op, which makes this function idempotent. The
+    temperature, and its product with the prior weight, must be at most
+    ``KL_LOGIT_MAX``, so the soft labels' and the sweep's logits stay finite.
     """
     if spec.text.dim != spec.query.dim:
         raise DimensionMismatch(
@@ -397,8 +390,9 @@ def validate_task(spec: TaskSpec) -> TaskSpec:
             raise LabelOutOfRange(
                 f"support labels must lie in [0, {spec.n_classes})"
             )
-    if not (math.isfinite(spec.temperature) and spec.temperature > 0):
-        raise ValueError(f"temperature must be finite and positive, got {spec.temperature}")
+    if not 0 < spec.temperature <= KL_LOGIT_MAX:
+        raise ValueError(f"temperature must be positive and at most {KL_LOGIT_MAX!r}, "
+                         f"got {spec.temperature}")
     if not float(spec.hyper.kl_weight) * float(spec.temperature) <= KL_LOGIT_MAX:
         raise ValueError(f"kl_weight * temperature must be at most {KL_LOGIT_MAX!r}, "
                          f"got {spec.hyper.kl_weight} * {spec.temperature}")

@@ -166,9 +166,9 @@ class TestRunFs:
 
 
 class TestNonFiniteSettings:
-    """A NaN or infinite weight or temperature, or a prior weight that would
-    overflow the solver's logits, fails before the graph build, with an error
-    naming the setting and no numpy warning."""
+    """A NaN or infinite weight or temperature, or a temperature or prior
+    weight that would overflow the solver's logits, fails before the graph
+    build, with an error naming the setting and no numpy warning."""
 
     @pytest.mark.parametrize("command, extra, name", [
         ("run-zs", ["--tau", "inf"], "temperature"),
@@ -179,6 +179,8 @@ class TestNonFiniteSettings:
         ("run-fs", ["--tau", "nan"], "temperature"),
         ("run-zs", ["--lambda", "1e308"], "kl_weight"),
         ("run-fs", ["--lambda", "1e308"], "kl_weight"),
+        ("run-zs", ["--tau", "1.79e308", "--lambda", "0"], "temperature"),
+        ("run-fs", ["--tau", "1.79e308", "--lambda", "0"], "temperature"),
     ])
     def test_exits_one_before_the_graph(self, task_dir, tmp_path, monkeypatch, capsys,
                                         recwarn, command, extra, name):
@@ -225,6 +227,18 @@ class TestSynth:
                          "--dim", "4", "--per-class", "3", "--seed", "9"]) == 0
             dirs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
         assert dirs[0] == dirs[1]
+
+    def test_config_lists_the_synth_flags_in_flag_order(self, tmp_path):
+        d = tmp_path / "cfg"
+        assert main(["synth", "--out-dir", str(d), "--classes", "2", "--dim", "4",
+                     "--per-class", "3", "--class-sep", "2.5", "--seed", "9"]) == 0
+        config = fileio.read_config(d / "config.txt")
+        flags = [flag[2:] for flag in cli._build()[1]["synth"].switches
+                 if flag not in ("--help", "--out-dir", "--config")]
+        assert list(config) == flags
+        assert flags == ["classes", "dim", "per-class", "shots", "validation-per-class",
+                         "class-sep", "prototype-noise", "tau", "seed"]
+        assert (config["classes"], config["class-sep"], config["seed"]) == ("2", "2.5", "9")
 
     def test_single_class_task_is_valid(self, tmp_path):
         d = tmp_path / "one"

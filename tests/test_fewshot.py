@@ -8,7 +8,7 @@ import pytest
 from transduct import fewshot, solver
 from transduct.errors import InsufficientShots
 from transduct.fewshot import run_fewshot, search_gamma, split_shots
-from transduct.solver import init_state, prepare, run
+from transduct.solver import init_state, run
 from transduct.synth import generate_task
 from transduct.types import EmbeddingMatrix, SupportSet
 from transduct.zeroshot import compute_soft_labels, hard_predict
@@ -251,6 +251,36 @@ class TestSharedPreparation:
         # solve is alive when the next one starts
         assert counts["max_alive"] <= 1
 
+    @pytest.mark.parametrize("mode", ["pool", "carved", "gamma"])
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_every_graph_is_built_inside_init_state(self, rng, monkeypatch, mode, record_trace):
+        # init_state is the one constructor of a task's initial state, so a
+        # tracer that times it times every graph build
+        spec, pool = _small_fewshot_task(rng, shots_per_class=5)
+        depth, builds = [0], []
+        real_init, real_build = solver.init_state, solver.build_knn
+
+        def init(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real_init(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def build(*args, **kwargs):
+            builds.append(depth[0])
+            return real_build(*args, **kwargs)
+
+        # every name the two modules bind to init_state, as a tracer rebinds them
+        for module in (solver, fewshot):
+            for name, value in list(vars(module).items()):
+                if value is real_init:
+                    monkeypatch.setattr(module, name, init)
+        monkeypatch.setattr(solver, "build_knn", build)
+        run_fewshot(spec, validation_pool=pool if mode == "pool" else None,
+                    gamma=0.02 if mode == "gamma" else None, record_trace=record_trace)
+        assert builds and all(d == 1 for d in builds)
+
     def test_explicit_gamma_builds_once(self, rng, monkeypatch):
         spec, _ = _small_fewshot_task(rng, shots_per_class=2)
         counts = _counting(monkeypatch)
@@ -293,7 +323,7 @@ class TestSharedPreparation:
 
     def test_search_shares_one_graph(self, rng):
         spec, pool = _small_fewshot_task(rng, shots_per_class=5)
-        prepared = prepare(spec)
+        prepared = init_state(spec)
         _, _, (_, state) = search_gamma(spec, pool, grid=(0.01, 0.2), prepared=prepared)
         assert state.graph is prepared.graph
 
@@ -309,16 +339,14 @@ class TestSharedPreparation:
     ])
     def test_record_of_another_task_is_rejected(self, rng, change):
         spec, _ = _small_fewshot_task(rng, shots_per_class=2)
-        prepared = prepare(spec)
+        prepared = init_state(spec)
         other = change(spec)
-        with pytest.raises(ValueError, match="different task"):
-            init_state(other, prepared)
         with pytest.raises(ValueError, match="different task"):
             run(other, prepared=prepared)
 
     def test_record_serves_other_weights_and_iterations(self, rng):
         spec, _ = _small_fewshot_task(rng, shots_per_class=2)
-        prepared = prepare(spec)
+        prepared = init_state(spec)
         other = spec.with_hyper(support_weight=0.3, kl_weight=0.2, outer_iters=2, inner_z_iters=1)
         shared, _ = run(other, prepared=prepared)
         fresh, _ = run(other)

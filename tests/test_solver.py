@@ -415,6 +415,10 @@ class TestRun:
         blocks = [r.block for r in state.trace]
         assert blocks == ["init"] + (["z"] * 5 + ["mu", "sigma"]) * 10
         assert len(state.objective_trace) == 71
+        # the trace is a value: a tuple of frozen rows
+        assert type(state.trace) is tuple
+        with pytest.raises(FrozenInstanceError):
+            state.trace[0].normalized = 0.0
 
     def test_deterministic_across_runs_and_threads(self, rng):
         spec = random_task(rng, n_query=60, n_classes=6, dim=12)
@@ -512,11 +516,11 @@ class TestMemory:
 
     def test_run_peak_in_n_by_k_arrays(self, rng):
         # K >> d, so the N x d and K x d arrays are small beside N x K; above
-        # the prepared arrays the peak is z, the sweep's new z and the base
-        # logits being rebuilt, and the result is a view of the final z
+        # the initial state's arrays the peak is z, the sweep's new z and the
+        # base logits being rebuilt, and the result is a view of the final z
         n, k = 2000, 400
         spec = random_task(rng, n_query=n, n_classes=k, dim=6, outer_iters=2)
-        prepared = solver.prepare(spec)
+        prepared = init_state(spec)
         one = n * k * 8
         tracemalloc.start()
         try:
@@ -530,11 +534,11 @@ class TestMemory:
         assert held - base <= 1.1 * one
 
     def test_base_logits_are_dead_before_the_mean_step(self, rng, monkeypatch):
-        # at the moments pass only z is left above the prepared arrays: the
-        # base logits the sweeps shared have been dropped
+        # at the moments pass only z is left above the initial state's arrays:
+        # the base logits the sweeps shared have been dropped
         n, k = 2000, 400
         spec = random_task(rng, n_query=n, n_classes=k, dim=6, outer_iters=2)
-        prepared = solver.prepare(spec)
+        prepared = init_state(spec)
         seen = []
         group_moments = solver._group_moments
 
@@ -601,7 +605,7 @@ class TestMemory:
         spread = offset.max(axis=1) - offset.min(axis=1)
         assert np.all(spread <= 64 * np.spacing(scale))
 
-    def test_fewshot_prepare_holds_z0_alone(self):
+    def test_fewshot_init_state_holds_z0_alone(self):
         # z0 has the support rows too: 1.2 N_q x K here; no soft labels and
         # no log prior are held beside it
         task = generate_task(n_classes=400, dim=8, n_query_per_class=5, shots_per_class=1,
@@ -610,15 +614,15 @@ class TestMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            prepared = solver.prepare(spec)
+            prepared = init_state(spec)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert prepared.z.shape == (spec.n_support + spec.n_query, spec.n_classes)
         assert held - base <= 1.25 * spec.n_query * spec.n_classes * 8
 
-    def test_zero_shot_run_peak_with_prepare(self, rng):
-        # prepare included: z0 is the soft labels and is dropped after the
+    def test_zero_shot_run_peak_with_init_state(self, rng):
+        # init_state included: z0 is the soft labels and is dropped after the
         # first sweep that moves, so at most z, the new z and the base logits
         # are live at once
         n, k = 2000, 400
@@ -645,10 +649,10 @@ class TestMemory:
 
         monkeypatch.setattr(solver, "build_knn", spy)
         spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots)
-        prepared = solver.prepare(spec)
-        assert len(seen) == 1 and seen[0] is prepared.features
+        state = init_state(spec)
+        assert len(seen) == 1 and seen[0] is state.features
         if not shots:
-            assert prepared.features is spec.query.data
+            assert state.features is spec.query.data
 
     @pytest.mark.parametrize("shots", [0, 2])
     def test_assignments_are_a_read_only_view_of_z(self, rng, shots):
@@ -777,7 +781,11 @@ def _assert_run_matches_reference(spec, monkeypatch):
         assert np.array(rows).tobytes() == (want_bytes if record_trace else b"")
         assert len(calls) == want_sweeps
     assert len(evaluations) == 1 + want_sweeps + 2 * spec.hyper.outer_iters
-    return want_sweeps, spec.hyper.outer_iters * spec.hyper.inner_z_iters
+    # a skipped sweep's row is the row before it, the same object
+    scheduled = spec.hyper.outer_iters * spec.hyper.inner_z_iters
+    repeats = sum(a is b for a, b in zip(got.trace, got.trace[1:]))
+    assert repeats == scheduled - want_sweeps
+    return want_sweeps, scheduled
 
 
 class TestSameBits:
@@ -855,17 +863,16 @@ class TestCachedBlocks:
 
     @pytest.mark.parametrize("shots", [0, 2])
     def test_solves_start_from_the_prepared_state(self, rng, shots):
-        # the prepared state is the first iterate of every solve: frozen, so
+        # the initial state is the first iterate of every solve: frozen, so
         # a solve steps away from it and leaves it, trace included, as it was
         spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots,
                            support_weight=0.1)
-        prepared = solver.prepare(spec)
+        prepared = init_state(spec)
         z0, gmm0 = prepared.z, prepared.gmm
-        assert init_state(spec, prepared) is prepared
         with pytest.raises(FrozenInstanceError):
             prepared.z = z0
         _, state = run(spec, record_trace=True, prepared=prepared)
-        assert state.trace and prepared.trace == []
+        assert state.trace and prepared.trace == ()
         assert prepared.z is z0 and prepared.gmm is gmm0
         for name in ("graph", "features", "task"):
             assert getattr(state, name) is getattr(prepared, name)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ class TestSimplexAssignments:
 class TestGmmParams:
     def test_valid(self, rng):
         g = GmmParams(rng.standard_normal((3, 4)), np.full(4, 0.25))
-        assert g.n_classes == 3 and g.dim == 4
+        assert g.means.shape == (3, 4) and g.variances.shape == (4,)
 
     def test_rejects_below_variance_floor(self, rng):
         with pytest.raises(ValueError):
@@ -423,6 +424,22 @@ class TestValidateTask:
                        for row in state.trace)
         with pytest.raises(ValueError, match="kl_weight"):
             validate_task(spec.with_hyper(kl_weight=math.nextafter(largest, math.inf)))
+
+    def test_temperature_bound(self, rng):
+        # the largest temperature, KL_LOGIT_MAX, is accepted and, with no
+        # prior weight, solves to finite assignments (pytest makes an overflow
+        # warning an error); the next float up is rejected
+        spec = TaskSpec(
+            query=EmbeddingMatrix(unit_rows(rng, 12, 8)),
+            text=EmbeddingMatrix(unit_rows(rng, 3, 8)),
+            temperature=KL_LOGIT_MAX,
+            hyper=Hyperparams(kl_weight=0.0, outer_iters=2),
+        )
+        assert validate_task(spec) is spec
+        assignments, _ = run(spec)
+        assert np.all(np.isfinite(assignments.z))
+        with pytest.raises(ValueError, match="temperature"):
+            validate_task(replace(spec, temperature=math.nextafter(KL_LOGIT_MAX, math.inf)))
 
     @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
     def test_rejects_non_finite_temperature(self, rng, tau):
