@@ -34,7 +34,6 @@ from .types import (
     SimplexAssignments,
     SupportSet,
     TaskSpec,
-    validate_task,
 )
 from .zeroshot import hard_predict
 
@@ -179,7 +178,7 @@ def run_fewshot(
     the full support set (a validation pool) and no trace is requested, the
     winning search run is the final result.
     """
-    spec = validate_task(spec.with_hyper(kl_weight=kl_weight))
+    spec = spec.with_hyper(kl_weight=kl_weight)  # raises on a weight out of the task's bounds
     if spec.support is None:
         raise ValueError("few-shot run requires a support set")
     # an empty grid and a weight that Hyperparams rejects fail here, before

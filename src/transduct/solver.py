@@ -68,7 +68,6 @@ from .types import (
     GmmParams,
     SimplexAssignments,
     TaskSpec,
-    validate_task,
 )
 from .zeroshot import (
     compute_soft_labels,
@@ -268,7 +267,7 @@ def mu_step(state: SolverState, spec: TaskSpec, moments) -> np.ndarray:
     mass, first, _ = moments
     means = state.gmm.means.copy()
     live = mass >= _EMPTY_CLASS_EPS
-    means[live] = first[live] / mass[live, None]
+    np.divide(first, mass[:, None], out=means, where=live[:, None])
     means.setflags(write=False)
     return means
 
@@ -302,14 +301,16 @@ def _objective_terms(state: SolverState, spec: TaskSpec, log_p: np.ndarray,
     """Both flavors of the objective, ``(normalized, update_consistent)``,
     given the ``gmm_log_probs`` of every row under ``state.gmm`` and the
     task's ``log_soft_labels``. The graph term sums w_ij z_i . z_j over the
-    stored directed edges (each ordered pair once)."""
+    stored directed edges (each ordered pair once). At ``kl_weight`` 0 the
+    prior cross-term, whose sum overflows near the temperature bound, is 0."""
     n_s, n_q = state.n_support, state.n_query
     z = state.z
     zq = z[n_s:]
     gamma = spec.hyper.support_weight
 
     nll_query = -float(np.sum(zq * log_p[n_s:]))
-    kl = _entropy_sum(zq) - spec.hyper.kl_weight * float(np.sum(zq * log_prior))
+    prior = float(np.sum(zq * log_prior)) if spec.hyper.kl_weight else 0.0
+    kl = _entropy_sum(zq) - spec.hyper.kl_weight * prior
     laplacian = -float(np.sum(z * state.graph.propagate(z)))
     support = 0.0
     if n_s and gamma > 0:
@@ -335,7 +336,7 @@ def objective(state: SolverState, spec: TaskSpec, which: str = "update_consisten
 
 
 def init_state(spec: TaskSpec) -> SolverState:
-    """Validate a task and build the initial state of its solves.
+    """Build the initial state of a task's solves, from a spec checked when built.
 
     Soft labels come from the temperature softmax of query/text cosines;
     the graph spans support-then-query rows; means start from labeled
@@ -345,7 +346,6 @@ def init_state(spec: TaskSpec) -> SolverState:
     depend on the term weights, so one initial state serves every
     support-weight candidate.
     """
-    spec = validate_task(spec)
     # The graph is built on the held rows: wrapping them in another
     # EmbeddingMatrix would copy them, as it copies any array it did not
     # make. The stacked rows are unit already, so wrapping them changes no bit.

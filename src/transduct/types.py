@@ -351,6 +351,9 @@ class TaskSpec:
     temperature: float = 30.0
     hyper: Hyperparams = field(default_factory=Hyperparams)
 
+    def __post_init__(self):
+        validate_task(self)
+
     @property
     def n_classes(self) -> int:
         return self.text.n_rows
@@ -370,16 +373,14 @@ class TaskSpec:
 def validate_task(spec: TaskSpec) -> TaskSpec:
     """Check every cross-field invariant of a task; returns the spec unchanged.
 
-    Embedding rows are already unit-normalized by EmbeddingMatrix (rows more
-    than NORM_GATE from unit norm are rejected at construction), so a second
-    validation is a no-op, which makes this function idempotent. The
-    temperature, and its product with the prior weight, must be at most
-    ``KL_LOGIT_MAX``, so the soft labels' and the sweep's logits stay finite.
+    ``TaskSpec`` runs this at construction, so ``replace`` and ``with_hyper``
+    raise its errors too, and no spec that breaks a bound exists; calling it
+    again re-checks a spec. The temperature, and its product with the prior
+    weight, must be at most ``KL_LOGIT_MAX``, so the soft labels' and the
+    sweep's logits stay finite.
     """
     if spec.text.dim != spec.query.dim:
-        raise DimensionMismatch(
-            f"text dim {spec.text.dim} != query dim {spec.query.dim}"
-        )
+        raise DimensionMismatch(f"text dim {spec.text.dim} != query dim {spec.query.dim}")
     if spec.support is not None:
         if spec.support.embeddings.dim != spec.query.dim:
             raise DimensionMismatch(
@@ -387,9 +388,7 @@ def validate_task(spec: TaskSpec) -> TaskSpec:
             )
         labels = spec.support.labels
         if labels.size and (labels.min() < 0 or labels.max() >= spec.n_classes):
-            raise LabelOutOfRange(
-                f"support labels must lie in [0, {spec.n_classes})"
-            )
+            raise LabelOutOfRange(f"support labels must lie in [0, {spec.n_classes})")
     if not 0 < spec.temperature <= KL_LOGIT_MAX:
         raise ValueError(f"temperature must be positive and at most {KL_LOGIT_MAX!r}, "
                          f"got {spec.temperature}")

@@ -15,7 +15,7 @@ from transduct.errors import (
     NormTooFarFromUnit,
 )
 from transduct import types
-from transduct.solver import run
+from transduct.solver import objective, run
 from transduct.types import (
     KL_LOGIT_MAX,
     AffinityGraph,
@@ -363,42 +363,38 @@ class TestValidateTask:
         assert validate_task(once) is once
 
     def test_dimension_mismatch(self, rng):
-        spec = TaskSpec(
-            query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
-            text=EmbeddingMatrix(unit_rows(rng, 2, 16)),
-        )
         with pytest.raises(DimensionMismatch):
-            validate_task(spec)
+            TaskSpec(
+                query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
+                text=EmbeddingMatrix(unit_rows(rng, 2, 16)),
+            )
 
     def test_support_label_out_of_range(self, rng):
         k = 2
-        spec = TaskSpec(
-            query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
-            text=EmbeddingMatrix(unit_rows(rng, k, 8)),
-            support=SupportSet(
-                EmbeddingMatrix(unit_rows(rng, 2, 8)), np.array([0, k])
-            ),
-        )
         with pytest.raises(LabelOutOfRange):
-            validate_task(spec)
+            TaskSpec(
+                query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
+                text=EmbeddingMatrix(unit_rows(rng, k, 8)),
+                support=SupportSet(
+                    EmbeddingMatrix(unit_rows(rng, 2, 8)), np.array([0, k])
+                ),
+            )
 
     def test_support_dim_mismatch(self, rng):
-        spec = TaskSpec(
-            query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
-            text=EmbeddingMatrix(unit_rows(rng, 2, 8)),
-            support=SupportSet(EmbeddingMatrix(unit_rows(rng, 2, 4)), np.array([0, 1])),
-        )
         with pytest.raises(DimensionMismatch):
-            validate_task(spec)
+            TaskSpec(
+                query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
+                text=EmbeddingMatrix(unit_rows(rng, 2, 8)),
+                support=SupportSet(EmbeddingMatrix(unit_rows(rng, 2, 4)), np.array([0, 1])),
+            )
 
     def test_rejects_non_positive_temperature(self, rng):
-        spec = TaskSpec(
-            query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
-            text=EmbeddingMatrix(unit_rows(rng, 2, 8)),
-            temperature=0.0,
-        )
         with pytest.raises(ValueError):
-            validate_task(spec)
+            TaskSpec(
+                query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
+                text=EmbeddingMatrix(unit_rows(rng, 2, 8)),
+                temperature=0.0,
+            )
 
     @pytest.mark.parametrize("tau", [30.0, 1e300])
     def test_kl_weight_times_temperature_bound(self, rng, tau):
@@ -423,30 +419,52 @@ class TestValidateTask:
         assert not any(math.isnan(row.normalized) or math.isnan(row.update_consistent)
                        for row in state.trace)
         with pytest.raises(ValueError, match="kl_weight"):
-            validate_task(spec.with_hyper(kl_weight=math.nextafter(largest, math.inf)))
+            spec.with_hyper(kl_weight=math.nextafter(largest, math.inf))
 
     def test_temperature_bound(self, rng):
         # the largest temperature, KL_LOGIT_MAX, is accepted and, with no
-        # prior weight, solves to finite assignments (pytest makes an overflow
-        # warning an error); the next float up is rejected
+        # prior weight, solves to finite assignments and a finite trace
+        # (pytest makes an overflow warning an error): the objective leaves
+        # out the prior term, whose entries reach 2 tau; the next float up
+        # is rejected
         spec = TaskSpec(
             query=EmbeddingMatrix(unit_rows(rng, 12, 8)),
-            text=EmbeddingMatrix(unit_rows(rng, 3, 8)),
+            text=EmbeddingMatrix(unit_rows(rng, 5, 8)),
             temperature=KL_LOGIT_MAX,
             hyper=Hyperparams(kl_weight=0.0, outer_iters=2),
         )
         assert validate_task(spec) is spec
-        assignments, _ = run(spec)
+        assignments, state = run(spec, record_trace=True)
         assert np.all(np.isfinite(assignments.z))
+        assert all(math.isfinite(row.normalized) and math.isfinite(row.update_consistent)
+                   for row in state.trace)
+        assert math.isfinite(objective(state, spec, "normalized"))
         with pytest.raises(ValueError, match="temperature"):
-            validate_task(replace(spec, temperature=math.nextafter(KL_LOGIT_MAX, math.inf)))
+            replace(spec, temperature=math.nextafter(KL_LOGIT_MAX, math.inf))
+
+    def test_no_path_builds_a_spec_out_of_bounds(self, rng):
+        # at tau = 20 a prior weight of 1e307 breaks the kl_weight * temperature
+        # bound: the constructor, replace and with_hyper all raise, so neither
+        # run(..., prepared=init_state(spec)) nor search_gamma can receive it
+        spec = TaskSpec(
+            query=EmbeddingMatrix(unit_rows(rng, 20, 5)),
+            text=EmbeddingMatrix(unit_rows(rng, 3, 5)),
+            temperature=20.0,
+        )
+        heavy = Hyperparams(kl_weight=1e307)
+        bound = r"kl_weight \* temperature"
+        with pytest.raises(ValueError, match=bound):
+            spec.with_hyper(kl_weight=1e307)
+        with pytest.raises(ValueError, match=bound):
+            replace(spec, hyper=heavy)
+        with pytest.raises(ValueError, match=bound):
+            TaskSpec(query=spec.query, text=spec.text, temperature=20.0, hyper=heavy)
 
     @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
     def test_rejects_non_finite_temperature(self, rng, tau):
-        spec = TaskSpec(
-            query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
-            text=EmbeddingMatrix(unit_rows(rng, 2, 8)),
-            temperature=tau,
-        )
         with pytest.raises(ValueError, match="temperature"):
-            validate_task(spec)
+            TaskSpec(
+                query=EmbeddingMatrix(unit_rows(rng, 4, 8)),
+                text=EmbeddingMatrix(unit_rows(rng, 2, 8)),
+                temperature=tau,
+            )
