@@ -138,10 +138,9 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     return parser, {"run-zs": zs, "run-fs": fs, "synth": sy, "eval": ev}
 
 
-def _hyper_from_args(args, support_weight: float = 0.0) -> Hyperparams:
+def _hyper_from_args(args) -> Hyperparams:
     return Hyperparams(
         kl_weight=args.kl_weight,
-        support_weight=support_weight,
         outer_iters=args.outer_iters,
         inner_z_iters=args.inner_iters,
         k_nn=args.knn,

@@ -26,8 +26,9 @@ error bound and hands the values it cannot prove to ``'%.9g'``.
 Graph edges: one ``i j w`` line per stored edge of an AffinityGraph, in
 storage order, with the weight as ``'%.9g'``.
 
-Every reader and writer reports an OS error (missing file or directory,
-permissions, a full disk) as IoFailure("cannot read|write PATH: reason").
+Every reader and writer opens through ``_open``, and synth makes its task
+directory under the same mapping: an OS error (missing file or directory,
+permissions, a full disk) is IoFailure("cannot read|write PATH: reason").
 """
 
 from __future__ import annotations
@@ -74,9 +75,18 @@ def _io_failure(action: str, path):
         raise IoFailure(f"cannot {action} {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _open(path, mode: str):
+    """The file at path opened in mode, as ASCII in text modes; an OSError from
+    opening, reading, writing or the flush at close is an IoFailure."""
+    with _io_failure("write" if "w" in mode else "read", path):
+        with open(path, mode, encoding=None if "b" in mode else "ascii") as fh:
+            yield fh
+
+
 def _read_lines(path) -> list[str]:
     """The lines of an ASCII text file, minus the empty one after a final newline."""
-    with _io_failure("read", path), open(path, "r", encoding="ascii") as fh:
+    with _open(path, "r") as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -89,7 +99,7 @@ def write_embeddings(matrix, path) -> None:
     if data.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {data.shape}")
     payload = np.ascontiguousarray(data, dtype="<f4")
-    with _io_failure("write", path), open(path, "wb") as fh:
+    with _open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, data.shape[0], data.shape[1]))
         fh.write(payload.tobytes())
 
@@ -102,7 +112,7 @@ def read_matrix(path) -> np.ndarray:
     """
     if str(path).endswith(".csv"):
         return _read_csv(path)
-    with _io_failure("read", path), open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise TruncatedFile(f"{path}: missing header")
@@ -177,10 +187,14 @@ def read_labels(path) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Write ASCII text lines, each ending in its own newline."""
+    with _open(path, "w") as fh:
+        fh.writelines(lines)
+
+
 def write_labels(labels: Iterable[int], path) -> None:
-    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
-        for value in labels:
-            fh.write(f"{int(value)}\n")
+    _write_lines(path, (f"{int(value)}\n" for value in labels))
 
 
 # A predictions line is a row of fixed 24-byte slots, one per field, and a
@@ -351,7 +365,7 @@ def write_predictions(assignments: SimplexAssignments, path) -> None:
     n, k = z.shape
     header = "index,pred,conf," + ",".join(f"p_{c}" for c in range(k))
     rows_per_block = max(1, _WRITE_BLOCK_VALUES // (k + 3))
-    with _io_failure("write", path), open(path, "wb") as fh:
+    with _open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for lo in range(0, n, rows_per_block):
             fh.write(_prediction_lines(z[lo : lo + rows_per_block], lo))
@@ -366,7 +380,7 @@ def read_predictions(path) -> np.ndarray:
     time, so memory does not grow with its size.
     """
     preds = []
-    with _io_failure("read", path), open(path, "r", encoding="ascii") as fh:
+    with _open(path, "r") as fh:
         if not fh.readline().startswith("index,pred,conf"):
             raise ParseError(f"{path}: missing predictions header")
         for lineno, line in enumerate(fh, start=2):
@@ -383,9 +397,7 @@ def read_predictions(path) -> np.ndarray:
 
 def write_config(values: dict, path) -> None:
     """Write a flat key=value config file, one entry per line."""
-    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
-        for key, value in values.items():
-            fh.write(f"{key}={value}\n")
+    _write_lines(path, (f"{key}={value}\n" for key, value in values.items()))
 
 
 def read_config(path) -> dict:
@@ -404,26 +416,18 @@ def read_config(path) -> dict:
 
 def write_trace(rows: Sequence, path) -> None:
     """Write the solver objective trace as CSV."""
-    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
-        fh.write("iteration,block,normalized,update_consistent\n")
-        for row in rows:
-            fh.write(
-                f"{row.iteration},{row.block},"
-                f"{row.normalized:.17g},{row.update_consistent:.17g}\n"
-            )
+    _write_lines(path, ["iteration,block,normalized,update_consistent\n"] + [
+        f"{r.iteration},{r.block},{r.normalized:.17g},{r.update_consistent:.17g}\n" for r in rows])
 
 
 def write_score_table(table: Sequence[tuple[float, float]], path) -> None:
     """Write the support-weight search results as CSV."""
-    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
-        fh.write("gamma,validation_accuracy\n")
-        for gamma, acc in table:
-            fh.write(f"{gamma:.9g},{acc:.9g}\n")
+    _write_lines(path, ["gamma,validation_accuracy\n"] + [
+        f"{gamma:.9g},{acc:.9g}\n" for gamma, acc in table])
 
 
 def dump_edges(graph: AffinityGraph, path) -> None:
     """Write one 'i j w' line per stored edge, in storage order."""
     src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
     edges = zip(src.tolist(), graph.indices.tolist(), graph.weights.tolist())
-    with _io_failure("write", path), open(path, "w", encoding="ascii") as fh:
-        fh.writelines(map("%d %d %.9g\n".__mod__, edges))
+    _write_lines(path, map("%d %d %.9g\n".__mod__, edges))

@@ -297,12 +297,13 @@ def _entropy_sum(z: np.ndarray) -> float:
 
 
 def _objective_terms(state: SolverState, spec: TaskSpec, log_p: np.ndarray,
-                     log_prior: np.ndarray) -> tuple[float, float]:
+                     log_prior: Optional[np.ndarray]) -> tuple[float, float]:
     """Both flavors of the objective, ``(normalized, update_consistent)``,
     given the ``gmm_log_probs`` of every row under ``state.gmm`` and the
     task's ``log_soft_labels``. The graph term sums w_ij z_i . z_j over the
     stored directed edges (each ordered pair once). At ``kl_weight`` 0 the
-    prior cross-term, whose sum overflows near the temperature bound, is 0."""
+    prior cross-term, whose sum overflows near the temperature bound, is 0
+    and ``log_prior`` is None."""
     n_s, n_q = state.n_support, state.n_query
     z = state.z
     zq = z[n_s:]
@@ -331,7 +332,8 @@ def objective(state: SolverState, spec: TaskSpec, which: str = "update_consisten
     if which not in _FLAVORS:
         raise ValueError(f"unknown objective flavor {which!r}")
     log_p = gmm_log_probs(state.features, state.gmm)
-    log_prior = log_soft_labels(spec.query, spec.text, spec.temperature)
+    log_prior = (log_soft_labels(spec.query, spec.text, spec.temperature)
+                 if spec.hyper.kl_weight else None)
     return _objective_terms(state, spec, log_p, log_prior)[_FLAVORS.index(which)]
 
 
@@ -410,7 +412,8 @@ def run(
     else:
         raise ValueError("prepared state was made from a different task")
     log_p = None  # a traced solve's log-densities under state.gmm
-    log_prior = log_soft_labels(spec.query, spec.text, spec.temperature) if record_trace else None
+    log_prior = (log_soft_labels(spec.query, spec.text, spec.temperature)
+                 if record_trace and spec.hyper.kl_weight else None)
     trace: list[TraceRow] = []
 
     def record(iteration: int, block: str) -> None:

@@ -80,22 +80,13 @@ def generate_task(
 def write_task_dir(task: SynthTask, out_dir, config: dict) -> None:
     """Write a task directory: embedding files, label files, and the
     generation config as key=value text."""
-    os.makedirs(out_dir, exist_ok=True)
+    with fileio._io_failure("write", out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     fileio.write_embeddings(task.spec.query, os.path.join(out_dir, "query.emb"))
     fileio.write_embeddings(task.spec.text, os.path.join(out_dir, "text.emb"))
     fileio.write_labels(task.query_labels, os.path.join(out_dir, "truth.labels"))
-    if task.spec.support is not None:
-        fileio.write_embeddings(
-            task.spec.support.embeddings, os.path.join(out_dir, "support.emb")
-        )
-        fileio.write_labels(
-            task.spec.support.labels, os.path.join(out_dir, "support.labels")
-        )
-    if task.validation is not None:
-        fileio.write_embeddings(
-            task.validation.embeddings, os.path.join(out_dir, "validation.emb")
-        )
-        fileio.write_labels(
-            task.validation.labels, os.path.join(out_dir, "validation.labels")
-        )
+    for name, labeled in (("support", task.spec.support), ("validation", task.validation)):
+        if labeled is not None:
+            fileio.write_embeddings(labeled.embeddings, os.path.join(out_dir, f"{name}.emb"))
+            fileio.write_labels(labeled.labels, os.path.join(out_dir, f"{name}.labels"))
     fileio.write_config(config, os.path.join(out_dir, "config.txt"))

@@ -240,6 +240,13 @@ class TestSynth:
                          "class-sep", "prototype-noise", "tau", "seed"]
         assert (config["classes"], config["class-sep"], config["seed"]) == ("2", "2.5", "9")
 
+    def test_directory_under_a_file_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "sub"
+        assert main(["synth", "--out-dir", str(out_dir), "--seed", "7"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out_dir}: [Errno 20] ")
+
     def test_single_class_task_is_valid(self, tmp_path):
         d = tmp_path / "one"
         assert main(["synth", "--out-dir", str(d), "--classes", "1",

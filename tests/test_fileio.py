@@ -446,7 +446,7 @@ class TestIoFailure:
         with pytest.raises(IoFailure, match=f"^cannot read {re.escape(str(path))}: "):
             reader(path)
 
-    @pytest.mark.parametrize(
+    every_writer = pytest.mark.parametrize(
         "writer, value",
         [
             (fileio.write_embeddings, np.ones((1, 2))),
@@ -455,10 +455,20 @@ class TestIoFailure:
             (fileio.write_config, {"knn": 3}),
             (fileio.write_trace, []),
             (fileio.write_score_table, [(0.01, 0.5)]),
-            (fileio.dump_edges, AffinityGraph(np.array([0, 0]), np.array([]), np.array([]))),
+            (fileio.dump_edges, AffinityGraph(np.array([0, 1, 1]), np.array([1]), np.array([0.5]))),
         ],
     )
+
+    @every_writer
     def test_missing_directory(self, tmp_path, writer, value):
         path = tmp_path / "absent" / "out"
         with pytest.raises(IoFailure, match=f"^cannot write {re.escape(str(path))}: "):
             writer(value, path)
+
+    @every_writer
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device(self, writer, value):
+        # /dev/full opens, and buffered writes fail at the latest at the
+        # flush on close, which must stay inside the mapping
+        with pytest.raises(IoFailure, match=r"^cannot write /dev/full: \[Errno 28\]"):
+            writer(value, "/dev/full")

@@ -567,6 +567,16 @@ class TestMemory:
         # one log prior serves the whole solve
         assert self._passes(rng, monkeypatch, record_trace=True) == (3, 1 + 2 * 3, 1)
 
+    def test_kl_weight_zero_makes_no_log_prior(self, rng, monkeypatch):
+        # at kl_weight 0 the objective leaves out the prior cross-term, so
+        # neither a traced solve nor objective() builds the log prior
+        calls = _count_calls(monkeypatch, "log_soft_labels")
+        spec = random_task(rng, n_query=30, n_classes=4, dim=6, kl_weight=0.0, outer_iters=3)
+        _, state = run(spec, record_trace=True)
+        objective(state, spec)
+        assert len(state.trace) == 1 + 3 * (spec.hyper.inner_z_iters + 2)
+        assert len(calls) == 0
+
     @staticmethod
     def _passes(rng, monkeypatch, record_trace, **hyper):
         """Calls of (_base_logits, gmm_log_probs, log_soft_labels) in a solve."""
