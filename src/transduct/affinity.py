@@ -136,14 +136,15 @@ def top_k(values: np.ndarray, k: int):
     return _rank(rows, cols, values.reshape(-1)[flat], k)
 
 
-def _pair_dots(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Float64 dots of the row pairs (rows[i], cols[i]), in slices that keep
-    the gathered rows near ``_RERANK_BYTES``."""
+def _pair_dots(left: np.ndarray, right: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Float64 dots of the row pairs (left[rows[i]], right[cols[i]]), in
+    slices that keep the gathered rows near ``_RERANK_BYTES``."""
     out = np.empty(rows.size)
-    step = max(1, _RERANK_BYTES // (16 * data.shape[1]))
+    step = max(1, _RERANK_BYTES // (16 * left.shape[1]))
     for lo in range(0, rows.size, step):
         sl = slice(lo, lo + step)
-        out[sl] = np.einsum("ij,ij->i", data[rows[sl]], data[cols[sl]])
+        out[sl] = np.einsum("ij,ij->i", left[rows[sl]], right[cols[sl]])
     return out
 
 
@@ -192,7 +193,7 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
             _dense_rows(data, lo, hi, k_eff, neighbor_idx, neighbor_w)
             continue
         rows, cols = np.divmod(flat, n)
-        idx, w = _rank(rows, cols, _pair_dots(data, rows + lo, cols), k_eff)
+        idx, w = _rank(rows, cols, _pair_dots(data, data, rows + lo, cols), k_eff)
         neighbor_idx[lo:hi] = idx
         np.maximum(w, 0.0, out=neighbor_w[lo:hi])
         del flat, rows, cols, idx, w

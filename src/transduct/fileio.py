@@ -281,7 +281,30 @@ def _format_ints(values: np.ndarray, words: np.ndarray, code: np.ndarray) -> Non
 
 
 def _format_probs(x: np.ndarray, slots: np.ndarray, code: np.ndarray) -> None:
-    """Slots and keep codes of the values x, each exactly as '%.9g' % x."""
+    """Slots and keep codes of the values x, each exactly as '%.9g' % x.
+
+    Where most values are exact zeros, as on a solve whose certified
+    negligible entries are 0, every slot starts as "0" and only the other
+    values (-0.0 among them, which prints as "-0") go through the digits.
+    """
+    live = x.view(np.uint64) != 0
+    if np.count_nonzero(live) * 2 >= x.size:
+        _format_digits(x, slots, code)
+        return
+    words = slots.view(np.uint32)
+    words[..., 0] = _SEP_POINT
+    words[..., 1] = _LEAD[0]
+    code[...] = _BARE * _SLOT + 1
+    at = np.nonzero(live)
+    part_slots = np.empty((at[0].size, _SLOT), dtype=np.uint8)
+    part_code = np.empty(at[0].size, dtype=np.intp)
+    _format_digits(x[at], part_slots, part_code)
+    slots[at] = part_slots
+    code[at] = part_code
+
+
+def _format_digits(x: np.ndarray, slots: np.ndarray, code: np.ndarray) -> None:
+    """``_format_probs`` for any values, through the digit pipeline."""
     words = slots.view(np.uint32)
     fast = (x >= _TINY) & (x <= 1.0)
     xs = np.where(fast, x, 0.5)

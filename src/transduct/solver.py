@@ -40,6 +40,23 @@ offsets both flavors by an assignment-independent constant. The GEMMs run
 in fixed blocks of ``_CHUNK_ROWS`` rows, whose boundaries are part of the
 output bits of larger tasks.
 
+Certified candidate classes. A sweep's neighbor term for class k of query
+row i lies in [0, D_i], where D_i = sum_j w_ij, since the rows of z lie on
+the simplex and the weights are non-negative. So when class k's base logit
+lies more than D_i + ln(1 / eps) below the row's largest, its sweep entry
+is below eps times the row's largest entry (up to the rounding of ``exp``),
+with eps = ``_CANDIDATE_EPS`` = 1e-16. The other classes are the row's
+candidates. An outer iteration whose screened candidates are at most
+1 / ``_DENSE_SHARE`` = 1/8 of the query entries sweeps the candidates alone
+and sets every other query entry to exact 0, and its moments sum over the
+candidate pairs; one above that share runs the dense path, and its bytes
+are those of a solve that never prunes. Tasks whose classes overlap, such
+as the frozen seed-7 task or the benchmark's ``zs-graph`` and ``fs-search``
+shapes, keep more than an eighth of their entries in every outer iteration,
+so their outputs do not change; on wide, well-separated tasks about one
+class per row is left from the second outer iteration on. The path is
+chosen from the observed share alone: no setting turns it on or off.
+
 ``init_state`` builds a task's initial ``SolverState``, once per task: the
 stacked support-then-query features, the kNN graph, the starting
 assignments and the initial mixture. None of these depend on the term
@@ -48,18 +65,20 @@ of a few-shot grid search share one graph. A ``SolverState`` is frozen:
 ``run`` steps it with ``dataclasses.replace``, so every state of a task
 shares the initial state's arrays, and gives the final state its trace, a
 tuple of frozen rows. ``run`` owns what an outer iteration reuses: the
-base logits its sweeps share, the moments its mean and variance steps share
-and, traced, the objective's log-densities and log prior.
+base logits or candidates its sweeps share, the moments its mean and
+variance steps share and, traced, the objective's log-densities and log
+prior.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .affinity import build_knn
+from .affinity import _gamma, _pair_dots, build_knn
 from .types import (
     PRIOR_LOG_FLOOR,
     VAR_FLOOR,
@@ -88,6 +107,40 @@ _ROW_BLOCK_BYTES = 256 * 1024
 # previous prototype instead of dividing by ~0.
 _EMPTY_CLASS_EPS = 1e-12
 
+# A class whose base logit lies more than D_i + ln(1 / _CANDIDATE_EPS) below
+# the largest of query row i, D_i the row's graph weight sum, gets a sweep
+# entry below _CANDIDATE_EPS times the row's largest, and the sweep sets it
+# to 0; the other classes are the row's candidates.
+_CANDIDATE_EPS = 1e-16
+_LOG_INV_EPS = math.log(1.0 / _CANDIDATE_EPS)
+# an outer iteration whose screened candidates exceed 1 / _DENSE_SHARE of its
+# query entries runs the dense path, at the share affinity.build_knn uses
+_DENSE_SHARE = 8
+# row blocks of the float32 screen hold about this many bytes of product; the
+# screen runs only while every base logit is below _SCREEN_MAX in size, far
+# inside the float32 range
+_SCREEN_BYTES = 4 * 2**20
+_SCREEN_MAX = 2.0**64
+# the moments sum over the candidate pairs only where they are at most
+# 1 / _PAIR_SHARE of the query entries: a gathered feature row costs about as
+# much as that many entries of the dense product
+_PAIR_SHARE = 64
+# the pair moments gather about this many bytes of feature rows per einsum
+_PAIR_BYTES = 4 * 2**20
+
+
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """An outer iteration's candidate classes: the (query row, class) pairs
+    in row-major order, with their float64 base logits. Every query row has
+    at least one pair, its largest base logit, and ``starts`` holds the
+    position of each row's first pair."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    logits: np.ndarray
+    starts: np.ndarray
+
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -109,6 +162,9 @@ class SolverState:
     was built from; ``run`` checks a spec against it. ``z`` is the only
     N x K array held: the soft labels are computed afresh on request.
     ``trace`` holds the rows of a traced solve, and is empty otherwise.
+    ``candidates`` are those of the sweep that made ``z`` when it swept
+    the candidate pairs alone, so its query rows are 0 off them, and None
+    otherwise.
     """
 
     z: np.ndarray
@@ -118,10 +174,7 @@ class SolverState:
     n_support: int
     task: TaskSpec
     trace: tuple[TraceRow, ...] = ()
-
-    @property
-    def objective_trace(self) -> list:
-        return [row.update_consistent for row in self.trace]
+    candidates: Optional[Candidates] = None
 
     @property
     def soft_labels(self) -> SimplexAssignments:
@@ -195,16 +248,120 @@ def gmm_log_probs(features: np.ndarray, gmm: GmmParams) -> np.ndarray:
     return out
 
 
-def _base_logits(state: SolverState, spec: TaskSpec) -> np.ndarray:
+def _reach(state: SolverState) -> np.ndarray:
+    """D_i + ln(1 / _CANDIDATE_EPS) for each query row i, where D_i, the
+    sum of the row's graph weights in stored order, bounds its neighbor sums:
+    the rows of z lie on the simplex and the weights are non-negative."""
+    ptr = state.graph.indptr[state.n_support :]
+    rows = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    sums = np.bincount(rows, weights=state.graph.weights[ptr[0] : ptr[-1]], minlength=ptr.size - 1)
+    return sums + _LOG_INV_EPS
+
+
+def _screen(blocks, reach: np.ndarray, margin: float, limit: float) -> Optional[np.ndarray]:
+    """Row-major flat indices of the entries of the (first row, values) row
+    blocks that lie within reach + margin of their row's largest, or None as
+    soon as they number more than ``limit``. The cut is taken in float64,
+    rounded to the values' type and stepped one ulp down."""
+    found, count = [], 0
+    for lo, values in blocks:
+        cut = values.max(axis=1).astype(np.float64) - (reach[lo : lo + len(values)] + margin)
+        cut = np.nextafter(cut.astype(values.dtype), values.dtype.type(-np.inf))
+        keep = np.flatnonzero(values >= cut[:, None])
+        count += keep.size
+        if count > limit:
+            return None
+        found.append(keep + lo * values.shape[1])
+    return np.concatenate(found)
+
+
+def _candidates(features, weights, bias, reach, flat) -> Candidates:
+    """The candidates among the screened entries ``flat``: their float64
+    einsum logits, cut again at the row's largest less its reach."""
+    n_classes = weights.shape[0]
+
+    def starts(rows):
+        counts = np.bincount(rows, minlength=features.shape[0])
+        return np.cumsum(counts) - counts
+
+    rows, cols = np.divmod(flat, n_classes)
+    logits = _pair_dots(features, weights, rows, cols)
+    logits += bias[cols]
+    keep = logits >= (np.maximum.reduceat(logits, starts(rows)) - reach)[rows]
+    rows = rows[keep]
+    return Candidates(rows, cols[keep], logits[keep], starts(rows))
+
+
+def _base_logits(state: SolverState, spec: TaskSpec,
+                 screen: bool = False) -> Union[np.ndarray, Candidates]:
     """The sweep-invariant part of the query logits, ``kl_weight * log prior
-    + log-densities``, up to a constant per row: one GEMM of the query rows
-    against mu_k / var + kl_weight * tau * t_k, plus the class bias."""
+    + log-densities``, up to a constant per row: the query rows against
+    mu_k / var + kl_weight * tau * t_k, plus the class bias.
+
+    Returned as the ``Candidates`` when a screen keeps at most
+    1 / _DENSE_SHARE of the entries, and else as the dense N x K array, one
+    GEMM per ``_CHUNK_ROWS`` rows. The screen is that dense array, or with
+    ``screen`` first a float32 GEMM in row blocks, which makes the dense
+    array only when it keeps too many. Either keeps every entry that can be
+    a candidate: a float32 dot is within gamma32_{d+6} * s of the exact
+    logit, and a float64 one within gamma64_{d+3} * s, where s bounds
+    ||w_k||_2 + |bias_k| (Higham, as in ``affinity``), so a margin of twice
+    their sum, plus the rounding of the cut, covers both. The candidates'
+    logits then come from float64 einsum dots, and the cut is taken again on
+    those, so the pairs kept do not depend on the screen's bits.
+    """
     scaled_means, bias = _class_terms(state.gmm)
     weights = scaled_means + (spec.hyper.kl_weight * spec.temperature) * spec.text.data
-    return _gemm_rows(state.features[state.n_support :], weights, bias)
+    rows = state.features[state.n_support :]
+    (n, d), n_classes = rows.shape, weights.shape[0]
+    reach = _reach(state)
+    limit = n * n_classes / _DENSE_SHARE
+    size = float(np.sqrt(np.einsum("kd,kd->k", weights, weights)).max() + np.abs(bias).max())
+    err64 = _gamma(d + 3, np.float64) * size
+    slack = 2 * float(np.finfo(np.float64).eps) * (size + float(reach.max()))
+    flat = None
+    if screen and size < _SCREEN_MAX:
+        # float32 underflow adds at most one subnormal step per term
+        err32 = (_gamma(d + 6, np.float32) * size
+                 + (d + 6) * float(np.finfo(np.float32).smallest_subnormal) * (1.0 + size))
+        w32, b32 = weights.astype(np.float32), bias.astype(np.float32)
+        step = max(1, _SCREEN_BYTES // (4 * n_classes))
+
+        def blocks():
+            for lo in range(0, n, step):
+                part = rows[lo : lo + step].astype(np.float32) @ w32.T
+                part += b32
+                yield lo, part
+
+        flat = _screen(blocks(), reach, 2 * (err32 + err64) + slack, limit)
+    if flat is None:
+        base = _gemm_rows(rows, weights, bias)
+        step = max(1, _ROW_BLOCK_BYTES // (8 * n_classes))
+        blocks = ((lo, base[lo : lo + step]) for lo in range(0, n, step))
+        flat = _screen(blocks, reach, 4 * err64 + slack, limit)
+        if flat is None:
+            return base
+        del base
+    return _candidates(rows, weights, bias, reach, flat)
 
 
-def z_step(state: SolverState, spec: TaskSpec, base: np.ndarray) -> np.ndarray:
+def _pair_sums(graph: AffinityGraph, z: np.ndarray, nodes: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """The neighbor sums sum_j w_ij z[j, k] of the (node i, class k) pairs,
+    each node's neighbors added in stored order from 0, as
+    ``AffinityGraph.propagate`` adds them."""
+    first = graph.indptr[nodes]
+    degree = graph.indptr[nodes + 1] - first
+    out = np.zeros(nodes.size)
+    live = np.arange(nodes.size)
+    for j in range(int(degree.max(initial=0))):
+        live = live[degree[live] > j]
+        pos = first[live] + j
+        out[live] += graph.weights[pos] * z[graph.indices[pos], cols[live]]
+    return out
+
+
+def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, Candidates]) -> np.ndarray:
     """One simultaneous sweep of the query assignments.
 
     Every query row i becomes the softmax over classes of
@@ -217,10 +374,24 @@ def z_step(state: SolverState, spec: TaskSpec, base: np.ndarray) -> np.ndarray:
     increase the surrogate objective. Support rows are returned untouched.
     The first two terms are ``base``, from ``_base_logits`` for the current
     ``state.gmm``, up to a row constant; only the neighbor sum is computed
-    afresh, for the query rows alone, straight into the query rows of the
-    new read-only ``z``, where the softmax then runs in place.
+    afresh, for the query rows alone. From a dense ``base`` it goes straight
+    into the query rows of the new read-only ``z``, where the softmax then
+    runs in place. From ``Candidates`` the neighbor sums, the softmax and
+    its normalization run over the candidate pairs alone, and every other
+    query entry of the new ``z`` is 0.
     """
     n_s = state.n_support
+    if isinstance(base, Candidates):
+        logits = _pair_sums(state.graph, state.z, base.rows + n_s, base.cols)
+        logits += base.logits
+        logits -= np.maximum.reduceat(logits, base.starts)[base.rows]
+        np.exp(logits, out=logits)
+        logits /= np.add.reduceat(logits, base.starts)[base.rows]
+        z_new = np.zeros_like(state.z)
+        z_new[:n_s] = state.z[:n_s]
+        z_new[n_s + base.rows, base.cols] = logits
+        z_new.setflags(write=False)
+        return z_new
     z_new = np.empty_like(state.z)
     z_new[:n_s] = state.z[:n_s]
     logits = state.graph.propagate(state.z, start=n_s, out=z_new[n_s:])
@@ -232,21 +403,47 @@ def z_step(state: SolverState, spec: TaskSpec, base: np.ndarray) -> np.ndarray:
     return z_new
 
 
+def _pair_first_moments(features: np.ndarray, values: np.ndarray,
+                        pairs: Candidates, n_classes: int) -> np.ndarray:
+    """Per class, the sum of values * features[row] over its pairs, one
+    einsum per block of about ``_PAIR_BYTES`` of gathered rows."""
+    order = np.argsort(pairs.cols, kind="stable")
+    bounds = np.searchsorted(pairs.cols[order], np.arange(n_classes + 1))
+    out = np.zeros((n_classes, features.shape[1]))
+    step = max(1, _PAIR_BYTES // (8 * features.shape[1]))
+    for k in np.flatnonzero(np.diff(bounds)).tolist():
+        for lo in range(bounds[k], bounds[k + 1], step):
+            pick = order[lo : min(lo + step, bounds[k + 1])]
+            out[k] += np.einsum("p,pd->d", values[pick], features[pairs.rows[pick]])
+    return out
+
+
 def _group_moments(state: SolverState, spec: TaskSpec):
     """Support- and query-weighted first moments shared by the mean and
     variance updates. Returns (weighted z-mass per class, weighted z'F,
     weighted sum of z row-sums times f^2).
+
+    Where ``state.candidates`` are few, the query sums run over those pairs
+    alone, since the query rows of ``state.z`` are 0 off them.
     """
     gamma = spec.hyper.support_weight
     z = state.z
     feats = state.features
     n_s, n_q = state.n_support, state.n_query
+    pairs = state.candidates
 
     zq, fq = z[n_s:], feats[n_s:]
-    mass = zq.sum(axis=0) / n_q
-    first = (zq.T @ fq) / n_q
+    if pairs is None or pairs.rows.size * _PAIR_SHARE > zq.size:
+        mass = zq.sum(axis=0) / n_q
+        first = (zq.T @ fq) / n_q
+        row_mass = zq.sum(axis=1)
+    else:
+        values = zq[pairs.rows, pairs.cols]
+        mass = np.bincount(pairs.cols, weights=values, minlength=z.shape[1]) / n_q
+        first = _pair_first_moments(fq, values, pairs, z.shape[1]) / n_q
+        row_mass = np.add.reduceat(values, pairs.starts)
     # one einsum per set, so no rows x d square is made
-    sq = np.einsum("n,nd,nd->d", zq.sum(axis=1), fq, fq) / n_q
+    sq = np.einsum("n,nd,nd->d", row_mass, fq, fq) / n_q
     if n_s and gamma > 0:
         zs, fs = z[:n_s], feats[:n_s]
         w = gamma / n_s
@@ -397,7 +594,9 @@ def run(
     would have returned the same bits. With record_trace, both objective
     flavors are recorded after every block update, and the final state's
     ``trace`` holds the rows; a skipped sweep leaves the state, so its row is
-    the one before it.
+    the one before it. A round whose candidate classes are few (see the
+    module docstring) sweeps them alone and sets the other query entries to
+    0; the round after one that did screens its base logits in float32.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
     of the query rows of ``state.z``, not a copy. The solve starts from
@@ -427,7 +626,10 @@ def run(
     record(0, "init")
     n_s = state.n_support
     for it in range(1, spec.hyper.outer_iters + 1):
-        base = _base_logits(state, spec) if spec.hyper.inner_z_iters else None
+        # a float32 screen pays only where the last sweep's candidates were few
+        base = (_base_logits(state, spec, state.candidates is not None)
+                if spec.hyper.inner_z_iters else None)
+        pairs = base if isinstance(base, Candidates) else None
         settled = False
         for _ in range(spec.hyper.inner_z_iters):
             if settled:
@@ -440,10 +642,10 @@ def run(
             # mean step would raise the peak by one N x K array
             settled = _same_bits(z_new[n_s:], state.z[n_s:])
             if not settled:
-                state = replace(state, z=z_new)
+                state = replace(state, z=z_new, candidates=pairs)
             del z_new
             record(it, "z")
-        del base  # N x K, dead before the mean step
+        del base, pairs  # N x K when dense, dead before the mean step
         moments = _group_moments(state, spec)
         means = mu_step(state, spec, moments)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))

@@ -306,6 +306,23 @@ class TestPredictionBytes:
         rows_per_block = fileio._WRITE_BLOCK_VALUES // (4 + 3)
         self._check(_edge_matrix(rng, 2 * rows_per_block + 1), tmp_path)
 
+    def test_zero_heavy_rows(self, tmp_path, rng, monkeypatch):
+        # most entries exact 0, as a solve writes its certified-negligible
+        # entries: only the others go through the digits, -0.0 among them
+        z = np.zeros((300, 40))
+        z[:, 3:7] = _edge_matrix(rng, 300)
+        z[2, 30] = -0.0
+        formatted = []
+        format_digits = fileio._format_digits
+
+        def counting(x, slots, code):
+            formatted.append(x.size)
+            return format_digits(x, slots, code)
+
+        monkeypatch.setattr(fileio, "_format_digits", counting)
+        self._check(z, tmp_path)
+        assert sum(formatted) == np.count_nonzero(z.view(np.uint64))
+
 
 def _paired_rows(values) -> np.ndarray:
     """Rows [v, 1 - v]: valid assignment rows that carry any v in [0, 1]."""

@@ -414,7 +414,7 @@ class TestRun:
         _, state = run(spec, record_trace=True)
         blocks = [r.block for r in state.trace]
         assert blocks == ["init"] + (["z"] * 5 + ["mu", "sigma"]) * 10
-        assert len(state.objective_trace) == 71
+        assert len([r.update_consistent for r in state.trace]) == 71
         # the trace is a value: a tuple of frozen rows
         assert type(state.trace) is tuple
         with pytest.raises(FrozenInstanceError):
@@ -425,7 +425,8 @@ class TestRun:
         a1, s1 = run(spec, record_trace=True)
         a2, s2 = run(spec, record_trace=True)
         assert a1.z.tobytes() == a2.z.tobytes()
-        assert s1.objective_trace == s2.objective_trace
+        assert ([r.update_consistent for r in s1.trace]
+                == [r.update_consistent for r in s2.trace])
 
     def test_temperature_rescaling_keeps_structure(self, rng):
         base = random_task(rng, n_query=15, n_classes=4, dim=6, temperature=10.0)
@@ -775,7 +776,9 @@ def _assert_run_matches_reference(spec, monkeypatch):
     """run(), traced and untraced, against ``_reference_run``, bit for bit;
     returns the sweeps each run made and the sweeps scheduled. The traced
     run evaluates the objective once per row but a skipped sweep's, whose
-    row repeats the one before it."""
+    row repeats the one before it. The reference sweeps every class, so run
+    takes its dense path throughout."""
+    monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
     want, want_trace, want_sweeps = _reference_run(spec)
     want_bytes = np.array(want_trace).tobytes()
     calls = _count_calls(monkeypatch, "z_step")
@@ -892,3 +895,134 @@ class TestCachedBlocks:
         calls = _count_calls(monkeypatch, "_group_moments")
         run(random_task(rng, n_query=20, n_classes=3, dim=5, outer_iters=4))
         assert len(calls) == 4
+
+
+def _wide_task(class_sep=12.0, prototype_noise=0.6, **kwargs):
+    """200 classes of 4 queries in 64 dimensions, as ``transduct synth
+    --classes 200 --dim 64 --per-class 4 --class-sep 12 --seed 6``: from
+    its second outer iteration on, few classes can matter to a row."""
+    return generate_task(n_classes=200, dim=64, n_query_per_class=4, class_sep=class_sep,
+                         prototype_noise=prototype_noise, seed=6, **kwargs)
+
+
+def _base_kinds(monkeypatch):
+    """Patch ``solver._base_logits`` to note whether each outer iteration
+    took the candidates; returns the list of notes."""
+    kinds = []
+    original = solver._base_logits
+
+    def noting(*args):
+        base = original(*args)
+        kinds.append(isinstance(base, solver.Candidates))
+        return base
+
+    monkeypatch.setattr(solver, "_base_logits", noting)
+    return kinds
+
+
+class TestCandidates:
+    """An outer iteration whose candidate classes are few sweeps them alone
+    and sets every other query entry to 0, which the bound certifies below
+    _CANDIDATE_EPS times its row's largest; the moments then sum over the
+    candidate pairs. Other outer iterations keep the dense path and its
+    bytes."""
+
+    @pytest.mark.parametrize("outer, share", [(0, 1), (1, None), (3, None)])
+    def test_candidate_sweep_certifies_what_it_zeroes(self, monkeypatch, outer, share):
+        # share 1 takes the candidates whatever their count
+        if share is not None:
+            monkeypatch.setattr(solver, "_DENSE_SHARE", share)
+        spec = _wide_task().spec
+        state = run(spec.with_hyper(outer_iters=outer))[1] if outer else init_state(spec)
+        candidates = solver._base_logits(state, spec)
+        assert isinstance(candidates, solver.Candidates)
+        # the float32 screen keeps the same pairs and the same logits
+        screened = solver._base_logits(state, spec, True)
+        for name in ("rows", "cols", "logits", "starts"):
+            assert getattr(screened, name).tobytes() == getattr(candidates, name).tobytes()
+        monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
+        dense = solver._base_logits(state, spec)
+        assert isinstance(dense, np.ndarray)
+
+        n_s = state.n_support
+        got = z_step(state, spec, candidates)[n_s:]
+        want = z_step(state, spec, dense)[n_s:]
+        zeroed = got == 0.0
+        assert zeroed.any()
+        bound = np.broadcast_to(solver._CANDIDATE_EPS * want.max(axis=1, keepdims=True), want.shape)
+        assert np.all(want[zeroed] < bound[zeroed])
+        assert np.abs(got - want)[~zeroed].max() <= 1e-12
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    @pytest.mark.parametrize("shots", [0, 1])
+    def test_pair_moments_match_the_dense_product(self, monkeypatch, shots, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(solver, "_PAIR_BYTES", block_rows * 8 * 64)
+        spec = _wide_task(shots_per_class=shots).spec.with_hyper(support_weight=0.2, outer_iters=3)
+        state = run(spec)[1]
+        pairs = state.candidates
+        assert pairs is not None
+        assert pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes
+        got = solver._group_moments(state, spec)
+        want = solver._group_moments(replace(state, candidates=None), spec)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("shots", [0, 4])
+    def test_dense_tasks_keep_their_bytes(self, monkeypatch, shots):
+        # the seed-7 task: every outer iteration keeps more than an eighth of
+        # the entries, so the solve is the forced-dense one bit for bit
+        spec = generate_task(n_classes=10, dim=32, n_query_per_class=200, class_sep=3.0,
+                             prototype_noise=0.6, temperature=30.0, seed=7,
+                             shots_per_class=shots).spec.with_hyper(support_weight=0.2)
+        kinds = _base_kinds(monkeypatch)
+        _, got = run(spec)
+        assert kinds and not any(kinds)
+        monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
+        _, want = run(spec)
+        assert got.z.tobytes() == want.z.tobytes()
+        assert got.gmm.means.tobytes() == want.gmm.means.tobytes()
+        assert got.gmm.variances.tobytes() == want.gmm.variances.tobytes()
+
+    def test_wide_task_tracks_the_dense_solve(self, monkeypatch):
+        kinds = _base_kinds(monkeypatch)
+        spec = _wide_task().spec
+        got, state = run(spec)
+        assert kinds.count(True) >= 8
+        assert state.candidates is not None
+        # the trace reads the state and leaves the sweeps as they were
+        traced, _ = run(spec, record_trace=True)
+        assert traced.z.tobytes() == got.z.tobytes()
+        monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
+        want, _ = run(spec)
+        assert np.array_equal(hard_predict(got), hard_predict(want))
+        assert np.abs(got.z - want.z).max() <= 1e-12
+
+    def test_saturated_task_holds_no_subnormal(self):
+        # class_sep 24: the dense sweeps leave thousands of subnormal
+        # entries; a kept candidate entry is at least eps * exp(-2 D_i) / K
+        _, state = run(_wide_task(class_sep=24.0, prototype_noise=0.15).spec)
+        z = state.z[state.n_support :]
+        assert state.candidates is not None
+        assert not np.any((z > 0.0) & (z < np.finfo(np.float64).tiny))
+        assert np.count_nonzero(z == 0.0) > 0.99 * z.size
+
+    def test_candidate_solve_peak_in_n_by_k_arrays(self):
+        # as test_run_peak_in_n_by_k_arrays, on a task whose outer iterations
+        # take the candidates from the second on; K >> d, and N x K far above
+        # the fixed byte budgets of the screen and the pair dots
+        spec = generate_task(n_classes=1000, dim=32, n_query_per_class=2, class_sep=12.0,
+                             prototype_noise=0.3, seed=6).spec
+        prepared = init_state(spec)
+        one = spec.n_query * spec.n_classes * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, state = run(spec, prepared=prepared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.candidates is not None
+        assert peak - base <= 3.25 * one
