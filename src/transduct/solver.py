@@ -49,8 +49,9 @@ with eps = ``_CANDIDATE_EPS`` = 1e-16. The other classes are the row's
 candidates. An outer iteration whose screened candidates are at most
 1 / ``_DENSE_SHARE`` = 1/8 of the query entries sweeps the candidates alone
 and sets every other query entry to exact 0, and its moments sum over the
-candidate pairs; one above that share runs the dense path, and its bytes
-are those of a solve that never prunes. Tasks whose classes overlap, such
+candidate pairs where those are at most 1 / ``_PAIR_SHARE`` = 1/64 of the
+entries; one above 1/8 runs the dense path, and its bytes are those of a
+solve that never prunes. Tasks whose classes overlap, such
 as the frozen seed-7 task or the benchmark's ``zs-graph`` and ``fs-search``
 shapes, keep more than an eighth of their entries in every outer iteration,
 so their outputs do not change; on wide, well-separated tasks about one
@@ -65,9 +66,9 @@ of a few-shot grid search share one graph. A ``SolverState`` is frozen:
 ``run`` steps it with ``dataclasses.replace``, so every state of a task
 shares the initial state's arrays, and gives the final state its trace, a
 tuple of frozen rows. ``run`` owns what an outer iteration reuses: the
-base logits or candidates its sweeps share, the moments its mean and
-variance steps share and, traced, the objective's log-densities and log
-prior.
+base logits or candidates its sweeps share, the candidates its ``z`` is 0
+off, the moments its mean and variance steps share and, traced, the
+objective's log-densities and log prior.
 """
 
 from __future__ import annotations
@@ -116,14 +117,10 @@ _LOG_INV_EPS = math.log(1.0 / _CANDIDATE_EPS)
 # an outer iteration whose screened candidates exceed 1 / _DENSE_SHARE of its
 # query entries runs the dense path, at the share affinity.build_knn uses
 _DENSE_SHARE = 8
-# row blocks of the float32 screen hold about this many bytes of product; the
-# screen runs only while every base logit is below _SCREEN_MAX in size, far
-# inside the float32 range
-_SCREEN_BYTES = 4 * 2**20
-_SCREEN_MAX = 2.0**64
 # the moments sum over the candidate pairs only where they are at most
-# 1 / _PAIR_SHARE of the query entries: a gathered feature row costs about as
-# much as that many entries of the dense product
+# 1 / _PAIR_SHARE of the query entries. Single-threaded at 2000 x 500 x 512,
+# the pair sums overtake the dense product between 1/42 and 1/25 of the
+# entries, and take about 0.6 of its time at 1/64
 _PAIR_SHARE = 64
 # the pair moments gather about this many bytes of feature rows per einsum
 _PAIR_BYTES = 4 * 2**20
@@ -162,9 +159,6 @@ class SolverState:
     was built from; ``run`` checks a spec against it. ``z`` is the only
     N x K array held: the soft labels are computed afresh on request.
     ``trace`` holds the rows of a traced solve, and is empty otherwise.
-    ``candidates`` are those of the sweep that made ``z`` when it swept
-    the candidate pairs alone, so its query rows are 0 off them, and None
-    otherwise.
     """
 
     z: np.ndarray
@@ -174,7 +168,6 @@ class SolverState:
     n_support: int
     task: TaskSpec
     trace: tuple[TraceRow, ...] = ()
-    candidates: Optional[Candidates] = None
 
     @property
     def soft_labels(self) -> SimplexAssignments:
@@ -258,20 +251,22 @@ def _reach(state: SolverState) -> np.ndarray:
     return sums + _LOG_INV_EPS
 
 
-def _screen(blocks, reach: np.ndarray, margin: float, limit: float) -> Optional[np.ndarray]:
-    """Row-major flat indices of the entries of the (first row, values) row
-    blocks that lie within reach + margin of their row's largest, or None as
-    soon as they number more than ``limit``. The cut is taken in float64,
-    rounded to the values' type and stepped one ulp down."""
+def _screen(base: np.ndarray, reach: np.ndarray, margin: float,
+            limit: float) -> Optional[np.ndarray]:
+    """Row-major flat indices of the entries of ``base`` that lie within
+    reach + margin of their row's largest, or None as soon as they number
+    more than ``limit``; the rows are compared in blocks of about
+    ``_ROW_BLOCK_BYTES``."""
+    step = max(1, _ROW_BLOCK_BYTES // (8 * base.shape[1]))
     found, count = [], 0
-    for lo, values in blocks:
-        cut = values.max(axis=1).astype(np.float64) - (reach[lo : lo + len(values)] + margin)
-        cut = np.nextafter(cut.astype(values.dtype), values.dtype.type(-np.inf))
+    for lo in range(0, base.shape[0], step):
+        values = base[lo : lo + step]
+        cut = values.max(axis=1) - (reach[lo : lo + step] + margin)
         keep = np.flatnonzero(values >= cut[:, None])
         count += keep.size
         if count > limit:
             return None
-        found.append(keep + lo * values.shape[1])
+        found.append(keep + lo * base.shape[1])
     return np.concatenate(found)
 
 
@@ -292,56 +287,33 @@ def _candidates(features, weights, bias, reach, flat) -> Candidates:
     return Candidates(rows, cols[keep], logits[keep], starts(rows))
 
 
-def _base_logits(state: SolverState, spec: TaskSpec,
-                 screen: bool = False) -> Union[np.ndarray, Candidates]:
+def _base_logits(state: SolverState, spec: TaskSpec) -> Union[np.ndarray, Candidates]:
     """The sweep-invariant part of the query logits, ``kl_weight * log prior
     + log-densities``, up to a constant per row: the query rows against
-    mu_k / var + kl_weight * tau * t_k, plus the class bias.
+    mu_k / var + kl_weight * tau * t_k, plus the class bias, one GEMM per
+    ``_CHUNK_ROWS`` rows.
 
-    Returned as the ``Candidates`` when a screen keeps at most
-    1 / _DENSE_SHARE of the entries, and else as the dense N x K array, one
-    GEMM per ``_CHUNK_ROWS`` rows. The screen is that dense array, or with
-    ``screen`` first a float32 GEMM in row blocks, which makes the dense
-    array only when it keeps too many. Either keeps every entry that can be
-    a candidate: a float32 dot is within gamma32_{d+6} * s of the exact
-    logit, and a float64 one within gamma64_{d+3} * s, where s bounds
-    ||w_k||_2 + |bias_k| (Higham, as in ``affinity``), so a margin of twice
-    their sum, plus the rounding of the cut, covers both. The candidates'
-    logits then come from float64 einsum dots, and the cut is taken again on
-    those, so the pairs kept do not depend on the screen's bits.
+    Returned as the ``Candidates`` when the screen of that dense array keeps
+    at most 1 / _DENSE_SHARE of the entries, and else as the array. The
+    screen keeps every entry that can be a candidate: a float64 dot, of the
+    GEMM or of an einsum, is within gamma_{d+3} * s of the exact logit,
+    where s bounds ||w_k||_2 + |bias_k| (Higham, as in ``affinity``), so a
+    margin of four times that, plus the rounding of the cut, covers both. The
+    candidates' logits then come from float64 einsum dots, and the cut is
+    taken again on those, so the pairs kept do not depend on the GEMM's bits.
     """
     scaled_means, bias = _class_terms(state.gmm)
     weights = scaled_means + (spec.hyper.kl_weight * spec.temperature) * spec.text.data
     rows = state.features[state.n_support :]
-    (n, d), n_classes = rows.shape, weights.shape[0]
+    base = _gemm_rows(rows, weights, bias)
     reach = _reach(state)
-    limit = n * n_classes / _DENSE_SHARE
     size = float(np.sqrt(np.einsum("kd,kd->k", weights, weights)).max() + np.abs(bias).max())
-    err64 = _gamma(d + 3, np.float64) * size
-    slack = 2 * float(np.finfo(np.float64).eps) * (size + float(reach.max()))
-    flat = None
-    if screen and size < _SCREEN_MAX:
-        # float32 underflow adds at most one subnormal step per term
-        err32 = (_gamma(d + 6, np.float32) * size
-                 + (d + 6) * float(np.finfo(np.float32).smallest_subnormal) * (1.0 + size))
-        w32, b32 = weights.astype(np.float32), bias.astype(np.float32)
-        step = max(1, _SCREEN_BYTES // (4 * n_classes))
-
-        def blocks():
-            for lo in range(0, n, step):
-                part = rows[lo : lo + step].astype(np.float32) @ w32.T
-                part += b32
-                yield lo, part
-
-        flat = _screen(blocks(), reach, 2 * (err32 + err64) + slack, limit)
+    margin = (4 * _gamma(rows.shape[1] + 3, np.float64) * size
+              + 2 * float(np.finfo(np.float64).eps) * (size + float(reach.max())))
+    flat = _screen(base, reach, margin, base.size / _DENSE_SHARE)
     if flat is None:
-        base = _gemm_rows(rows, weights, bias)
-        step = max(1, _ROW_BLOCK_BYTES // (8 * n_classes))
-        blocks = ((lo, base[lo : lo + step]) for lo in range(0, n, step))
-        flat = _screen(blocks, reach, 4 * err64 + slack, limit)
-        if flat is None:
-            return base
-        del base
+        return base
+    del base
     return _candidates(rows, weights, bias, reach, flat)
 
 
@@ -418,19 +390,18 @@ def _pair_first_moments(features: np.ndarray, values: np.ndarray,
     return out
 
 
-def _group_moments(state: SolverState, spec: TaskSpec):
+def _group_moments(state: SolverState, spec: TaskSpec, pairs: Optional[Candidates] = None):
     """Support- and query-weighted first moments shared by the mean and
     variance updates. Returns (weighted z-mass per class, weighted z'F,
     weighted sum of z row-sums times f^2).
 
-    Where ``state.candidates`` are few, the query sums run over those pairs
-    alone, since the query rows of ``state.z`` are 0 off them.
+    ``pairs``, when given, are candidates the query rows of ``state.z`` are
+    0 off; where they are few, the query sums run over them alone.
     """
     gamma = spec.hyper.support_weight
     z = state.z
     feats = state.features
     n_s, n_q = state.n_support, state.n_query
-    pairs = state.candidates
 
     zq, fq = z[n_s:], feats[n_s:]
     if pairs is None or pairs.rows.size * _PAIR_SHARE > zq.size:
@@ -596,7 +567,7 @@ def run(
     ``trace`` holds the rows; a skipped sweep leaves the state, so its row is
     the one before it. A round whose candidate classes are few (see the
     module docstring) sweeps them alone and sets the other query entries to
-    0; the round after one that did screens its base logits in float32.
+    0, and the moments that follow may sum over those pairs.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
     of the query rows of ``state.z``, not a copy. The solve starts from
@@ -625,11 +596,9 @@ def run(
 
     record(0, "init")
     n_s = state.n_support
+    z_pairs = None  # candidates the query rows of state.z are 0 off, if any
     for it in range(1, spec.hyper.outer_iters + 1):
-        # a float32 screen pays only where the last sweep's candidates were few
-        base = (_base_logits(state, spec, state.candidates is not None)
-                if spec.hyper.inner_z_iters else None)
-        pairs = base if isinstance(base, Candidates) else None
+        base = _base_logits(state, spec) if spec.hyper.inner_z_iters else None
         settled = False
         for _ in range(spec.hyper.inner_z_iters):
             if settled:
@@ -642,11 +611,12 @@ def run(
             # mean step would raise the peak by one N x K array
             settled = _same_bits(z_new[n_s:], state.z[n_s:])
             if not settled:
-                state = replace(state, z=z_new, candidates=pairs)
+                state = replace(state, z=z_new)
+                z_pairs = base if isinstance(base, Candidates) else None
             del z_new
             record(it, "z")
-        del base, pairs  # N x K when dense, dead before the mean step
-        moments = _group_moments(state, spec)
+        del base  # N x K when dense, dead before the mean step
+        moments = _group_moments(state, spec, z_pairs)
         means = mu_step(state, spec, moments)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         log_p = None

@@ -543,9 +543,9 @@ class TestMemory:
         seen = []
         group_moments = solver._group_moments
 
-        def measuring(state, spec):
+        def measuring(*args):
             seen.append(tracemalloc.get_traced_memory()[0])
-            return group_moments(state, spec)
+            return group_moments(*args)
 
         monkeypatch.setattr(solver, "_group_moments", measuring)
         tracemalloc.start()
@@ -826,6 +826,21 @@ class TestSameBits:
         assert solver._same_bits(a[:-1], b[:-1])
 
 
+# tasks whose sweeps settle from a few outer iterations on, with the graph,
+# the prior and, few-shot, the support rows, by test id
+_SETTLING = {
+    # every sweep of one class returns the all-ones input
+    "single-class": lambda: random_task(np.random.default_rng(900), n_query=20, n_classes=1,
+                                        dim=5),
+    "zero-shot": lambda: generate_task(n_classes=20, dim=39, n_query_per_class=2, class_sep=3.3,
+                                       prototype_noise=0.06, temperature=49.0, seed=9037).spec,
+    "few-shot": lambda: generate_task(n_classes=6, dim=47, n_query_per_class=3,
+                                      shots_per_class=1, class_sep=2.6, prototype_noise=0.8,
+                                      temperature=38.0, seed=9018).spec.with_hyper(
+                                          support_weight=0.2),
+}
+
+
 class TestCachedBlocks:
     """run() builds the sweep-invariant logits once per outer iteration and
     hands one moments pass to both the mean and the variance update; its
@@ -853,26 +868,67 @@ class TestCachedBlocks:
                            dim=int(r.integers(3, 12)), shots_per_class=shots, **hyper)
         _assert_run_matches_reference(spec, monkeypatch)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            # every sweep of one class returns the all-ones input
-            lambda: random_task(np.random.default_rng(900), n_query=20, n_classes=1, dim=5),
-            # the sweeps of these settle from a few outer iterations on,
-            # with the graph, the prior and, few-shot, the support rows
-            lambda: generate_task(n_classes=20, dim=39, n_query_per_class=2, class_sep=3.3,
-                                  prototype_noise=0.06, temperature=49.0, seed=9037).spec,
-            lambda: generate_task(n_classes=6, dim=47, n_query_per_class=3, shots_per_class=1,
-                                  class_sep=2.6, prototype_noise=0.8, temperature=38.0,
-                                  seed=9018).spec.with_hyper(support_weight=0.2),
-        ],
-        ids=["single-class", "zero-shot", "few-shot"],
-    )
-    def test_run_matches_uncached_loop_when_sweeps_settle(self, make, monkeypatch):
+    @pytest.mark.parametrize("name", list(_SETTLING))
+    def test_run_matches_uncached_loop_when_sweeps_settle(self, name, monkeypatch):
         # run() skips the sweeps after one that returns its input; the
         # reference runs them all and must still agree bit for bit
-        made, scheduled = _assert_run_matches_reference(make(), monkeypatch)
+        made, scheduled = _assert_run_matches_reference(_SETTLING[name](), monkeypatch)
         assert made < scheduled
+
+    @pytest.mark.parametrize(
+        "name, candidates, pair_moments",
+        [
+            ("single-class", False, False),
+            ("zero-shot", True, False),
+            ("few-shot", False, False),
+            # no graph: each outer iteration's second sweep returns the first
+            ("wide", True, True),
+        ],
+    )
+    def test_default_run_when_sweeps_settle(self, name, candidates, pair_moments, monkeypatch):
+        # the reference sweeps every class; at the default share a solve may
+        # sweep the candidates and sum the moments over them. Its sweeps
+        # settle all the same, the trace leaves them as they were, every
+        # moments pass is that of the z it reads, and the solve tracks the
+        # dense one
+        spec = (_SETTLING[name]() if name in _SETTLING
+                else _wide_task().spec.with_hyper(k_nn=0))
+        kinds = _base_kinds(monkeypatch)
+        calls = _count_calls(monkeypatch, "z_step")
+        took_pairs = []
+        original = solver._group_moments
+
+        def checked(state, spec, pairs=None):
+            got = original(state, spec, pairs)
+            want = _old_moments(state.z, state.features, state.n_support,
+                                spec.hyper.support_weight)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+            took_pairs.append(pairs is not None and pairs.rows.size * solver._PAIR_SHARE
+                              <= state.n_query * spec.n_classes)
+            return got
+
+        monkeypatch.setattr(solver, "_group_moments", checked)
+        solves = []
+        for record_trace in (False, True):
+            calls.clear()
+            solves.append((*run(spec, record_trace=record_trace), len(calls)))
+        (got, state, made), (_, traced, traced_made) = solves
+        scheduled = spec.hyper.outer_iters * spec.hyper.inner_z_iters
+        assert made == traced_made < scheduled
+        for part in (lambda s: s.z, lambda s: s.gmm.means, lambda s: s.gmm.variances):
+            assert part(traced).tobytes() == part(state).tobytes()
+        repeats = sum(a is b for a, b in zip(traced.trace, traced.trace[1:]))
+        assert repeats == scheduled - made
+        assert any(kinds) == candidates and any(took_pairs) == pair_moments
+
+        monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
+        want, dense = run(spec)
+        assert np.array_equal(hard_predict(got), hard_predict(want))
+        if candidates:
+            assert np.abs(state.z - dense.z).max() <= 1e-12
+        else:
+            assert state.z.tobytes() == dense.z.tobytes()
 
     @pytest.mark.parametrize("shots", [0, 2])
     def test_solves_start_from_the_prepared_state(self, rng, shots):
@@ -936,10 +992,6 @@ class TestCandidates:
         state = run(spec.with_hyper(outer_iters=outer))[1] if outer else init_state(spec)
         candidates = solver._base_logits(state, spec)
         assert isinstance(candidates, solver.Candidates)
-        # the float32 screen keeps the same pairs and the same logits
-        screened = solver._base_logits(state, spec, True)
-        for name in ("rows", "cols", "logits", "starts"):
-            assert getattr(screened, name).tobytes() == getattr(candidates, name).tobytes()
         monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
         dense = solver._base_logits(state, spec)
         assert isinstance(dense, np.ndarray)
@@ -960,12 +1012,17 @@ class TestCandidates:
         if block_rows is not None:
             monkeypatch.setattr(solver, "_PAIR_BYTES", block_rows * 8 * 64)
         spec = _wide_task(shots_per_class=shots).spec.with_hyper(support_weight=0.2, outer_iters=3)
-        state = run(spec)[1]
-        pairs = state.candidates
+        # the state and the pairs of the solve's last moments pass
+        passes = []
+        original = solver._group_moments
+        monkeypatch.setattr(solver, "_group_moments",
+                            lambda *args: passes.append(args) or original(*args))
+        run(spec)
+        state, _, pairs = passes[-1]
         assert pairs is not None
         assert pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes
-        got = solver._group_moments(state, spec)
-        want = solver._group_moments(replace(state, candidates=None), spec)
+        got = original(state, spec, pairs)
+        want = original(state, spec)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
@@ -989,8 +1046,7 @@ class TestCandidates:
         kinds = _base_kinds(monkeypatch)
         spec = _wide_task().spec
         got, state = run(spec)
-        assert kinds.count(True) >= 8
-        assert state.candidates is not None
+        assert kinds.count(True) >= 8 and kinds[-1]
         # the trace reads the state and leaves the sweeps as they were
         traced, _ = run(spec, record_trace=True)
         assert traced.z.tobytes() == got.z.tobytes()
@@ -999,19 +1055,21 @@ class TestCandidates:
         assert np.array_equal(hard_predict(got), hard_predict(want))
         assert np.abs(got.z - want.z).max() <= 1e-12
 
-    def test_saturated_task_holds_no_subnormal(self):
+    def test_saturated_task_holds_no_subnormal(self, monkeypatch):
         # class_sep 24: the dense sweeps leave thousands of subnormal
         # entries; a kept candidate entry is at least eps * exp(-2 D_i) / K
+        kinds = _base_kinds(monkeypatch)
         _, state = run(_wide_task(class_sep=24.0, prototype_noise=0.15).spec)
         z = state.z[state.n_support :]
-        assert state.candidates is not None
+        assert kinds[-1]
         assert not np.any((z > 0.0) & (z < np.finfo(np.float64).tiny))
         assert np.count_nonzero(z == 0.0) > 0.99 * z.size
 
-    def test_candidate_solve_peak_in_n_by_k_arrays(self):
+    def test_candidate_solve_peak_in_n_by_k_arrays(self, monkeypatch):
         # as test_run_peak_in_n_by_k_arrays, on a task whose outer iterations
         # take the candidates from the second on; K >> d, and N x K far above
-        # the fixed byte budgets of the screen and the pair dots
+        # the fixed byte budgets of the pair dots
+        kinds = _base_kinds(monkeypatch)
         spec = generate_task(n_classes=1000, dim=32, n_query_per_class=2, class_sep=12.0,
                              prototype_noise=0.3, seed=6).spec
         prepared = init_state(spec)
@@ -1024,5 +1082,5 @@ class TestCandidates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state.candidates is not None
+        assert kinds[-1]
         assert peak - base <= 3.25 * one
