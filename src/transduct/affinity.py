@@ -53,7 +53,7 @@ _CHUNK = 128
 # ranked from its dense float64 product
 _DENSE_SHARE = 8
 # bytes of gathered row pairs per einsum call of the rerank
-_RERANK_BYTES = 4 * 2**20
+_RERANK_BYTES = 512 * 2**10
 # bytes of a slice of a dense float64 product; small slices keep the
 # selection passes over it in cache
 _DENSE_BYTES = 2**20

@@ -58,6 +58,16 @@ so their outputs do not change; on wide, well-separated tasks about one
 class per row is left from the second outer iteration on. The path is
 chosen from the observed share alone: no setting turns it on or off.
 
+A candidate round holds no N x K array of its own. Unless the round before
+it was dense, it screens base logits computed in row blocks of about
+``_BASE_BLOCK_BYTES``, and builds the dense ones only when the running count
+passes the limit. Its sweeps return the query rows of z as ``PairValues``
+on the candidate pairs, and read a neighbor's entry from its pair, 0 where
+it has none; the settle check compares pair values. A dense z is built only
+for a moments pass over more than 1 / 64 of the entries, for a dense round
+that follows, for each row of a trace and for the final state, and each
+holds the bits the dense loop would have held.
+
 ``init_state`` builds a task's initial ``SolverState``, once per task: the
 stacked support-then-query features, the kNN graph, the starting
 assignments and the initial mixture. None of these depend on the term
@@ -65,10 +75,10 @@ weights, so ``run`` also starts from a given initial state, and the solves
 of a few-shot grid search share one graph. A ``SolverState`` is frozen:
 ``run`` steps it with ``dataclasses.replace``, so every state of a task
 shares the initial state's arrays, and gives the final state its trace, a
-tuple of frozen rows. ``run`` owns what an outer iteration reuses: the
-base logits or candidates its sweeps share, the candidates its ``z`` is 0
-off, the moments its mean and variance steps share and, traced, the
-objective's log-densities and log prior.
+tuple of frozen rows. ``run`` owns what a solve reuses: each query row's
+reach, the base logits or candidates an outer iteration's sweeps share, the
+pairs that hold its query rows, the moments its mean and variance steps
+share and, traced, the objective's log-densities and log prior.
 """
 
 from __future__ import annotations
@@ -124,19 +134,34 @@ _DENSE_SHARE = 8
 _PAIR_SHARE = 64
 # the pair moments gather about this many bytes of feature rows per einsum
 _PAIR_BYTES = 4 * 2**20
+# a screen that does not start from a dense base computes the base logits in
+# row blocks of about this many bytes, one GEMM each
+_BASE_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
 class Candidates:
     """An outer iteration's candidate classes: the (query row, class) pairs
-    in row-major order, with their float64 base logits. Every query row has
-    at least one pair, its largest base logit, and ``starts`` holds the
-    position of each row's first pair."""
+    in row-major order. Every query row has at least one pair, its largest
+    base logit, and ``starts`` holds the position of each row's first pair.
+    ``keys`` are the pairs' row-major flat indices, row * K + class, in
+    ascending order."""
 
     rows: np.ndarray
     cols: np.ndarray
-    logits: np.ndarray
     starts: np.ndarray
+    keys: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PairValues:
+    """Query rows of an N x K array on candidate pairs: ``values`` at the
+    pairs of ``pairs``, in their order. As an outer iteration's base logits,
+    the other classes are those the screen left out; as the query rows of
+    an iterate, every other entry is 0."""
+
+    pairs: Candidates
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -251,28 +276,25 @@ def _reach(state: SolverState) -> np.ndarray:
     return sums + _LOG_INV_EPS
 
 
-def _screen(base: np.ndarray, reach: np.ndarray, margin: float,
-            limit: float) -> Optional[np.ndarray]:
-    """Row-major flat indices of the entries of ``base`` that lie within
-    reach + margin of their row's largest, or None as soon as they number
-    more than ``limit``; the rows are compared in blocks of about
-    ``_ROW_BLOCK_BYTES``."""
-    step = max(1, _ROW_BLOCK_BYTES // (8 * base.shape[1]))
+def _screen(blocks, reach: np.ndarray, margin: float, limit: float) -> Optional[np.ndarray]:
+    """Row-major flat indices of the base-logit entries that lie within
+    reach + margin of their row's largest, over ``blocks``, the (first row,
+    values) row blocks of the base logits in order; None as soon as they
+    number more than ``limit``."""
     found, count = [], 0
-    for lo in range(0, base.shape[0], step):
-        values = base[lo : lo + step]
-        cut = values.max(axis=1) - (reach[lo : lo + step] + margin)
+    for lo, values in blocks:
+        cut = values.max(axis=1) - (reach[lo : lo + values.shape[0]] + margin)
         keep = np.flatnonzero(values >= cut[:, None])
         count += keep.size
         if count > limit:
             return None
-        found.append(keep + lo * base.shape[1])
+        found.append(keep + lo * values.shape[1])
     return np.concatenate(found)
 
 
-def _candidates(features, weights, bias, reach, flat) -> Candidates:
-    """The candidates among the screened entries ``flat``: their float64
-    einsum logits, cut again at the row's largest less its reach."""
+def _candidates(features, weights, bias, reach, flat) -> PairValues:
+    """The candidates among the screened entries ``flat`` with their
+    float64 einsum logits, cut again at the row's largest less its reach."""
     n_classes = weights.shape[0]
 
     def starts(rows):
@@ -283,57 +305,102 @@ def _candidates(features, weights, bias, reach, flat) -> Candidates:
     logits = _pair_dots(features, weights, rows, cols)
     logits += bias[cols]
     keep = logits >= (np.maximum.reduceat(logits, starts(rows)) - reach)[rows]
-    rows = rows[keep]
-    return Candidates(rows, cols[keep], logits[keep], starts(rows))
+    # a round holds its pairs throughout: int32 rows and classes take less
+    rows, cols = rows[keep].astype(np.int32), cols[keep].astype(np.int32)
+    return PairValues(Candidates(rows, cols, starts(rows), flat[keep]), logits[keep])
 
 
-def _base_logits(state: SolverState, spec: TaskSpec) -> Union[np.ndarray, Candidates]:
+def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray] = None,
+                 dense_first: bool = False) -> Union[np.ndarray, PairValues]:
     """The sweep-invariant part of the query logits, ``kl_weight * log prior
     + log-densities``, up to a constant per row: the query rows against
     mu_k / var + kl_weight * tau * t_k, plus the class bias, one GEMM per
     ``_CHUNK_ROWS`` rows.
 
-    Returned as the ``Candidates`` when the screen of that dense array keeps
-    at most 1 / _DENSE_SHARE of the entries, and else as the array. The
-    screen keeps every entry that can be a candidate: a float64 dot, of the
+    Returned on the ``Candidates``, as ``PairValues``, when a screen keeps at most
+    1 / _DENSE_SHARE of the entries, and else as the dense array. The
+    screen keeps every entry that can be a candidate: a float64 dot, of a
     GEMM or of an einsum, is within gamma_{d+3} * s of the exact logit,
     where s bounds ||w_k||_2 + |bias_k| (Higham, as in ``affinity``), so a
     margin of four times that, plus the rounding of the cut, covers both. The
     candidates' logits then come from float64 einsum dots, and the cut is
     taken again on those, so the pairs kept do not depend on the GEMM's bits.
+
+    With ``dense_first``, or when one block holds every row, the screen
+    reads the dense array. Otherwise it computes the base logits in row
+    blocks of about ``_BASE_BLOCK_BYTES``, so no N x K array is made unless the
+    running count passes the limit; the dense array then comes from
+    ``_gemm_rows``, as with ``dense_first``. ``reach`` is ``_reach(state)``.
     """
     scaled_means, bias = _class_terms(state.gmm)
-    weights = scaled_means + (spec.hyper.kl_weight * spec.temperature) * spec.text.data
+    # mu_k / var + kl_weight * tau * t_k, summed in place: K x d is as large
+    # as a quarter of N x K on wide tasks
+    weights = (spec.hyper.kl_weight * spec.temperature) * spec.text.data
+    weights += scaled_means
+    del scaled_means
     rows = state.features[state.n_support :]
-    base = _gemm_rows(rows, weights, bias)
-    reach = _reach(state)
+    if reach is None:
+        reach = _reach(state)
     size = float(np.sqrt(np.einsum("kd,kd->k", weights, weights)).max() + np.abs(bias).max())
     margin = (4 * _gamma(rows.shape[1] + 3, np.float64) * size
               + 2 * float(np.finfo(np.float64).eps) * (size + float(reach.max())))
-    flat = _screen(base, reach, margin, base.size / _DENSE_SHARE)
-    if flat is None:
-        return base
-    del base
+    n, k = rows.shape[0], weights.shape[0]
+    limit = n * k / _DENSE_SHARE
+    step = max(1, _BASE_BLOCK_BYTES // (8 * k))
+    if dense_first or step >= n:
+        base = _gemm_rows(rows, weights, bias)
+        step = max(1, _ROW_BLOCK_BYTES // (8 * k))
+        flat = _screen(((lo, base[lo : lo + step]) for lo in range(0, n, step)),
+                       reach, margin, limit)
+        if flat is None:
+            return base
+        del base
+    else:
+        flat = _screen(((lo, _gemm_rows(rows[lo : lo + step], weights, bias))
+                        for lo in range(0, n, step)), reach, margin, limit)
+        if flat is None:
+            return _gemm_rows(rows, weights, bias)
     return _candidates(rows, weights, bias, reach, flat)
 
 
-def _pair_sums(graph: AffinityGraph, z: np.ndarray, nodes: np.ndarray,
-               cols: np.ndarray) -> np.ndarray:
+def _pair_sums(graph: AffinityGraph, z: np.ndarray, held: Optional[PairValues], n_s: int,
+               nodes: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The neighbor sums sum_j w_ij z[j, k] of the (node i, class k) pairs,
     each node's neighbors added in stored order from 0, as
-    ``AffinityGraph.propagate`` adds them."""
-    first = graph.indptr[nodes]
-    degree = graph.indptr[nodes + 1] - first
+    ``AffinityGraph.propagate`` adds them; the pairs are taken in blocks of
+    ``_ROW_BLOCK_BYTES`` of float64, which bounds the temporaries.
+
+    z[j, k] is read from ``z``, or, when the query rows are ``held``, from
+    the support rows of ``z`` and each query entry from its pair, 0 where it
+    has none.
+    """
     out = np.zeros(nodes.size)
-    live = np.arange(nodes.size)
-    for j in range(int(degree.max(initial=0))):
-        live = live[degree[live] > j]
-        pos = first[live] + j
-        out[live] += graph.weights[pos] * z[graph.indices[pos], cols[live]]
+    step = _ROW_BLOCK_BYTES // 8
+    for lo in range(0, nodes.size, step):
+        block, klass = nodes[lo : lo + step], cols[lo : lo + step]
+        first = graph.indptr[block]
+        degree = graph.indptr[block + 1] - first
+        live = np.arange(block.size)
+        for j in range(int(degree.max(initial=0))):
+            live = live[degree[live] > j]
+            pos = first[live] + j
+            nb, k = graph.indices[pos], klass[live]
+            if held is None:
+                entries = z[nb, k]
+            else:
+                # a support row's key is negative and matches no pair
+                keys = (nb - n_s) * z.shape[1] + k
+                at = np.minimum(np.searchsorted(held.pairs.keys, keys), held.pairs.keys.size - 1)
+                entries = held.values[at]
+                entries[held.pairs.keys[at] != keys] = 0.0
+                support = np.flatnonzero(nb < n_s)
+                entries[support] = z[nb[support], k[support]]
+            out[lo + live] += graph.weights[pos] * entries
     return out
 
 
-def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, Candidates]) -> np.ndarray:
+def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, PairValues],
+           held: Optional[PairValues] = None) -> Union[np.ndarray, PairValues]:
     """One simultaneous sweep of the query assignments.
 
     Every query row i becomes the softmax over classes of
@@ -346,24 +413,26 @@ def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, Candidate
     increase the surrogate objective. Support rows are returned untouched.
     The first two terms are ``base``, from ``_base_logits`` for the current
     ``state.gmm``, up to a row constant; only the neighbor sum is computed
-    afresh, for the query rows alone. From a dense ``base`` it goes straight
-    into the query rows of the new read-only ``z``, where the softmax then
-    runs in place. From ``Candidates`` the neighbor sums, the softmax and
-    its normalization run over the candidate pairs alone, and every other
-    query entry of the new ``z`` is 0.
+    afresh, for the query rows alone.
+
+    From a dense ``base`` the sweep reads the dense ``state.z``, and its
+    neighbor sums go straight into the query rows of the new read-only
+    ``z``, where the softmax then runs in place. From base logits on
+    candidate pairs the neighbor sums, the softmax and its normalization
+    run over those pairs alone, and the sweep returns the new query rows as
+    ``PairValues`` on them: every other query entry is 0. Such a sweep reads
+    the previous iterate's query rows from ``held`` when given, and its
+    support rows, or the whole dense iterate, from ``state.z``.
     """
     n_s = state.n_support
-    if isinstance(base, Candidates):
-        logits = _pair_sums(state.graph, state.z, base.rows + n_s, base.cols)
-        logits += base.logits
-        logits -= np.maximum.reduceat(logits, base.starts)[base.rows]
+    if isinstance(base, PairValues):
+        pairs = base.pairs
+        logits = _pair_sums(state.graph, state.z, held, n_s, pairs.rows + n_s, pairs.cols)
+        logits += base.values
+        logits -= np.maximum.reduceat(logits, pairs.starts)[pairs.rows]
         np.exp(logits, out=logits)
-        logits /= np.add.reduceat(logits, base.starts)[base.rows]
-        z_new = np.zeros_like(state.z)
-        z_new[:n_s] = state.z[:n_s]
-        z_new[n_s + base.rows, base.cols] = logits
-        z_new.setflags(write=False)
-        return z_new
+        logits /= np.add.reduceat(logits, pairs.starts)[pairs.rows]
+        return PairValues(pairs, logits)
     z_new = np.empty_like(state.z)
     z_new[:n_s] = state.z[:n_s]
     logits = state.graph.propagate(state.z, start=n_s, out=z_new[n_s:])
@@ -373,6 +442,39 @@ def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, Candidate
     logits /= logits.sum(axis=1, keepdims=True)
     z_new.setflags(write=False)
     return z_new
+
+
+def _same_query_rows(new: Union[np.ndarray, PairValues], z: np.ndarray,
+                     held: Optional[PairValues], n_s: int) -> bool:
+    """Whether the sweep result ``new`` has the bits of the query rows of
+    the iterate it read, ``held`` when given and else the dense ``z``, as
+    dense rows would: -0.0 and 0.0 differ, as in ``_same_bits``. Held values
+    are compared by their entries whose bits are not 0, dense rows at the
+    pairs and by their count of such entries."""
+    if not isinstance(new, PairValues):
+        return _same_bits(new[n_s:], z[n_s:])
+    bits = new.values.view(np.uint64)
+    pairs = new.pairs
+    if held is None:
+        # the dense rows hold these bits at the pairs and only zero bits off them
+        zq = z[n_s:]
+        return (np.array_equal(zq[pairs.rows, pairs.cols].view(np.uint64), bits)
+                and np.count_nonzero(zq.view(np.uint64)) == np.count_nonzero(bits))
+    old = held.values.view(np.uint64)
+    mine, theirs = bits != 0, old != 0
+    return (np.array_equal(pairs.keys[mine], held.pairs.keys[theirs])
+            and np.array_equal(bits[mine], old[theirs]))
+
+
+def _dense_z(state: SolverState, held: PairValues) -> np.ndarray:
+    """The read-only dense z of an iterate whose query rows are ``held``:
+    the support rows of ``state.z`` above them."""
+    n_s, pairs = state.n_support, held.pairs
+    z = np.zeros((n_s + state.n_query, state.z.shape[1]))
+    z[:n_s] = state.z[:n_s]
+    z[n_s + pairs.rows, pairs.cols] = held.values
+    z.setflags(write=False)
+    return z
 
 
 def _pair_first_moments(features: np.ndarray, values: np.ndarray,
@@ -390,26 +492,28 @@ def _pair_first_moments(features: np.ndarray, values: np.ndarray,
     return out
 
 
-def _group_moments(state: SolverState, spec: TaskSpec, pairs: Optional[Candidates] = None):
+def _group_moments(state: SolverState, spec: TaskSpec, held: Optional[PairValues] = None):
     """Support- and query-weighted first moments shared by the mean and
     variance updates. Returns (weighted z-mass per class, weighted z'F,
     weighted sum of z row-sums times f^2).
 
-    ``pairs``, when given, are candidates the query rows of ``state.z`` are
-    0 off; where they are few, the query sums run over them alone.
+    The query sums run over the pairs of ``held``, the query rows of z,
+    when given, and over the dense query rows of ``state.z`` otherwise; the
+    support rows are those of ``state.z``.
     """
     gamma = spec.hyper.support_weight
     z = state.z
     feats = state.features
     n_s, n_q = state.n_support, state.n_query
 
-    zq, fq = z[n_s:], feats[n_s:]
-    if pairs is None or pairs.rows.size * _PAIR_SHARE > zq.size:
+    fq = feats[n_s:]
+    if held is None:
+        zq = z[n_s:]
         mass = zq.sum(axis=0) / n_q
         first = (zq.T @ fq) / n_q
         row_mass = zq.sum(axis=1)
     else:
-        values = zq[pairs.rows, pairs.cols]
+        pairs, values = held.pairs, held.values
         mass = np.bincount(pairs.cols, weights=values, minlength=z.shape[1]) / n_q
         first = _pair_first_moments(fq, values, pairs, z.shape[1]) / n_q
         row_mass = np.add.reduceat(values, pairs.starts)
@@ -567,7 +671,10 @@ def run(
     ``trace`` holds the rows; a skipped sweep leaves the state, so its row is
     the one before it. A round whose candidate classes are few (see the
     module docstring) sweeps them alone and sets the other query entries to
-    0, and the moments that follow may sum over those pairs.
+    0: it holds the query rows as values on those pairs, and ``state.z``
+    holds the support rows alone until a dense z is built, for a dense
+    round, a moments pass over many pairs, a trace row or the final state.
+    The moments that follow may sum over the pairs.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
     of the query rows of ``state.z``, not a copy. The solve starts from
@@ -585,20 +692,29 @@ def run(
     log_prior = (log_soft_labels(spec.query, spec.text, spec.temperature)
                  if record_trace and spec.hyper.kl_weight else None)
     trace: list[TraceRow] = []
+    # the query rows of the iterate as PairValues, or None while state.z is
+    # dense; while they are held, state.z holds the support rows alone
+    held = None
 
     def record(iteration: int, block: str) -> None:
         nonlocal log_p
         if record_trace:
             if log_p is None:
                 log_p = gmm_log_probs(state.features, state.gmm)
-            flavors = _objective_terms(state, spec, log_p, log_prior)
+            current = state if held is None else replace(state, z=_dense_z(state, held))
+            flavors = _objective_terms(current, spec, log_p, log_prior)
             trace.append(TraceRow(iteration, block, *flavors))
 
     record(0, "init")
     n_s = state.n_support
-    z_pairs = None  # candidates the query rows of state.z are 0 off, if any
+    reach = _reach(state)
+    z_pairs = None  # candidates the query rows of the iterate are 0 off, if any
+    dense_base = False
     for it in range(1, spec.hyper.outer_iters + 1):
-        base = _base_logits(state, spec) if spec.hyper.inner_z_iters else None
+        base = _base_logits(state, spec, reach, dense_base) if spec.hyper.inner_z_iters else None
+        dense_base = isinstance(base, np.ndarray)
+        if dense_base and held is not None:
+            state, held = replace(state, z=_dense_z(state, held)), None
         settled = False
         for _ in range(spec.hyper.inner_z_iters):
             if settled:
@@ -606,22 +722,43 @@ def run(
                 if record_trace:
                     trace.append(trace[-1])
                 continue
-            z_new = z_step(state, spec, base)
+            new = z_step(state, spec, base, held)
             # the equal copy is dropped: holding it beside z through the
             # mean step would raise the peak by one N x K array
-            settled = _same_bits(z_new[n_s:], state.z[n_s:])
+            settled = _same_query_rows(new, state.z, held, n_s)
             if not settled:
-                state = replace(state, z=z_new)
-                z_pairs = base if isinstance(base, Candidates) else None
-            del z_new
+                if isinstance(new, PairValues):
+                    if held is None:  # the dense z is dropped, but for its support rows
+                        support = state.z[:n_s].copy()
+                        support.setflags(write=False)
+                        state = replace(state, z=support)
+                    held = new
+                else:
+                    state = replace(state, z=new)
+                z_pairs = base.pairs if isinstance(base, PairValues) else None
+            del new
             record(it, "z")
         del base  # N x K when dense, dead before the mean step
-        moments = _group_moments(state, spec, z_pairs)
+        # the moments sum over the pairs where those are few; otherwise they
+        # read a dense z built for them alone. The final state keeps its own
+        sums = None
+        if (z_pairs is not None
+                and z_pairs.rows.size * _PAIR_SHARE <= state.n_query * spec.n_classes):
+            sums = held if held is not None else PairValues(
+                z_pairs, state.z[n_s:][z_pairs.rows, z_pairs.cols])
+        if held is not None and it == spec.hyper.outer_iters:
+            state, held = replace(state, z=_dense_z(state, held)), None
+        dense = state
+        if held is not None and sums is None:
+            dense = replace(state, z=_dense_z(state, held))
+        moments = _group_moments(dense, spec, sums)
+        del sums, dense
         means = mu_step(state, spec, moments)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         log_p = None
         record(it, "mu")
         variances = sigma_step(state, spec, moments)
+        del moments  # K x d, as large as a quarter of N x K on wide tasks
         state = replace(state, gmm=GmmParams(means, variances))
         log_p = None
         record(it, "sigma")

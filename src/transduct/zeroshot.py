@@ -12,6 +12,10 @@ from .affinity import top_k
 from .errors import DimensionMismatch, EmptyClass
 from .types import EmbeddingMatrix, SimplexAssignments
 
+# init_prototypes_topk ranks the classes in blocks of about this many bytes
+# of transposed soft labels
+_RANK_BYTES = 2**20
+
 
 def _shifted_logits(query: EmbeddingMatrix, text: EmbeddingMatrix, temperature: float):
     """t * f_i . t_k less its row's maximum, so large logits cannot overflow."""
@@ -62,18 +66,22 @@ def init_prototypes_topk(
 
     Samples are ranked per class by their soft-label column, descending,
     with index as tiebreaker; a sample may be picked by several classes.
-    Returns a K x d array (not renormalized).
+    The columns are ranked in blocks of about ``_RANK_BYTES``, so no
+    transposed copy of the whole N x K array is made. Returns a K x d array
+    (not renormalized).
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
     n, k = soft_labels.n_rows, soft_labels.n_classes
     take = min(top_m, n)
-    # row c of the transpose ranks class c's samples, lower indices first
-    # among equal labels
-    order, _ = top_k(np.ascontiguousarray(soft_labels.z.T), take)
     means = np.empty((k, query.dim))
-    for cls in range(k):
-        means[cls] = query.data[order[cls]].mean(axis=0)
+    step = max(1, _RANK_BYTES // (8 * n))
+    for lo in range(0, k, step):
+        # row c of the transpose ranks class lo + c's samples, lower indices
+        # first among equal labels; top_k selects exactly, whatever the block
+        order, _ = top_k(np.ascontiguousarray(soft_labels.z[:, lo : lo + step].T), take)
+        for cls, picked in enumerate(order, start=lo):
+            means[cls] = query.data[picked].mean(axis=0)
     return means
 
 

@@ -27,6 +27,7 @@ from transduct.types import (
     SupportSet,
     TaskSpec,
 )
+from transduct.fewshot import search_gamma
 from transduct.synth import generate_task
 from transduct.zeroshot import compute_soft_labels, hard_predict, log_soft_labels
 from helpers import random_task, row_softmax, unit_rows
@@ -389,8 +390,8 @@ class TestRun:
         spec = random_task(rng, n_query=10, n_classes=1, dim=4)
         seen = []
 
-        def recording(state, spec, base):
-            seen.append(z_step(state, spec, base))
+        def recording(state, spec, base, held=None):
+            seen.append(z_step(state, spec, base, held))
             return seen[-1]
 
         monkeypatch.setattr(solver, "z_step", recording)
@@ -898,14 +899,13 @@ class TestCachedBlocks:
         took_pairs = []
         original = solver._group_moments
 
-        def checked(state, spec, pairs=None):
-            got = original(state, spec, pairs)
-            want = _old_moments(state.z, state.features, state.n_support,
-                                spec.hyper.support_weight)
+        def checked(state, spec, held=None):
+            got = original(state, spec, held)
+            z = state.z if held is None else solver._dense_z(state, held)
+            want = _old_moments(z, state.features, state.n_support, spec.hyper.support_weight)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
-            took_pairs.append(pairs is not None and pairs.rows.size * solver._PAIR_SHARE
-                              <= state.n_query * spec.n_classes)
+            took_pairs.append(held is not None)
             return got
 
         monkeypatch.setattr(solver, "_group_moments", checked)
@@ -969,11 +969,64 @@ def _base_kinds(monkeypatch):
 
     def noting(*args):
         base = original(*args)
-        kinds.append(isinstance(base, solver.Candidates))
+        kinds.append(isinstance(base, solver.PairValues))
         return base
 
     monkeypatch.setattr(solver, "_base_logits", noting)
     return kinds
+
+
+def _peak_task(temperature=100.0):
+    """2000 queries over 1000 classes in 32 dimensions: N x K is far above d
+    and the fixed byte budgets of the screen and the pair dots. At tau 100
+    every outer iteration takes the candidates, at tau 30 all but the first."""
+    return generate_task(n_classes=1000, dim=32, n_query_per_class=2, class_sep=12.0,
+                         prototype_noise=0.3, temperature=temperature, seed=6).spec
+
+
+def _dense_loop(spec, record_trace):
+    """run() as a loop that makes a dense z of every sweep: a candidate
+    sweep's pair values are scattered into zeros at once, the settle check
+    compares dense query rows, and the moments read the pairs of the last
+    sweep that moved, where they are few, from that dense z. Returns the
+    final state and the trace rows, each evaluated afresh."""
+    state = init_state(spec)
+    n_s = state.n_support
+    log_prior = (log_soft_labels(spec.query, spec.text, spec.temperature)
+                 if record_trace and spec.hyper.kl_weight else None)
+    trace = []
+
+    def record():
+        if record_trace:
+            log_p = gmm_log_probs(state.features, state.gmm)
+            trace.append(solver._objective_terms(state, spec, log_p, log_prior))
+
+    record()
+    z_pairs = None
+    for _ in range(spec.hyper.outer_iters):
+        base = solver._base_logits(state, spec) if spec.hyper.inner_z_iters else None
+        settled = False
+        for _ in range(spec.hyper.inner_z_iters):
+            if not settled:
+                z = z_step(state, spec, base)
+                if isinstance(z, solver.PairValues):
+                    z = solver._dense_z(state, z)
+                settled = z[n_s:].tobytes() == state.z[n_s:].tobytes()
+                if not settled:
+                    state = replace(state, z=z)
+                    z_pairs = base.pairs if isinstance(base, solver.PairValues) else None
+            record()
+        held = None
+        if (z_pairs is not None
+                and z_pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes):
+            held = solver.PairValues(z_pairs, state.z[n_s:][z_pairs.rows, z_pairs.cols])
+        moments = solver._group_moments(state, spec, held)
+        means = mu_step(state, spec, moments)
+        state = replace(state, gmm=GmmParams(means, state.gmm.variances))
+        record()
+        state = replace(state, gmm=GmmParams(means, sigma_step(state, spec, moments)))
+        record()
+    return state, trace
 
 
 class TestCandidates:
@@ -991,13 +1044,13 @@ class TestCandidates:
         spec = _wide_task().spec
         state = run(spec.with_hyper(outer_iters=outer))[1] if outer else init_state(spec)
         candidates = solver._base_logits(state, spec)
-        assert isinstance(candidates, solver.Candidates)
+        assert isinstance(candidates, solver.PairValues)
         monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
         dense = solver._base_logits(state, spec)
         assert isinstance(dense, np.ndarray)
 
         n_s = state.n_support
-        got = z_step(state, spec, candidates)[n_s:]
+        got = solver._dense_z(state, z_step(state, spec, candidates))[n_s:]
         want = z_step(state, spec, dense)[n_s:]
         zeroed = got == 0.0
         assert zeroed.any()
@@ -1011,20 +1064,24 @@ class TestCandidates:
     def test_pair_moments_match_the_dense_product(self, monkeypatch, shots, block_rows):
         if block_rows is not None:
             monkeypatch.setattr(solver, "_PAIR_BYTES", block_rows * 8 * 64)
-        spec = _wide_task(shots_per_class=shots).spec.with_hyper(support_weight=0.2, outer_iters=3)
-        # the state and the pairs of the solve's last moments pass
+        spec = _wide_task(shots_per_class=shots).spec.with_hyper(support_weight=0.2, outer_iters=4)
+        # the states and pair values of the solve's moments passes: the last
+        # state is the final, dense one, an earlier one holds only the support
+        # rows of z beside its pairs
         passes = []
         original = solver._group_moments
         monkeypatch.setattr(solver, "_group_moments",
                             lambda *args: passes.append(args) or original(*args))
         run(spec)
-        state, _, pairs = passes[-1]
-        assert pairs is not None
-        assert pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes
-        got = original(state, spec, pairs)
-        want = original(state, spec)
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+        for state, _, held in passes[-2:]:
+            assert held is not None
+            assert held.pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes
+            got = original(state, spec, held)
+            want = original(replace(state, z=solver._dense_z(state, held)), spec)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+        assert passes[-2][0].z.shape[0] == spec.n_support
+        assert passes[-1][0].z.shape[0] == spec.n_support + spec.n_query
 
     @pytest.mark.parametrize("shots", [0, 4])
     def test_dense_tasks_keep_their_bytes(self, monkeypatch, shots):
@@ -1067,11 +1124,25 @@ class TestCandidates:
 
     def test_candidate_solve_peak_in_n_by_k_arrays(self, monkeypatch):
         # as test_run_peak_in_n_by_k_arrays, on a task whose outer iterations
-        # take the candidates from the second on; K >> d, and N x K far above
-        # the fixed byte budgets of the pair dots
+        # all take the candidates; K >> d, and N x K far above the fixed byte
+        # budgets of the screen and the pair dots. No outer iteration holds a
+        # dense base or a dense z beside its pairs: the peak is one dense z,
+        # built for a moments pass or for the final state, plus the pairs
+        peak = self._peak_above_prepared(monkeypatch, _peak_task(), first_dense=False)
+        assert peak <= 1.5
+
+    def test_dense_first_round_sets_the_peak(self, monkeypatch):
+        # at tau 30 the same task's first outer iteration is dense: it holds z,
+        # the new z and the base logits, and the candidate rounds stay below
+        peak = self._peak_above_prepared(monkeypatch, _peak_task(30.0), first_dense=True)
+        assert peak <= 3.25
+
+    @staticmethod
+    def _peak_above_prepared(monkeypatch, spec, first_dense):
+        """A solve's tracemalloc peak above its prepared state, in N x K
+        arrays, having checked which outer iterations took the candidates
+        and that the final state holds about one N x K array."""
         kinds = _base_kinds(monkeypatch)
-        spec = generate_task(n_classes=1000, dim=32, n_query_per_class=2, class_sep=12.0,
-                             prototype_noise=0.3, seed=6).spec
         prepared = init_state(spec)
         one = spec.n_query * spec.n_classes * 8
         tracemalloc.start()
@@ -1079,8 +1150,110 @@ class TestCandidates:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             _, state = run(spec, prepared=prepared)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kinds[-1]
-        assert peak - base <= 3.25 * one
+        assert all(kinds[1:]) and kinds[0] != first_dense
+        assert held - base <= 1.1 * one
+        return (peak - base) / one
+
+    def test_candidate_solve_peak_with_init_state(self, monkeypatch):
+        # init_state included: the soft labels are z0, ranked for the initial
+        # means a column block at a time, and z0 is dropped once the first
+        # candidate sweep has read it
+        kinds = _base_kinds(monkeypatch)
+        spec = _peak_task()
+        one = spec.n_query * spec.n_classes * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, state = run(spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(kinds)
+        assert peak - base <= 2.25 * one
+        assert held - base <= 1.1 * one
+
+    @pytest.mark.parametrize("kind", ["zero-shot", "few-shot", "no graph", "symmetrized",
+                                      "alternating"])
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_held_pairs_give_the_dense_loop_bytes(self, monkeypatch, kind, record_trace):
+        # run holds a candidate round's iterate on its pairs; the loop below
+        # makes a dense z of every sweep instead, settles on dense rows and
+        # reads the moments' pairs from the dense z, and its bytes, trace
+        # included, must be run's
+        spec = _wide_task(shots_per_class=1 if kind == "few-shot" else 0).spec
+        spec = spec.with_hyper(**{"few-shot": {"support_weight": 0.2}, "no graph": {"k_nn": 0},
+                                  "symmetrized": {"symmetrize_graph": True}}.get(kind, {}))
+        kinds = _base_kinds(monkeypatch)
+        if kind == "alternating":
+            # every second outer iteration takes the dense path: the held pairs
+            # are made dense for it, and the next screens its dense base first
+            noting = solver._base_logits
+
+            def alternating(*args):
+                if len(kinds) % 2 == 0:
+                    return noting(*args)
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "_DENSE_SHARE", 10**9)
+                    return noting(*args)
+
+            monkeypatch.setattr(solver, "_base_logits", alternating)
+        got = run(spec, record_trace)[1]
+        assert kinds.count(True) >= 4
+        kinds.clear()
+        want, want_trace = _dense_loop(spec, record_trace)
+        for part in (lambda s: s.z, lambda s: s.gmm.means, lambda s: s.gmm.variances):
+            assert part(got).tobytes() == part(want).tobytes()
+        rows = [(row.normalized, row.update_consistent) for row in got.trace]
+        assert np.array(rows).tobytes() == np.array(want_trace).tobytes()
+        assert len(rows) == (1 + spec.hyper.outer_iters * (spec.hyper.inner_z_iters + 2)
+                             if record_trace else 0)
+
+    def test_grid_search_leaves_the_prepared_state(self, monkeypatch):
+        # the search's solves share one prepared state and drop its z for
+        # their pairs: it keeps its bits, so a solve from it after the search
+        # repeats the search's winning run
+        kinds = _base_kinds(monkeypatch)
+        task = _wide_task(shots_per_class=1, n_validation_per_class=1)
+        spec = task.spec.with_hyper(kl_weight=0.5)
+        prepared = init_state(spec)
+        z0 = prepared.z.tobytes()
+        gamma, _, (_, best) = search_gamma(spec, task.validation, prepared=prepared)
+        assert any(kinds)
+        assert prepared.z.tobytes() == z0
+        _, again = run(spec.with_hyper(support_weight=gamma), prepared=prepared)
+        assert again.z.tobytes() == best.z.tobytes()
+
+    def test_settle_check_reads_pairs_as_the_dense_rows(self):
+        # pair values equal an iterate when, as dense query rows, they have
+        # the same bits: equal at the pairs and +0.0 off them
+        spec = _wide_task().spec
+        state = run(spec.with_hyper(outer_iters=1))[1]
+        new = z_step(state, spec, solver._base_logits(state, spec))
+        pairs, support = new.pairs, state.z[:0]
+        dense = solver._dense_z(state, new)
+        assert solver._same_query_rows(new, dense, None, 0)
+        assert not solver._same_query_rows(new, state.z, None, 0)
+        extra = next(k for k in range(spec.n_classes) if k not in pairs.cols[pairs.rows == 0])
+        for changed in (1e-300, -0.0):
+            off = dense.copy()
+            off[0, extra] = changed
+            assert not solver._same_query_rows(new, off, None, 0)
+        # on the same pairs the values are compared bit for bit
+        assert solver._same_query_rows(new, support, solver.PairValues(pairs, new.values.copy()), 0)
+        for changed in (np.nextafter(new.values[0], 1.0), -0.0):
+            values = new.values.copy()
+            values[0] = changed
+            assert not solver._same_query_rows(new, support, solver.PairValues(pairs, values), 0)
+        # on other pairs, a pair of value 0 is no change, but any other value is
+        keys = np.union1d(pairs.keys, [extra])
+        rows, cols = np.divmod(keys, spec.n_classes)
+        other = solver.Candidates(rows, cols, pairs.starts, keys)
+        values = np.zeros(keys.size)
+        values[np.searchsorted(keys, pairs.keys)] = new.values
+        assert solver._same_query_rows(new, support, solver.PairValues(other, values), 0)
+        values[np.searchsorted(keys, extra)] = 1e-300
+        assert not solver._same_query_rows(new, support, solver.PairValues(other, values), 0)

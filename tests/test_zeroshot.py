@@ -6,6 +6,7 @@ import pytest
 
 from transduct.affinity import top_k
 from transduct.errors import DimensionMismatch, EmptyClass
+from transduct import zeroshot
 from transduct.types import EmbeddingMatrix, SimplexAssignments
 from transduct.zeroshot import (
     compute_soft_labels,
@@ -182,6 +183,37 @@ class TestTopkSelection:
             expected = np.stack([data.data[idx].mean(axis=0) for idx in reference])
             means = init_prototypes_topk(data, soft, top_m=m)
             assert means.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("block_classes", [1, 3])
+    @pytest.mark.parametrize("top_m", [1, 8, "n"])
+    def test_column_blocks_give_the_full_transpose(self, rng, monkeypatch, block_classes, top_m):
+        # the classes are ranked a block of columns at a time, here 1 or 3 of
+        # the 7 (a last block of 1), and each block's selection is exact, so
+        # the means are those of one top_k over the whole transpose
+        for name, query, soft in _tie_heavy_cases(rng):
+            n = soft.n_rows
+            take = min({"n": n}.get(top_m, top_m), n)
+            data = EmbeddingMatrix(query)
+            order, _ = top_k(np.ascontiguousarray(soft.z.T), take)
+            expected = np.stack([data.data[idx].mean(axis=0) for idx in order])
+            monkeypatch.setattr(zeroshot, "_RANK_BYTES", block_classes * 8 * n)
+            means = init_prototypes_topk(data, soft, top_m=take)
+            assert means.tobytes() == expected.tobytes(), name
+
+    def test_ranking_makes_no_transposed_copy(self, rng):
+        # blocks of about _RANK_BYTES: the peak is far below one N x K array
+        n, k = 4000, 300
+        soft = SimplexAssignments(row_softmax(rng.standard_normal((n, k))))
+        data = EmbeddingMatrix(unit_rows(rng, n, 4))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            init_prototypes_topk(data, soft, top_m=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 0.5 * n * k * 8
 
 
 class TestInitPrototypesSupport:
