@@ -11,19 +11,25 @@ and ``transduct run-fs --help`` list them. Any flag can also be supplied
 via ``--config file`` holding ``key=value`` lines; explicit command-line
 flags win over the file.
 
-Determinism: the solver starts no threads of its own, and for a fixed BLAS
-thread count and CPU kernel set reruns write byte-identical outputs. The
-CSV bits depend on both: numpy's AVX-512 ``exp``/``log``, the OpenBLAS core
-type and, unless threadpoolctl pins it, a multi-threaded BLAS move last
-bits (predicted classes did not change in testing), so no golden may be CSV
-bytes. The ``--dump-graph`` file is byte-identical on any CPU and at any
-BLAS thread count: its weights come from einsum dots that skip the BLAS.
+Determinism: the solver starts no threads of its own, and the solve runs
+with numpy's bundled OpenBLAS pinned to one thread (through ``ctypes``, the
+old count restored after), so for a fixed CPU kernel set reruns write
+byte-identical outputs at any ``OPENBLAS_NUM_THREADS``. The CSV bits depend
+on the kernel set: numpy's AVX-512 ``exp``/``log`` and the OpenBLAS core
+type move last bits (predicted classes did not change in testing), so no
+golden may be CSV bytes. A numpy that bundles no OpenBLAS under
+``numpy.libs`` is not pinned. The ``--dump-graph`` file is byte-identical on
+any CPU and at any BLAS thread count: its weights come from einsum dots that
+skip the BLAS.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes  # numpy imports it already
+import glob
+import os
 import sys
 
 import numpy as np
@@ -39,15 +45,37 @@ _GRID_DEFAULT = ",".join(str(g) for g in GAMMA_GRID)
 _DEFAULTS = Hyperparams()
 
 
-def _pinned_blas():
-    """Limit BLAS pools to one thread while solving, when possible, so
-    results cannot depend on the BLAS thread count."""
-    try:
-        from threadpoolctl import threadpool_limits
+def _openblas_threads():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, found
+    under ``numpy.libs``, or None where numpy bundles none there."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+        for names in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads")):
+            if all(hasattr(lib, name) for name in names):
+                get, put = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
 
-        return threadpool_limits(limits=1)
-    except Exception:
-        return contextlib.nullcontext()
+
+@contextlib.contextmanager
+def _pinned_blas():
+    """Limit numpy's OpenBLAS to one thread while solving, so results cannot
+    depend on the BLAS thread count, and restore its count on exit."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -60,13 +60,46 @@ chosen from the observed share alone: no setting turns it on or off.
 
 A candidate round holds no N x K array of its own. Unless the round before
 it was dense, it screens base logits computed in row blocks of about
-``_BASE_BLOCK_BYTES``, and builds the dense ones only when the running count
-passes the limit. Its sweeps return the query rows of z as ``PairValues``
-on the candidate pairs, and read a neighbor's entry from its pair, 0 where
-it has none; the settle check compares pair values. A dense z is built only
-for a moments pass over more than 1 / 64 of the entries, for a dense round
-that follows, for each row of a trace and for the final state, and each
-holds the bits the dense loop would have held.
+``_BASE_BLOCK_BYTES`` and at most an eighth of the rows, and builds the
+dense ones only when the running count passes the limit. Its sweeps return
+the query rows of z as ``PairValues`` on the candidate pairs, and read a
+neighbor's entry from its pair, 0 where it has none; the settle check
+compares pair values. A dense z is built only for a moments pass over more
+than 1 / 64 of the entries, for a dense round that follows, for each row of
+a trace and for the final state, and each holds the bits the dense loop
+would have held.
+
+Drift-bounded screens (Elkan, ICML 2003; Hamerly, SDM 2010). A candidate
+round hands the next its ``LeftOut``: for each query row i an upper bound
+U_i on the exact base logit of every class outside the row's pairs, and the
+round's mixture, from which its GEMM weights w and bias b are made again
+with the same bits. Rows are unit to 1 + 1e-12, so no logit moves by more
+than delta = max_k (||w'_k - w_k||_2 + |b'_k - b_k|) into the next round;
+the computed delta is raised by a factor (1 + 1e-12)(1 + 2 gamma_{d+4}) for
+the row norm and the rounding of the difference, its norm and the sum. A
+row's largest logit is at least that of any one class, so L_i, the largest
+einsum logit of the row's previous pairs, bounds it from below. Where
+U_i + delta < L_i - reach_i - margin, no class left out can reach the new
+cut: its einsum logit is at most U_i + delta + gamma_{d+3} s, and
+margin = 4 gamma_{d+3} s + 2 e (s + max reach), with s the larger of the
+two rounds' size bounds and e the float64 machine epsilon, covers that, the
+rounding of L_i and of the cut; a relative term of 4 e on every operand
+covers the rounding of the test itself. Such a row is cleared: its screen
+is its previous pairs, and it takes no GEMM. The other rows are gathered
+into row-block GEMMs and screened as above. Every candidate of a cleared
+row, its largest included, is then among its previous pairs, and
+``_candidates`` takes the einsum logits and the cut of every screened entry
+as before, so the kept pairs and their values have the bits of a full
+screen. The next bound of a screened row is the largest GEMM logit it left
+out, or einsum logit the cut left out, plus gamma_{d+3} s and the rounding
+of that sum; a cleared row also keeps U_i + delta. The first round and any
+round after a dense one have no bound and screen every row, and a round
+that turns dense drops it. The count that chooses the dense path takes a
+cleared row's previous pairs as its screened entries: like a full screen's,
+they hold all its candidates. On wide tasks the class drift falls below 1
+after a few rounds, against a median slack of about 140 between a row's cut
+and its largest left-out logit, and the later rounds compute almost no GEMM
+row.
 
 ``init_state`` builds a task's initial ``SolverState``, once per task: the
 stacked support-then-query features, the kNN graph, the starting
@@ -77,8 +110,9 @@ of a few-shot grid search share one graph. A ``SolverState`` is frozen:
 shares the initial state's arrays, and gives the final state its trace, a
 tuple of frozen rows. ``run`` owns what a solve reuses: each query row's
 reach, the base logits or candidates an outer iteration's sweeps share, the
-pairs that hold its query rows, the moments its mean and variance steps
-share and, traced, the objective's log-densities and log prior.
+bound a candidate round hands the next, the pairs that hold its query rows,
+the moments its mean and variance steps share and, traced, the objective's
+log-densities and log prior.
 """
 
 from __future__ import annotations
@@ -154,14 +188,32 @@ class Candidates:
 
 
 @dataclass(frozen=True, eq=False)
+class LeftOut:
+    """A candidate round's bound for the next round's screen: ``upper[i]``
+    is at least the exact base logit, under the GEMM weights and bias of the
+    round's ``gmm``, of every class of query row i outside ``pairs``.
+    ``size`` is the round's s, which bounds ||w_k||_2 + |bias_k|. The bound
+    holds the means the state holds until the mean step, not the K x d
+    weights made from them, so holding it through that step raises no
+    peak."""
+
+    pairs: Candidates
+    upper: np.ndarray
+    gmm: GmmParams
+    size: float
+
+
+@dataclass(frozen=True, eq=False)
 class PairValues:
     """Query rows of an N x K array on candidate pairs: ``values`` at the
     pairs of ``pairs``, in their order. As an outer iteration's base logits,
-    the other classes are those the screen left out; as the query rows of
-    an iterate, every other entry is 0."""
+    the other classes are those the screen left out, and ``bound`` is the
+    round's ``LeftOut``; as the query rows of an iterate, every other entry
+    is 0."""
 
     pairs: Candidates
     values: np.ndarray
+    bound: Optional[LeftOut] = None
 
 
 @dataclass(frozen=True)
@@ -252,6 +304,16 @@ def _class_terms(gmm: GmmParams):
     return scaled_means, -0.5 * np.einsum("kd,kd->k", gmm.means, scaled_means)
 
 
+def _base_terms(gmm: GmmParams, spec: TaskSpec):
+    """The weights mu_k / var + kl_weight * tau * t_k and class bias of the
+    base logits' GEMM under ``gmm``."""
+    scaled_means, bias = _class_terms(gmm)
+    # summed in place: K x d is as large as a quarter of N x K on wide tasks
+    weights = (spec.hyper.kl_weight * spec.temperature) * spec.text.data
+    weights += scaled_means
+    return weights, bias
+
+
 def gmm_log_probs(features: np.ndarray, gmm: GmmParams) -> np.ndarray:
     """Per-sample, per-class Gaussian log-densities under a shared diagonal
     covariance, without the 2*pi constant.
@@ -276,12 +338,15 @@ def _reach(state: SolverState) -> np.ndarray:
     return sums + _LOG_INV_EPS
 
 
-def _screen(blocks, reach: np.ndarray, margin: float, limit: float) -> Optional[np.ndarray]:
+def _screen(blocks, reach: np.ndarray, margin: float, limit: float, count: int = 0,
+            below: Optional[list] = None) -> Optional[np.ndarray]:
     """Row-major flat indices of the base-logit entries that lie within
     reach + margin of their row's largest, over ``blocks``, the (first row,
-    values) row blocks of the base logits in order; None as soon as they
-    number more than ``limit``."""
-    found, count = [], 0
+    values) row blocks of the base logits in order; None as soon as they,
+    counted on from ``count``, number more than ``limit``. Given a list
+    ``below``, each block's kept entries are set to -inf, and ``below``
+    gets the block's row maxima of the rest."""
+    found = [np.empty(0, np.intp)]
     for lo, values in blocks:
         cut = values.max(axis=1) - (reach[lo : lo + values.shape[0]] + margin)
         keep = np.flatnonzero(values >= cut[:, None])
@@ -289,12 +354,18 @@ def _screen(blocks, reach: np.ndarray, margin: float, limit: float) -> Optional[
         if count > limit:
             return None
         found.append(keep + lo * values.shape[1])
+        if below is not None:
+            values.reshape(-1)[keep] = -np.inf
+            below.append(values.max(axis=1))
     return np.concatenate(found)
 
 
-def _candidates(features, weights, bias, reach, flat) -> PairValues:
+def _candidates(features, weights, bias, reach, flat, upper, known=None) -> PairValues:
     """The candidates among the screened entries ``flat`` with their
-    float64 einsum logits, cut again at the row's largest less its reach."""
+    float64 einsum logits, cut again at the row's largest less its reach.
+    ``known`` holds more screened entries, of other rows, whose logits were
+    taken already, as (flat indices, logits). ``upper`` is raised, in place,
+    to the logit of every entry that the cut leaves out."""
     n_classes = weights.shape[0]
 
     def starts(rows):
@@ -304,14 +375,59 @@ def _candidates(features, weights, bias, reach, flat) -> PairValues:
     rows, cols = np.divmod(flat, n_classes)
     logits = _pair_dots(features, weights, rows, cols)
     logits += bias[cols]
+    if known is not None:
+        flat = np.concatenate([known[0], flat])
+        order = np.argsort(flat, kind="stable")
+        flat, logits = flat[order], np.concatenate([known[1], logits])[order]
+        rows, cols = np.divmod(flat, n_classes)
     keep = logits >= (np.maximum.reduceat(logits, starts(rows)) - reach)[rows]
+    np.maximum.at(upper, rows[~keep], logits[~keep])
     # a round holds its pairs throughout: int32 rows and classes take less
     rows, cols = rows[keep].astype(np.int32), cols[keep].astype(np.int32)
     return PairValues(Candidates(rows, cols, starts(rows), flat[keep]), logits[keep])
 
 
+def _cleared(rows, weights, bias, size, peak, reach, bound: LeftOut, spec: TaskSpec):
+    """The query rows whose classes outside ``bound.pairs`` provably stay
+    out of this round's candidates, under the GEMM ``weights`` and ``bias``
+    of size bound ``size`` and largest ||w_k||_2 + bias_k ``peak``; see the
+    module docstring. Returns them as a mask, with the drift bound delta
+    and their previous pairs with this round's einsum logits, as (flat
+    indices, logits)."""
+    n, d = rows.shape
+    eps = float(np.finfo(np.float64).eps)
+    # the last round's weights, made again with the same bits, less these
+    diff, last_bias = _base_terms(bound.gmm, spec)
+    diff -= weights
+    drift = np.sqrt(np.einsum("kd,kd->k", diff, diff)) + np.abs(bias - last_bias)
+    del diff
+    delta = float(drift.max()) * (1 + 1e-12) * (1 + 2 * _gamma(d + 4, np.float64))
+    s = max(size, bound.size)
+    margin = 4 * _gamma(d + 3, np.float64) * s + 2 * eps * (s + float(reach.max()))
+    # no logit exceeds peak by more than a rounding, so a row whose bound
+    # does not clear peak is screened without a dot
+    rise = bound.upper + delta
+    maybe = rise < peak - reach
+    pairs = bound.pairs
+    at = np.flatnonzero(maybe[pairs.rows])
+    cols = pairs.cols[at]
+    logits = _pair_dots(rows, weights, pairs.rows[at], cols)
+    logits += bias[cols]
+    # any of a row's logits bounds its largest from below
+    low = np.full(n, -np.inf)
+    np.maximum.at(low, pairs.rows[at], logits)
+    i = np.flatnonzero(maybe)
+    room = reach[i] + margin
+    slack = 4 * eps * (np.abs(bound.upper[i]) + delta + np.abs(low[i]) + room)
+    clear = np.zeros(n, bool)
+    clear[i] = rise[i] + slack < low[i] - room
+    mine = clear[pairs.rows[at]]
+    return clear, delta, (pairs.keys[at[mine]], logits[mine])
+
+
 def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray] = None,
-                 dense_first: bool = False) -> Union[np.ndarray, PairValues]:
+                 dense_first: bool = False,
+                 bound: Optional[LeftOut] = None) -> Union[np.ndarray, PairValues]:
     """The sweep-invariant part of the query logits, ``kl_weight * log prior
     + log-densities``, up to a constant per row: the query rows against
     mu_k / var + kl_weight * tau * t_k, plus the class bias, one GEMM per
@@ -325,28 +441,30 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray]
     margin of four times that, plus the rounding of the cut, covers both. The
     candidates' logits then come from float64 einsum dots, and the cut is
     taken again on those, so the pairs kept do not depend on the GEMM's bits.
+    The returned pairs carry the ``LeftOut`` bound of this round.
 
     With ``dense_first``, or when one block holds every row, the screen
     reads the dense array. Otherwise it computes the base logits in row
-    blocks of about ``_BASE_BLOCK_BYTES``, so no N x K array is made unless the
-    running count passes the limit; the dense array then comes from
-    ``_gemm_rows``, as with ``dense_first``. ``reach`` is ``_reach(state)``.
+    blocks of about ``_BASE_BLOCK_BYTES`` and at most an eighth of the rows,
+    so no N x K array is made unless the running count passes the limit;
+    the dense array then comes from ``_gemm_rows``, as with ``dense_first``.
+    Given the previous round's ``bound``, the blocked screen keeps the
+    previous pairs of the rows it clears as their screen, and computes the
+    others alone, in gathered row blocks. ``reach`` is ``_reach(state)``.
     """
-    scaled_means, bias = _class_terms(state.gmm)
-    # mu_k / var + kl_weight * tau * t_k, summed in place: K x d is as large
-    # as a quarter of N x K on wide tasks
-    weights = (spec.hyper.kl_weight * spec.temperature) * spec.text.data
-    weights += scaled_means
-    del scaled_means
+    weights, bias = _base_terms(state.gmm, spec)
     rows = state.features[state.n_support :]
     if reach is None:
         reach = _reach(state)
-    size = float(np.sqrt(np.einsum("kd,kd->k", weights, weights)).max() + np.abs(bias).max())
-    margin = (4 * _gamma(rows.shape[1] + 3, np.float64) * size
-              + 2 * float(np.finfo(np.float64).eps) * (size + float(reach.max())))
+    eps = float(np.finfo(np.float64).eps)
+    norms = np.sqrt(np.einsum("kd,kd->k", weights, weights))
+    size = float(norms.max() + np.abs(bias).max())
+    err = _gamma(rows.shape[1] + 3, np.float64) * size
+    margin = 4 * err + 2 * eps * (size + float(reach.max()))
     n, k = rows.shape[0], weights.shape[0]
     limit = n * k / _DENSE_SHARE
     step = max(1, _BASE_BLOCK_BYTES // (8 * k))
+    pick, clear, known = np.arange(n), None, None
     if dense_first or step >= n:
         base = _gemm_rows(rows, weights, bias)
         step = max(1, _ROW_BLOCK_BYTES // (8 * k))
@@ -354,13 +472,39 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray]
                        reach, margin, limit)
         if flat is None:
             return base
+        base.reshape(-1)[flat] = -np.inf
+        below = [base.max(axis=1)]
         del base
     else:
-        flat = _screen(((lo, _gemm_rows(rows[lo : lo + step], weights, bias))
-                        for lo in range(0, n, step)), reach, margin, limit)
+        # an eighth of the rows at most, so a dense round shows after a few
+        step = min(step, -(-n // _DENSE_SHARE))
+        count = 0
+        if bound is not None:
+            clear, delta, known = _cleared(rows, weights, bias, size,
+                                           float((norms + bias).max()), reach, bound, spec)
+            pick = np.flatnonzero(~clear)
+            count = known[0].size
+        # the screen reads the rows of pick, in order, as rows 0, 1, ...
+        below = []
+        flat = _screen(((lo, _gemm_rows(rows[lo : lo + step] if pick.size == n
+                                        else rows[pick[lo : lo + step]], weights, bias))
+                        for lo in range(0, pick.size, step)),
+                       reach[pick], margin, limit, count, below)
         if flat is None:
             return _gemm_rows(rows, weights, bias)
-    return _candidates(rows, weights, bias, reach, flat)
+        if pick.size < n:
+            at, cols = np.divmod(flat, k)
+            flat = pick[at] * k + cols
+    # the largest logit each row leaves out; -s where it leaves none out
+    raw = np.full(n, -size)
+    raw[pick] = np.maximum(np.concatenate([np.empty(0), *below]), -size)
+    base = _candidates(rows, weights, bias, reach, flat, raw, known)
+    upper = raw + (err + eps * (np.abs(raw) + err))
+    if clear is not None:
+        carried = bound.upper[clear]
+        carried = carried + (delta + eps * (np.abs(carried) + delta))
+        upper[clear] = np.maximum(upper[clear], carried)
+    return replace(base, bound=LeftOut(base.pairs, upper, state.gmm, size))
 
 
 def _pair_sums(graph: AffinityGraph, z: np.ndarray, held: Optional[PairValues], n_s: int,
@@ -674,13 +818,19 @@ def run(
     0: it holds the query rows as values on those pairs, and ``state.z``
     holds the support rows alone until a dense z is built, for a dense
     round, a moments pass over many pairs, a trace row or the final state.
-    The moments that follow may sum over the pairs.
+    The moments that follow may sum over the pairs. Each candidate round
+    hands its ``LeftOut`` bound to the next round's screen, which then
+    computes base logits only for the rows the bound does not clear (see
+    the module docstring); the last round drops it before its mean step.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
     of the query rows of ``state.z``, not a copy. The solve starts from
     ``prepared``, an ``init_state`` of the same task, or else from a fresh
     ``init_state(spec)``; raises ValueError when ``prepared`` was built from
-    a different task.
+    a different task. The BLAS may sum the solve's products in an order
+    that depends on its thread count; the CLI pins it to one thread around
+    this call, and a library caller that needs the same bits at any thread
+    count pins it likewise.
     """
     if prepared is None:
         state = init_state(spec)
@@ -710,9 +860,13 @@ def run(
     reach = _reach(state)
     z_pairs = None  # candidates the query rows of the iterate are 0 off, if any
     dense_base = False
+    bound = None  # the last round's LeftOut, when it took the candidates
     for it in range(1, spec.hyper.outer_iters + 1):
-        base = _base_logits(state, spec, reach, dense_base) if spec.hyper.inner_z_iters else None
+        base = (_base_logits(state, spec, reach, dense_base, bound)
+                if spec.hyper.inner_z_iters else None)
         dense_base = isinstance(base, np.ndarray)
+        # the last round's bound is dead before its mean step
+        bound = base.bound if isinstance(base, PairValues) and it < spec.hyper.outer_iters else None
         if dense_base and held is not None:
             state, held = replace(state, z=_dense_z(state, held)), None
         settled = False

@@ -406,3 +406,46 @@ def test_cli_runs_with_scipy_unimportable(task_dir, tmp_path):
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "edges.txt").stat().st_size > 0
     assert "accuracy" in out.stdout
+
+
+@pytest.mark.skipif(cli._openblas_threads() is None,
+                    reason="numpy bundles no OpenBLAS under numpy.libs")
+def test_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # unpinned, line 5 of this task's CSV differs between one and two
+    # OpenBLAS threads on a 2-core AVX-512 Xeon
+    task = tmp_path / "task"
+    assert main(["synth", "--out-dir", str(task), "--classes", "100", "--dim", "64",
+                 "--per-class", "10", "--seed", "1"]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"pred{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "transduct.cli", *_zs_args(task, out)],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.skipif(cli._openblas_threads() is None,
+                    reason="numpy bundles no OpenBLAS under numpy.libs")
+@pytest.mark.parametrize("few_shot", [False, True])
+def test_solves_run_at_one_blas_thread(task_dir, tmp_path, monkeypatch, few_shot):
+    # the solve sees one OpenBLAS thread, whatever the count before it, and
+    # the count is restored after
+    get, put = cli._openblas_threads()
+    seen = []
+    name = "run_fewshot" if few_shot else "run"
+    solve = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: seen.append(get()) or solve(*a, **k))
+    before = get()
+    put(2)
+    try:
+        args = (_fs_args if few_shot else _zs_args)(task_dir, tmp_path / "pred.csv")
+        assert main(args) == 0
+        assert seen == [1] and get() == 2
+    finally:
+        put(before)

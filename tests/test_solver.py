@@ -1257,3 +1257,165 @@ class TestCandidates:
         assert solver._same_query_rows(new, support, solver.PairValues(other, values), 0)
         values[np.searchsorted(keys, extra)] = 1e-300
         assert not solver._same_query_rows(new, support, solver.PairValues(other, values), 0)
+
+
+def _bound_checks(monkeypatch):
+    """Patch ``solver._base_logits`` so that every call given the last
+    round's bound is compared with the full screen it stands for, the same
+    call with the bound's ``upper`` at +inf: the same kind of base, and
+    dense logits or candidate keys and values with the same bits. The bound
+    each candidate round returns is checked against the round's dense
+    logits: ``upper`` lies above every class outside the pairs. Returns
+    one [query rows the call's GEMMs took, whether it had a bound, whether
+    it took the candidates] per call; the full screens' GEMMs are not
+    counted."""
+    calls = []
+    original, gemm = solver._base_logits, solver._gemm_rows
+
+    def counting(rows, weights, bias):
+        calls[-1][0] += rows.shape[0]
+        return gemm(rows, weights, bias)
+
+    def checked(state, spec, reach=None, dense_first=False, bound=None):
+        calls.append([0, bound is not None, False])
+        got = original(state, spec, reach, dense_first, bound)
+        calls[-1][2] = isinstance(got, solver.PairValues)
+        if calls[-1][2]:
+            new = got.bound
+            assert new.pairs is got.pairs
+            weights, bias = solver._base_terms(new.gmm, spec)
+            dense = state.features[state.n_support :] @ weights.T + bias
+            dense[got.pairs.rows, got.pairs.cols] = -np.inf
+            assert np.all(dense.max(axis=1) <= new.upper + 1e-12 * new.size)
+        if bound is not None:
+            taken = calls[-1][0]
+            full = original(state, spec, reach, dense_first,
+                            replace(bound, upper=np.full(bound.upper.shape, np.inf)))
+            calls[-1][0] = taken
+            assert type(got) is type(full)
+            if isinstance(got, np.ndarray):
+                assert got.tobytes() == full.tobytes()
+            else:
+                assert got.pairs.keys.tobytes() == full.pairs.keys.tobytes()
+                assert got.values.tobytes() == full.values.tobytes()
+        return got
+
+    monkeypatch.setattr(solver, "_gemm_rows", counting)
+    monkeypatch.setattr(solver, "_base_logits", checked)
+    return calls
+
+
+class TestDriftBound:
+    """A candidate round hands the next a bound on the base logits of the
+    classes it left out; the next round keeps a row's pairs as its screen,
+    without the row's GEMM, where the bound plus the largest class drift
+    stays below the row's cut. The candidates are then those of a full
+    screen, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["zero-shot", "few-shot", "symmetrized", "no graph",
+                                      "alternating"])
+    def test_bound_screen_gives_the_full_screen(self, monkeypatch, kind):
+        spec = _wide_task(shots_per_class=1 if kind == "few-shot" else 0).spec
+        spec = spec.with_hyper(**{"few-shot": {"support_weight": 0.2}, "no graph": {"k_nn": 0},
+                                  "symmetrized": {"symmetrize_graph": True}}.get(kind, {}))
+        calls = _bound_checks(monkeypatch)
+        if kind == "alternating":
+            # every second outer iteration is made dense, one given a bound
+            # among them: it drops the bound, and the next screens every row
+            checked = solver._base_logits
+
+            def alternating(*args):
+                if len(calls) % 2 == 0:
+                    return checked(*args)
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "_DENSE_SHARE", 10**9)
+                    return checked(*args)
+
+            monkeypatch.setattr(solver, "_base_logits", alternating)
+        run(spec)
+        _, bounded, took = zip(*calls)
+        # a round has a bound exactly when the round before took the candidates
+        assert bounded == (False,) + took[:-1]
+        assert sum(bounded) >= 4
+        n = spec.n_query
+        if kind == "alternating":
+            assert not any(b and t for b, t in zip(bounded, took))
+        else:
+            # on this task a few classes keep moving, but some bound round
+            # still keeps rows from the GEMM
+            assert any(rows < n for rows, b, _ in calls if b)
+
+    @pytest.mark.parametrize("kind", ["few-shot", "saturated"])
+    def test_later_rounds_skip_the_gemm(self, monkeypatch, kind):
+        # from the fifth outer iteration on, the largest class drift is far
+        # below every row's slack, so at most 1 % of the rows are computed
+        spec = (_wide_task(shots_per_class=1).spec.with_hyper(support_weight=0.2)
+                if kind == "few-shot" else _wide_task(class_sep=24.0, prototype_noise=0.15).spec)
+        calls = _bound_checks(monkeypatch)
+        run(spec)
+        assert len(calls) == spec.hyper.outer_iters
+        assert all(b and rows <= 0.01 * spec.n_query for rows, b, _ in calls[4:])
+
+    def test_a_moved_class_is_screened_again(self, monkeypatch):
+        # the fifth mean step puts one class's mean on another's: the drift
+        # bound fails, the next round screens every row, and the moved class
+        # enters rows that had left it out; the pairs are still the full
+        # screen's
+        spec = _wide_task(shots_per_class=1).spec.with_hyper(support_weight=0.2)
+        moved, onto = 3, 4
+        steps = []
+        original = solver.mu_step
+
+        def moving(state, spec, moments):
+            means = original(state, spec, moments)
+            steps.append(None)
+            if len(steps) == 5:
+                means = means.copy()
+                means[moved] = means[onto]
+                means.setflags(write=False)
+            return means
+
+        monkeypatch.setattr(solver, "mu_step", moving)
+        calls = _bound_checks(monkeypatch)
+        bases = []
+        checked = solver._base_logits
+        monkeypatch.setattr(solver, "_base_logits",
+                            lambda *args: bases.append(checked(*args)) or bases[-1])
+        run(spec)
+        assert calls[4][0] == 0 and calls[5][1] and calls[5][0] == spec.n_query
+        before, after = (base.pairs for base in bases[4:6])
+        gained = np.setdiff1d(after.keys, before.keys)
+        assert np.any(gained % spec.n_classes == moved)
+
+    def test_dense_first_screen_leaves_the_dense_logits(self, monkeypatch):
+        # one-row screen blocks: the screen marks each block's kept entries
+        # while it takes the row maxima of the rest, and must restore them in
+        # the blocks it passed before the count ran over
+        spec = generate_task(n_classes=10, dim=32, n_query_per_class=200, class_sep=3.0,
+                             prototype_noise=0.6, temperature=30.0, seed=7).spec
+        state = init_state(spec)
+        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 8 * spec.n_classes)
+        got = solver._base_logits(state, spec, None, True)
+        assert isinstance(got, np.ndarray)
+        monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
+        assert got.tobytes() == solver._base_logits(state, spec, None, True).tobytes()
+
+    @pytest.mark.parametrize("known", [False, True])
+    def test_candidate_cut_raises_the_bound(self, rng, known):
+        # the entries the einsum cut leaves out raise their row's bound to
+        # their logits, also where they come with their logits known
+        features, weights = unit_rows(rng, 4, 6), 10.0 * unit_rows(rng, 5, 6)
+        bias, reach = np.zeros(5), np.full(4, 1.0)
+        logits = np.einsum("ik,jk->ij", features, weights)
+        upper = np.full(4, -100.0)
+        flat, given = np.arange(20), None
+        if known:
+            # rows 1 and 3 come with their logits
+            mine = np.isin(flat // 5, [1, 3])
+            flat, given = flat[~mine], (flat[mine], logits.reshape(-1)[mine])
+        base = solver._candidates(features, weights, bias, reach, flat, upper, given)
+        cut = logits < logits.max(axis=1, keepdims=True) - 1.0
+        assert np.array_equal(base.pairs.keys, np.flatnonzero(~cut))
+        assert base.values.tobytes() == logits[~cut].tobytes()
+        want = np.where(cut, logits, -100.0).max(axis=1)
+        np.testing.assert_allclose(upper, want, rtol=1e-12)
