@@ -63,8 +63,8 @@ def _openblas_threads():
 
 @contextlib.contextmanager
 def _pinned_blas():
-    """Limit numpy's OpenBLAS to one thread while solving, so results cannot
-    depend on the BLAS thread count, and restore its count on exit."""
+    """Limit numpy's OpenBLAS to one thread while solving and reporting, so
+    results cannot depend on the BLAS thread count; restore it on exit."""
     calls = _openblas_threads()
     if calls is None:
         yield
@@ -207,8 +207,8 @@ def cmd_run_zs(args) -> int:
     )
     with _pinned_blas():
         assignments, state = run(spec, record_trace=bool(args.trace))
-    fileio.write_predictions(assignments, args.out)
-    _report_accuracies(args, state, assignments)
+        fileio.write_predictions(assignments, args.out)
+        _report_accuracies(args, state, assignments)
     return 0
 
 
@@ -246,13 +246,13 @@ def cmd_run_fs(args) -> int:
             seed=args.seed,
             record_trace=bool(args.trace),
         )
-    fileio.write_predictions(result.assignments, args.out)
-    if args.score_table:
-        fileio.write_score_table(result.score_table, args.score_table)
-    print(f"support weight: {result.gamma:g}")
-    for gamma, acc in result.score_table:
-        print(f"  gamma {gamma:g}: validation accuracy {acc:.4f}")
-    _report_accuracies(args, result.state, result.assignments)
+        fileio.write_predictions(result.assignments, args.out)
+        if args.score_table:
+            fileio.write_score_table(result.score_table, args.score_table)
+        print(f"support weight: {result.gamma:g}")
+        for gamma, acc in result.score_table:
+            print(f"  gamma {gamma:g}: validation accuracy {acc:.4f}")
+        _report_accuracies(args, result.state, result.assignments)
     return 0
 
 

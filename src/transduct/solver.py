@@ -63,11 +63,14 @@ it was dense, it screens base logits computed in row blocks of about
 ``_BASE_BLOCK_BYTES`` and at most an eighth of the rows, and builds the
 dense ones only when the running count passes the limit. Its sweeps return
 the query rows of z as ``PairValues`` on the candidate pairs, and read a
-neighbor's entry from its pair, 0 where it has none; the settle check
-compares pair values. A dense z is built only for a moments pass over more
-than 1 / 64 of the entries, for a dense round that follows, for each row of
-a trace and for the final state, and each holds the bits the dense loop
-would have held.
+neighbor's entry from its pair, 0 where it has none. ``run`` holds the
+iterate in whichever form the last sweep that moved returned, and the
+functions that read it take either: the settle check compares any two
+iterates as dense rows, and a dense z is built only inside the readers
+that need one, for a moments pass over more than 1 / 64 of the entries or
+the first sweep of a dense round that follows, and by ``run`` for each row
+of a trace and, once, for the final state. Each holds the bits the dense
+loop would have held.
 
 Drift-bounded screens (Elkan, ICML 2003; Hamerly, SDM 2010). A candidate
 round hands the next its ``LeftOut``: for each query row i an upper bound
@@ -110,9 +113,10 @@ of a few-shot grid search share one graph. A ``SolverState`` is frozen:
 shares the initial state's arrays, and gives the final state its trace, a
 tuple of frozen rows. ``run`` owns what a solve reuses: each query row's
 reach, the base logits or candidates an outer iteration's sweeps share, the
-bound a candidate round hands the next, the pairs that hold its query rows,
-the moments its mean and variance steps share and, traced, the objective's
-log-densities and log prior.
+pairs and bound of a candidate round's base, which it hands the next
+screen, the pairs that hold the iterate's query rows, the moments its mean
+and variance steps share and, traced, the objective's log-densities and
+log prior.
 """
 
 from __future__ import annotations
@@ -191,13 +195,12 @@ class Candidates:
 class LeftOut:
     """A candidate round's bound for the next round's screen: ``upper[i]``
     is at least the exact base logit, under the GEMM weights and bias of the
-    round's ``gmm``, of every class of query row i outside ``pairs``.
-    ``size`` is the round's s, which bounds ||w_k||_2 + |bias_k|. The bound
-    holds the means the state holds until the mean step, not the K x d
-    weights made from them, so holding it through that step raises no
-    peak."""
+    round's ``gmm``, of every class of query row i outside the pairs of the
+    ``PairValues`` it rides on. ``size`` is the round's s, which bounds
+    ||w_k||_2 + |bias_k|. The bound holds the means the state holds until
+    the mean step, not the K x d weights made from them, so holding it
+    through that step raises no peak."""
 
-    pairs: Candidates
     upper: np.ndarray
     gmm: GmmParams
     size: float
@@ -208,11 +211,12 @@ class PairValues:
     """Query rows of an N x K array on candidate pairs: ``values`` at the
     pairs of ``pairs``, in their order. As an outer iteration's base logits,
     the other classes are those the screen left out, and ``bound`` is the
-    round's ``LeftOut``; as the query rows of an iterate, every other entry
-    is 0."""
+    round's ``LeftOut``; the next round's screen reads these two alone, and
+    ``run`` hands it the base without its ``values``. As the query rows of
+    an iterate, every other entry is 0."""
 
     pairs: Candidates
-    values: np.ndarray
+    values: Optional[np.ndarray]
     bound: Optional[LeftOut] = None
 
 
@@ -231,6 +235,9 @@ class SolverState:
     ``z`` is a float64 array. Rows 0..n_support-1 are the one-hot support
     labels and are never modified; the remaining rows are the query
     assignments.
+    Mid-solve, while ``run`` holds the query rows on candidate pairs,
+    ``z`` is the support rows alone, and the wrappers of ``z_step`` and
+    ``mu_step`` see such states; the final state's ``z`` has every row.
     ``features`` stacks support embeddings above query embeddings in the
     same order as ``z`` and the graph nodes. ``task`` is the spec the state
     was built from; ``run`` checks a spec against it. ``z`` is the only
@@ -338,14 +345,14 @@ def _reach(state: SolverState) -> np.ndarray:
     return sums + _LOG_INV_EPS
 
 
-def _screen(blocks, reach: np.ndarray, margin: float, limit: float, count: int = 0,
-            below: Optional[list] = None) -> Optional[np.ndarray]:
+def _screen(blocks, reach: np.ndarray, margin: float, limit: float, count: int,
+            below: list) -> Optional[np.ndarray]:
     """Row-major flat indices of the base-logit entries that lie within
     reach + margin of their row's largest, over ``blocks``, the (first row,
     values) row blocks of the base logits in order; None as soon as they,
-    counted on from ``count``, number more than ``limit``. Given a list
-    ``below``, each block's kept entries are set to -inf, and ``below``
-    gets the block's row maxima of the rest."""
+    counted on from ``count``, number more than ``limit``. Each block's kept
+    entries are set to -inf, and ``below`` gets the block's row maxima of
+    the rest."""
     found = [np.empty(0, np.intp)]
     for lo, values in blocks:
         cut = values.max(axis=1) - (reach[lo : lo + values.shape[0]] + margin)
@@ -354,9 +361,8 @@ def _screen(blocks, reach: np.ndarray, margin: float, limit: float, count: int =
         if count > limit:
             return None
         found.append(keep + lo * values.shape[1])
-        if below is not None:
-            values.reshape(-1)[keep] = -np.inf
-            below.append(values.max(axis=1))
+        values.reshape(-1)[keep] = -np.inf
+        below.append(values.max(axis=1))
     return np.concatenate(found)
 
 
@@ -387,14 +393,15 @@ def _candidates(features, weights, bias, reach, flat, upper, known=None) -> Pair
     return PairValues(Candidates(rows, cols, starts(rows), flat[keep]), logits[keep])
 
 
-def _cleared(rows, weights, bias, size, peak, reach, bound: LeftOut, spec: TaskSpec):
-    """The query rows whose classes outside ``bound.pairs`` provably stay
+def _cleared(rows, weights, bias, size, peak, reach, last: PairValues, spec: TaskSpec):
+    """The query rows whose classes outside ``last.pairs`` provably stay
     out of this round's candidates, under the GEMM ``weights`` and ``bias``
-    of size bound ``size`` and largest ||w_k||_2 + bias_k ``peak``; see the
-    module docstring. Returns them as a mask, with the drift bound delta
-    and their previous pairs with this round's einsum logits, as (flat
-    indices, logits)."""
+    of size bound ``size`` and largest ||w_k||_2 + bias_k ``peak``, given
+    the last round's base ``last``; see the module docstring. Returns them
+    as a mask, with the drift bound delta and their previous pairs with
+    this round's einsum logits, as (flat indices, logits)."""
     n, d = rows.shape
+    bound = last.bound
     eps = float(np.finfo(np.float64).eps)
     # the last round's weights, made again with the same bits, less these
     diff, last_bias = _base_terms(bound.gmm, spec)
@@ -408,7 +415,7 @@ def _cleared(rows, weights, bias, size, peak, reach, bound: LeftOut, spec: TaskS
     # does not clear peak is screened without a dot
     rise = bound.upper + delta
     maybe = rise < peak - reach
-    pairs = bound.pairs
+    pairs = last.pairs
     at = np.flatnonzero(maybe[pairs.rows])
     cols = pairs.cols[at]
     logits = _pair_dots(rows, weights, pairs.rows[at], cols)
@@ -427,7 +434,7 @@ def _cleared(rows, weights, bias, size, peak, reach, bound: LeftOut, spec: TaskS
 
 def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray] = None,
                  dense_first: bool = False,
-                 bound: Optional[LeftOut] = None) -> Union[np.ndarray, PairValues]:
+                 last: Optional[PairValues] = None) -> Union[np.ndarray, PairValues]:
     """The sweep-invariant part of the query logits, ``kl_weight * log prior
     + log-densities``, up to a constant per row: the query rows against
     mu_k / var + kl_weight * tau * t_k, plus the class bias, one GEMM per
@@ -444,13 +451,16 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray]
     The returned pairs carry the ``LeftOut`` bound of this round.
 
     With ``dense_first``, or when one block holds every row, the screen
-    reads the dense array. Otherwise it computes the base logits in row
-    blocks of about ``_BASE_BLOCK_BYTES`` and at most an eighth of the rows,
-    so no N x K array is made unless the running count passes the limit;
-    the dense array then comes from ``_gemm_rows``, as with ``dense_first``.
-    Given the previous round's ``bound``, the blocked screen keeps the
-    previous pairs of the rows it clears as their screen, and computes the
-    others alone, in gathered row blocks. ``reach`` is ``_reach(state)``.
+    reads copies of the dense array's row blocks, since it marks them, and
+    a dense array returned keeps its bits. Otherwise it computes the base
+    logits in row blocks of about ``_BASE_BLOCK_BYTES`` and at most an
+    eighth of the rows, so no N x K array is made unless the running count
+    passes the limit; the dense array then comes from ``_gemm_rows``, as
+    with ``dense_first``.
+    Given ``last``, the previous round's base on its candidate pairs, the
+    blocked screen keeps the previous pairs of the rows its ``LeftOut``
+    clears as their screen, and computes the others alone, in gathered row
+    blocks. ``reach`` is ``_reach(state)``.
     """
     weights, bias = _base_terms(state.gmm, spec)
     rows = state.features[state.n_support :]
@@ -464,47 +474,42 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray]
     n, k = rows.shape[0], weights.shape[0]
     limit = n * k / _DENSE_SHARE
     step = max(1, _BASE_BLOCK_BYTES // (8 * k))
-    pick, clear, known = np.arange(n), None, None
+    pick, clear, known, count, dense = np.arange(n), None, None, 0, None
     if dense_first or step >= n:
-        base = _gemm_rows(rows, weights, bias)
+        dense = _gemm_rows(rows, weights, bias)
+        # the screen marks the blocks it reads, so it reads copies
         step = max(1, _ROW_BLOCK_BYTES // (8 * k))
-        flat = _screen(((lo, base[lo : lo + step]) for lo in range(0, n, step)),
-                       reach, margin, limit)
-        if flat is None:
-            return base
-        base.reshape(-1)[flat] = -np.inf
-        below = [base.max(axis=1)]
-        del base
+        blocks = ((lo, dense[lo : lo + step].copy()) for lo in range(0, n, step))
     else:
         # an eighth of the rows at most, so a dense round shows after a few
         step = min(step, -(-n // _DENSE_SHARE))
-        count = 0
-        if bound is not None:
+        if last is not None:
             clear, delta, known = _cleared(rows, weights, bias, size,
-                                           float((norms + bias).max()), reach, bound, spec)
+                                           float((norms + bias).max()), reach, last, spec)
             pick = np.flatnonzero(~clear)
             count = known[0].size
         # the screen reads the rows of pick, in order, as rows 0, 1, ...
-        below = []
-        flat = _screen(((lo, _gemm_rows(rows[lo : lo + step] if pick.size == n
-                                        else rows[pick[lo : lo + step]], weights, bias))
-                        for lo in range(0, pick.size, step)),
-                       reach[pick], margin, limit, count, below)
-        if flat is None:
-            return _gemm_rows(rows, weights, bias)
-        if pick.size < n:
-            at, cols = np.divmod(flat, k)
-            flat = pick[at] * k + cols
+        blocks = ((lo, _gemm_rows(rows[lo : lo + step] if pick.size == n
+                                  else rows[pick[lo : lo + step]], weights, bias))
+                  for lo in range(0, pick.size, step))
+    below = []
+    flat = _screen(blocks, reach[pick], margin, limit, count, below)
+    if flat is None:
+        return _gemm_rows(rows, weights, bias) if dense is None else dense
+    del dense
+    if pick.size < n:
+        at, cols = np.divmod(flat, k)
+        flat = pick[at] * k + cols
     # the largest logit each row leaves out; -s where it leaves none out
     raw = np.full(n, -size)
     raw[pick] = np.maximum(np.concatenate([np.empty(0), *below]), -size)
     base = _candidates(rows, weights, bias, reach, flat, raw, known)
     upper = raw + (err + eps * (np.abs(raw) + err))
     if clear is not None:
-        carried = bound.upper[clear]
+        carried = last.bound.upper[clear]
         carried = carried + (delta + eps * (np.abs(carried) + delta))
         upper[clear] = np.maximum(upper[clear], carried)
-    return replace(base, bound=LeftOut(base.pairs, upper, state.gmm, size))
+    return replace(base, bound=LeftOut(upper, state.gmm, size))
 
 
 def _pair_sums(graph: AffinityGraph, z: np.ndarray, held: Optional[PairValues], n_s: int,
@@ -559,14 +564,15 @@ def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, PairValue
     ``state.gmm``, up to a row constant; only the neighbor sum is computed
     afresh, for the query rows alone.
 
-    From a dense ``base`` the sweep reads the dense ``state.z``, and its
-    neighbor sums go straight into the query rows of the new read-only
-    ``z``, where the softmax then runs in place. From base logits on
-    candidate pairs the neighbor sums, the softmax and its normalization
-    run over those pairs alone, and the sweep returns the new query rows as
-    ``PairValues`` on them: every other query entry is 0. Such a sweep reads
-    the previous iterate's query rows from ``held`` when given, and its
-    support rows, or the whole dense iterate, from ``state.z``.
+    The sweep reads the previous iterate's query rows from ``held`` when
+    given, and its support rows, or the whole dense iterate, from
+    ``state.z``. From a dense ``base`` it reads a dense z, built from
+    ``held`` for the sweep alone, and its neighbor sums go straight into the
+    query rows of the new read-only ``z``, where the softmax then runs in
+    place. From base logits on candidate pairs the neighbor sums, the
+    softmax and its normalization run over those pairs alone, and the sweep
+    returns the new query rows as ``PairValues`` on them: every other query
+    entry is 0.
     """
     n_s = state.n_support
     if isinstance(base, PairValues):
@@ -577,9 +583,10 @@ def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, PairValue
         np.exp(logits, out=logits)
         logits /= np.add.reduceat(logits, pairs.starts)[pairs.rows]
         return PairValues(pairs, logits)
-    z_new = np.empty_like(state.z)
-    z_new[:n_s] = state.z[:n_s]
-    logits = state.graph.propagate(state.z, start=n_s, out=z_new[n_s:])
+    z = state.z if held is None else _dense_z(state, held)
+    z_new = np.empty_like(z)
+    z_new[:n_s] = z[:n_s]
+    logits = state.graph.propagate(z, start=n_s, out=z_new[n_s:])
     logits += base
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
@@ -588,26 +595,28 @@ def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, PairValue
     return z_new
 
 
-def _same_query_rows(new: Union[np.ndarray, PairValues], z: np.ndarray,
-                     held: Optional[PairValues], n_s: int) -> bool:
-    """Whether the sweep result ``new`` has the bits of the query rows of
-    the iterate it read, ``held`` when given and else the dense ``z``, as
-    dense rows would: -0.0 and 0.0 differ, as in ``_same_bits``. Held values
-    are compared by their entries whose bits are not 0, dense rows at the
-    pairs and by their count of such entries."""
+def _same_query_rows(new: Union[np.ndarray, PairValues], old: Union[np.ndarray, PairValues],
+                     n_s: int) -> bool:
+    """Whether two iterates' query rows have the same bits as dense rows:
+    -0.0 and 0.0 differ, as in ``_same_bits``. Each is a dense z, whose
+    rows from ``n_s`` on are compared, or query rows on pairs, 0 off them.
+    Two pair sets are compared by their entries whose bits are not 0, dense
+    rows against pairs at the pairs and by their count of such entries."""
     if not isinstance(new, PairValues):
-        return _same_bits(new[n_s:], z[n_s:])
+        if not isinstance(old, PairValues):
+            return _same_bits(new[n_s:], old[n_s:])
+        new, old = old, new
     bits = new.values.view(np.uint64)
     pairs = new.pairs
-    if held is None:
+    if not isinstance(old, PairValues):
         # the dense rows hold these bits at the pairs and only zero bits off them
-        zq = z[n_s:]
+        zq = old[n_s:]
         return (np.array_equal(zq[pairs.rows, pairs.cols].view(np.uint64), bits)
                 and np.count_nonzero(zq.view(np.uint64)) == np.count_nonzero(bits))
-    old = held.values.view(np.uint64)
-    mine, theirs = bits != 0, old != 0
-    return (np.array_equal(pairs.keys[mine], held.pairs.keys[theirs])
-            and np.array_equal(bits[mine], old[theirs]))
+    other = old.values.view(np.uint64)
+    mine, theirs = bits != 0, other != 0
+    return (np.array_equal(pairs.keys[mine], old.pairs.keys[theirs])
+            and np.array_equal(bits[mine], other[theirs]))
 
 
 def _dense_z(state: SolverState, held: PairValues) -> np.ndarray:
@@ -641,9 +650,11 @@ def _group_moments(state: SolverState, spec: TaskSpec, held: Optional[PairValues
     variance updates. Returns (weighted z-mass per class, weighted z'F,
     weighted sum of z row-sums times f^2).
 
-    The query sums run over the pairs of ``held``, the query rows of z,
-    when given, and over the dense query rows of ``state.z`` otherwise; the
-    support rows are those of ``state.z``.
+    The query rows of z are ``held`` when given, and else those of the
+    dense ``state.z``; the support rows are those of ``state.z``. The query
+    sums run over the pairs of ``held`` where those are at most
+    1 / ``_PAIR_SHARE`` of the query entries, and else over the dense query
+    rows, of a z built for this pass alone when they are held.
     """
     gamma = spec.hyper.support_weight
     z = state.z
@@ -651,6 +662,8 @@ def _group_moments(state: SolverState, spec: TaskSpec, held: Optional[PairValues
     n_s, n_q = state.n_support, state.n_query
 
     fq = feats[n_s:]
+    if held is not None and held.pairs.rows.size * _PAIR_SHARE > n_q * z.shape[1]:
+        z, held = _dense_z(state, held), None
     if held is None:
         zq = z[n_s:]
         mass = zq.sum(axis=0) / n_q
@@ -815,13 +828,16 @@ def run(
     ``trace`` holds the rows; a skipped sweep leaves the state, so its row is
     the one before it. A round whose candidate classes are few (see the
     module docstring) sweeps them alone and sets the other query entries to
-    0: it holds the query rows as values on those pairs, and ``state.z``
-    holds the support rows alone until a dense z is built, for a dense
-    round, a moments pass over many pairs, a trace row or the final state.
-    The moments that follow may sum over the pairs. Each candidate round
-    hands its ``LeftOut`` bound to the next round's screen, which then
-    computes base logits only for the rows the bound does not clear (see
-    the module docstring); the last round drops it before its mean step.
+    0: its sweeps return the query rows as values on those pairs, which
+    ``run`` holds, and ``state.z`` holds the support rows alone until a
+    dense sweep moves the iterate. The sweeps, the settle check and the
+    moments read the held pairs as they are, and the final state's dense z
+    is built once, after the last moments pass and before the last mean
+    step. Each candidate round hands its base's pairs and ``LeftOut`` bound
+    to the next round's screen, which then computes base logits only for
+    the rows the bound does not clear (see the module docstring), and a
+    round that follows a dense one screens the dense base logits first;
+    the last round drops its base before its mean step.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
     of the query rows of ``state.z``, not a copy. The solve starts from
@@ -858,17 +874,14 @@ def run(
     record(0, "init")
     n_s = state.n_support
     reach = _reach(state)
-    z_pairs = None  # candidates the query rows of the iterate are 0 off, if any
-    dense_base = False
-    bound = None  # the last round's LeftOut, when it took the candidates
+    last = None  # the last round's base, when it took the candidates
     for it in range(1, spec.hyper.outer_iters + 1):
-        base = (_base_logits(state, spec, reach, dense_base, bound)
+        base = (_base_logits(state, spec, reach, it > 1 and last is None, last)
                 if spec.hyper.inner_z_iters else None)
-        dense_base = isinstance(base, np.ndarray)
-        # the last round's bound is dead before its mean step
-        bound = base.bound if isinstance(base, PairValues) and it < spec.hyper.outer_iters else None
-        if dense_base and held is not None:
-            state, held = replace(state, z=_dense_z(state, held)), None
+        # the next screen reads the base's pairs and bound alone; the last
+        # round's base is dead before its mean step
+        last = (replace(base, values=None)
+                if isinstance(base, PairValues) and it < spec.hyper.outer_iters else None)
         settled = False
         for _ in range(spec.hyper.inner_z_iters):
             if settled:
@@ -879,34 +892,23 @@ def run(
             new = z_step(state, spec, base, held)
             # the equal copy is dropped: holding it beside z through the
             # mean step would raise the peak by one N x K array
-            settled = _same_query_rows(new, state.z, held, n_s)
+            settled = _same_query_rows(new, state.z if held is None else held, n_s)
             if not settled:
-                if isinstance(new, PairValues):
-                    if held is None:  # the dense z is dropped, but for its support rows
-                        support = state.z[:n_s].copy()
-                        support.setflags(write=False)
-                        state = replace(state, z=support)
-                    held = new
+                if not isinstance(new, PairValues):
+                    state, held = replace(state, z=new), None
+                elif held is None:  # the dense z is dropped, but for its support rows
+                    support = state.z[:n_s].copy()
+                    support.setflags(write=False)
+                    state, held = replace(state, z=support), new
                 else:
-                    state = replace(state, z=new)
-                z_pairs = base.pairs if isinstance(base, PairValues) else None
+                    held = new
             del new
             record(it, "z")
         del base  # N x K when dense, dead before the mean step
-        # the moments sum over the pairs where those are few; otherwise they
-        # read a dense z built for them alone. The final state keeps its own
-        sums = None
-        if (z_pairs is not None
-                and z_pairs.rows.size * _PAIR_SHARE <= state.n_query * spec.n_classes):
-            sums = held if held is not None else PairValues(
-                z_pairs, state.z[n_s:][z_pairs.rows, z_pairs.cols])
+        moments = _group_moments(state, spec, held)
+        # the last mean step, and any wrapper of it, sees the final dense z
         if held is not None and it == spec.hyper.outer_iters:
             state, held = replace(state, z=_dense_z(state, held)), None
-        dense = state
-        if held is not None and sums is None:
-            dense = replace(state, z=_dense_z(state, held))
-        moments = _group_moments(dense, spec, sums)
-        del sums, dense
         means = mu_step(state, spec, moments)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         log_p = None

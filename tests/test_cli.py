@@ -435,17 +435,23 @@ def test_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
 @pytest.mark.parametrize("few_shot", [False, True])
 def test_solves_run_at_one_blas_thread(task_dir, tmp_path, monkeypatch, few_shot):
     # the solve sees one OpenBLAS thread, whatever the count before it, and
-    # the count is restored after
+    # the count is restored after; so do the soft labels behind the printed
+    # zero-shot accuracy
     get, put = cli._openblas_threads()
-    seen = []
+    seen, labeled = [], []
     name = "run_fewshot" if few_shot else "run"
     solve = getattr(cli, name)
     monkeypatch.setattr(cli, name, lambda *a, **k: seen.append(get()) or solve(*a, **k))
+    soft = solver.compute_soft_labels
+    monkeypatch.setattr(solver, "compute_soft_labels",
+                        lambda *a: labeled.append(get()) or soft(*a))
     before = get()
     put(2)
     try:
-        args = (_fs_args if few_shot else _zs_args)(task_dir, tmp_path / "pred.csv")
+        args = (_fs_args if few_shot else _zs_args)(
+            task_dir, tmp_path / "pred.csv", ["--truth", str(task_dir / "truth.labels")])
         assert main(args) == 0
         assert seen == [1] and get() == 2
+        assert len(labeled) >= 2 and set(labeled) == {1}
     finally:
         put(before)

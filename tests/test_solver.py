@@ -896,7 +896,7 @@ class TestCachedBlocks:
                 else _wide_task().spec.with_hyper(k_nn=0))
         kinds = _base_kinds(monkeypatch)
         calls = _count_calls(monkeypatch, "z_step")
-        took_pairs = []
+        took_pairs = _count_calls(monkeypatch, "_pair_first_moments")
         original = solver._group_moments
 
         def checked(state, spec, held=None):
@@ -905,7 +905,6 @@ class TestCachedBlocks:
             want = _old_moments(z, state.features, state.n_support, spec.hyper.support_weight)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
-            took_pairs.append(held is not None)
             return got
 
         monkeypatch.setattr(solver, "_group_moments", checked)
@@ -920,7 +919,7 @@ class TestCachedBlocks:
             assert part(traced).tobytes() == part(state).tobytes()
         repeats = sum(a is b for a, b in zip(traced.trace, traced.trace[1:]))
         assert repeats == scheduled - made
-        assert any(kinds) == candidates and any(took_pairs) == pair_moments
+        assert any(kinds) == candidates and bool(took_pairs) == pair_moments
 
         monkeypatch.setattr(solver, "_DENSE_SHARE", 10**9)
         want, dense = run(spec)
@@ -1065,23 +1064,27 @@ class TestCandidates:
         if block_rows is not None:
             monkeypatch.setattr(solver, "_PAIR_BYTES", block_rows * 8 * 64)
         spec = _wide_task(shots_per_class=shots).spec.with_hyper(support_weight=0.2, outer_iters=4)
-        # the states and pair values of the solve's moments passes: the last
-        # state is the final, dense one, an earlier one holds only the support
-        # rows of z beside its pairs
-        passes = []
-        original = solver._group_moments
+        # the states and pair values of the solve's moments passes, each
+        # holding only the support rows of z beside its pairs, and the states
+        # the mean steps see: the last is the final, dense one
+        passes, steps = [], []
+        original, mean_step = solver._group_moments, solver.mu_step
         monkeypatch.setattr(solver, "_group_moments",
                             lambda *args: passes.append(args) or original(*args))
-        run(spec)
+        monkeypatch.setattr(solver, "mu_step",
+                            lambda *args: steps.append(args[0]) or mean_step(*args))
+        _, final = run(spec)
         for state, _, held in passes[-2:]:
-            assert held is not None
+            assert held is not None and state.z.shape[0] == spec.n_support
             assert held.pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes
             got = original(state, spec, held)
             want = original(replace(state, z=solver._dense_z(state, held)), spec)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
-        assert passes[-2][0].z.shape[0] == spec.n_support
-        assert passes[-1][0].z.shape[0] == spec.n_support + spec.n_query
+        # the last moments pass read the pairs of the final z
+        state, _, held = passes[-1]
+        assert steps[-1].z is final.z
+        assert solver._dense_z(state, held).tobytes() == final.z.tobytes()
 
     @pytest.mark.parametrize("shots", [0, 4])
     def test_dense_tasks_keep_their_bytes(self, monkeypatch, shots):
@@ -1128,21 +1131,40 @@ class TestCandidates:
         # budgets of the screen and the pair dots. No outer iteration holds a
         # dense base or a dense z beside its pairs: the peak is one dense z,
         # built for a moments pass or for the final state, plus the pairs
-        peak = self._peak_above_prepared(monkeypatch, _peak_task(), first_dense=False)
-        assert peak <= 1.5
+        kinds = _base_kinds(monkeypatch)
+        assert self._peak_above_prepared(_peak_task(), kinds, dense=()) <= 1.5
 
     def test_dense_first_round_sets_the_peak(self, monkeypatch):
         # at tau 30 the same task's first outer iteration is dense: it holds z,
         # the new z and the base logits, and the candidate rounds stay below
-        peak = self._peak_above_prepared(monkeypatch, _peak_task(30.0), first_dense=True)
-        assert peak <= 3.25
+        kinds = _base_kinds(monkeypatch)
+        assert self._peak_above_prepared(_peak_task(30.0), kinds, dense=(0,)) <= 3.25
+
+    def test_dense_rounds_after_candidate_rounds_keep_the_peak(self, monkeypatch):
+        # the same task with every even outer iteration made dense: from the
+        # third on, each follows a candidate round, and its first sweep holds
+        # the held pairs, the dense z it builds from them, the new z and the
+        # base logits, within the dense-first round's bound
+        kinds = _base_kinds(monkeypatch)
+        noting = solver._base_logits
+
+        def alternating(*args):
+            if len(kinds) % 2:
+                return noting(*args)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_DENSE_SHARE", 10**9)
+                return noting(*args)
+
+        monkeypatch.setattr(solver, "_base_logits", alternating)
+        spec = _peak_task(30.0)
+        assert self._peak_above_prepared(spec, kinds, dense=range(0, 10, 2)) <= 3.25
 
     @staticmethod
-    def _peak_above_prepared(monkeypatch, spec, first_dense):
+    def _peak_above_prepared(spec, kinds, dense):
         """A solve's tracemalloc peak above its prepared state, in N x K
-        arrays, having checked which outer iterations took the candidates
-        and that the final state holds about one N x K array."""
-        kinds = _base_kinds(monkeypatch)
+        arrays, having checked that the outer iterations in ``dense``, and
+        only those, took the dense path, as noted in ``kinds``, and that the
+        final state holds about one N x K array."""
         prepared = init_state(spec)
         one = spec.n_query * spec.n_classes * 8
         tracemalloc.start()
@@ -1153,7 +1175,7 @@ class TestCandidates:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(kinds[1:]) and kinds[0] != first_dense
+        assert [not k for k in kinds] == [i in dense for i in range(spec.hyper.outer_iters)]
         assert held - base <= 1.1 * one
         return (peak - base) / one
 
@@ -1189,8 +1211,9 @@ class TestCandidates:
                                   "symmetrized": {"symmetrize_graph": True}}.get(kind, {}))
         kinds = _base_kinds(monkeypatch)
         if kind == "alternating":
-            # every second outer iteration takes the dense path: the held pairs
-            # are made dense for it, and the next screens its dense base first
+            # every second outer iteration takes the dense path: its first
+            # sweep reads a dense z built from the held pairs and settles
+            # against them, and the next round screens its dense base first
             noting = solver._base_logits
 
             def alternating(*args):
@@ -1233,30 +1256,37 @@ class TestCandidates:
         spec = _wide_task().spec
         state = run(spec.with_hyper(outer_iters=1))[1]
         new = z_step(state, spec, solver._base_logits(state, spec))
-        pairs, support = new.pairs, state.z[:0]
+        pairs = new.pairs
         dense = solver._dense_z(state, new)
-        assert solver._same_query_rows(new, dense, None, 0)
-        assert not solver._same_query_rows(new, state.z, None, 0)
         extra = next(k for k in range(spec.n_classes) if k not in pairs.cols[pairs.rows == 0])
-        for changed in (1e-300, -0.0):
-            off = dense.copy()
-            off[0, extra] = changed
-            assert not solver._same_query_rows(new, off, None, 0)
+        # pairs against a dense iterate, either way round: a dense sweep
+        # compares its new z with the held pairs it read
+        for same in (lambda a, b: solver._same_query_rows(a, b, 0),
+                     lambda a, b: solver._same_query_rows(b, a, 0)):
+            assert same(new, dense)
+            assert not same(new, state.z)
+            for changed in (1e-300, -0.0):
+                off = dense.copy()
+                off[0, extra] = changed
+                assert not same(new, off)
+            moved = dense.copy()
+            moved[pairs.rows[0], pairs.cols[0]] = np.nextafter(new.values[0], 1.0)
+            assert not same(new, moved)
         # on the same pairs the values are compared bit for bit
-        assert solver._same_query_rows(new, support, solver.PairValues(pairs, new.values.copy()), 0)
+        assert solver._same_query_rows(new, solver.PairValues(pairs, new.values.copy()), 0)
         for changed in (np.nextafter(new.values[0], 1.0), -0.0):
             values = new.values.copy()
             values[0] = changed
-            assert not solver._same_query_rows(new, support, solver.PairValues(pairs, values), 0)
+            assert not solver._same_query_rows(new, solver.PairValues(pairs, values), 0)
         # on other pairs, a pair of value 0 is no change, but any other value is
         keys = np.union1d(pairs.keys, [extra])
         rows, cols = np.divmod(keys, spec.n_classes)
         other = solver.Candidates(rows, cols, pairs.starts, keys)
         values = np.zeros(keys.size)
         values[np.searchsorted(keys, pairs.keys)] = new.values
-        assert solver._same_query_rows(new, support, solver.PairValues(other, values), 0)
+        assert solver._same_query_rows(new, solver.PairValues(other, values), 0)
         values[np.searchsorted(keys, extra)] = 1e-300
-        assert not solver._same_query_rows(new, support, solver.PairValues(other, values), 0)
+        assert not solver._same_query_rows(new, solver.PairValues(other, values), 0)
 
 
 def _bound_checks(monkeypatch):
@@ -1276,21 +1306,22 @@ def _bound_checks(monkeypatch):
         calls[-1][0] += rows.shape[0]
         return gemm(rows, weights, bias)
 
-    def checked(state, spec, reach=None, dense_first=False, bound=None):
-        calls.append([0, bound is not None, False])
-        got = original(state, spec, reach, dense_first, bound)
+    def checked(state, spec, reach=None, dense_first=False, last=None):
+        calls.append([0, last is not None, False])
+        got = original(state, spec, reach, dense_first, last)
         calls[-1][2] = isinstance(got, solver.PairValues)
         if calls[-1][2]:
             new = got.bound
-            assert new.pairs is got.pairs
             weights, bias = solver._base_terms(new.gmm, spec)
             dense = state.features[state.n_support :] @ weights.T + bias
             dense[got.pairs.rows, got.pairs.cols] = -np.inf
             assert np.all(dense.max(axis=1) <= new.upper + 1e-12 * new.size)
-        if bound is not None:
+        if last is not None:
             taken = calls[-1][0]
+            bound = last.bound
             full = original(state, spec, reach, dense_first,
-                            replace(bound, upper=np.full(bound.upper.shape, np.inf)))
+                            replace(last, bound=replace(bound, upper=np.full(bound.upper.shape,
+                                                                             np.inf))))
             calls[-1][0] = taken
             assert type(got) is type(full)
             if isinstance(got, np.ndarray):
@@ -1389,8 +1420,9 @@ class TestDriftBound:
 
     def test_dense_first_screen_leaves_the_dense_logits(self, monkeypatch):
         # one-row screen blocks: the screen marks each block's kept entries
-        # while it takes the row maxima of the rest, and must restore them in
-        # the blocks it passed before the count ran over
+        # while it takes the row maxima of the rest, so it must mark copies,
+        # and leave the dense logits of the blocks it passed before the count
+        # ran over
         spec = generate_task(n_classes=10, dim=32, n_query_per_class=200, class_sep=3.0,
                              prototype_noise=0.6, temperature=30.0, seed=7).spec
         state = init_state(spec)
