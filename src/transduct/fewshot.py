@@ -8,14 +8,19 @@ the query or support sets of those search runs.
 
 The support weight only reweights the labeled-shot likelihood term, so the
 candidates share one initial state from ``solver.init_state`` (the starting
-assignments, one kNN graph and the initial means; it holds no soft labels
-and no log prior) and one validation-to-query nearest-neighbor index.
-Every graph is built inside ``init_state``. With a validation pool no shot
-is carved out, the search runs on the full support set, and the winning
-search run is the final result; it is solved again from the same initial
-state only when the objective trace is requested. When shots are carved,
-the final solve builds the full-support task's initial state, so a
-few-shot run builds at most two graphs.
+assignments, one kNN graph, the initial means and the support rows' sums of
+the moments; it holds no soft labels and no log prior) and one
+validation-to-query nearest-neighbor index. The weight enters an outer
+iteration only at its moments, so the candidates' first outer iterations
+agree up to their mean steps: ``solver.first_round`` runs that half, the
+base logits, the sweeps and the query sums, once per search, and each
+candidate's ``run`` goes on from it, with the bits of a solve from the
+initial state. Every graph is built inside ``init_state``. With a
+validation pool no shot is carved out, the search runs on the full support
+set, and the winning search run is the final result; it is solved again
+from the same initial state only when the objective trace is requested.
+When shots are carved, the final solve builds the full-support task's
+initial state, so a few-shot run builds at most two graphs.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientShots
-from .solver import SolverState, init_state, run
+from .solver import SolverState, first_round, init_state, run
 from .types import (
     FEWSHOT_KL_WEIGHT,
     GAMMA_GRID,
@@ -62,31 +67,38 @@ def split_shots(
     training shot per class). With a validation pool nothing is carved and
     the returned training set is ``support`` itself.
     """
-    rng = np.random.default_rng(seed)
     labels = support.labels
-    train_idx: list[np.ndarray] = []
-    val_idx: list[np.ndarray] = []
+    # per class, the rows the validation samples are drawn from and their count
+    draws: list[tuple[np.ndarray, int]] = []
     for cls in range(n_classes):
         rows = np.flatnonzero(labels == cls)
         if rows.size == 0:
             raise InsufficientShots(f"class {cls} has no shots")
         n_val = min(_MAX_VALIDATION_PER_CLASS, rows.size)
         if validation_pool is not None:
-            pool_rows = np.flatnonzero(validation_pool.labels == cls)
-            if pool_rows.size < n_val:
+            rows = np.flatnonzero(validation_pool.labels == cls)
+            if rows.size < n_val:
                 raise InsufficientShots(
-                    f"validation pool has {pool_rows.size} samples for class {cls}, "
+                    f"validation pool has {rows.size} samples for class {cls}, "
                     f"need {n_val}"
                 )
-            val_idx.append(rng.choice(pool_rows, size=n_val, replace=False))
-        else:
-            if rows.size - n_val < 1:
-                raise InsufficientShots(
-                    f"class {cls} has {rows.size} shots; carving {n_val} validation "
-                    "samples would leave no training shot (provide a validation pool)"
-                )
-            picked = rng.choice(rows, size=n_val, replace=False)
-            val_idx.append(picked)
+        elif rows.size - n_val < 1:
+            raise InsufficientShots(
+                f"class {cls} has {rows.size} shots; carving {n_val} validation "
+                "samples would leave no training shot (provide a validation pool)"
+            )
+        draws.append((rows, n_val))
+    # a pool that holds exactly each class's count is drawn whole whatever
+    # the seed, and the rows are sorted below: no generator is made, and so
+    # numpy.random is not imported
+    whole = validation_pool is not None and all(rows.size == n for rows, n in draws)
+    rng = None if whole else np.random.default_rng(seed)
+    train_idx: list[np.ndarray] = []
+    val_idx: list[np.ndarray] = []
+    for rows, n_val in draws:
+        picked = rows if whole else rng.choice(rows, size=n_val, replace=False)
+        val_idx.append(picked)
+        if validation_pool is None:
             train_idx.append(np.setdiff1d(rows, picked))
 
     if validation_pool is not None:
@@ -129,18 +141,21 @@ def search_gamma(
     state (``init_state(spec_base)`` when None), scores each run with the
     1-NN rule, and returns the best value (ties go to the smaller weight,
     whatever the grid order), the full score table in grid order, and the
-    best candidate's ``(assignments, state)``. Only the best run so far is
-    kept alive.
+    best candidate's ``(assignments, state)``. The first outer iteration up
+    to its mean step is run once, by ``first_round``, and every candidate's
+    solve goes on from it. Only the best run so far is kept alive.
     """
     if len(grid) == 0:
         raise ValueError("support-weight grid must be non-empty")
     if prepared is None:
         prepared = init_state(spec_base)
+    # the first outer iteration's half before its mean step, once for all
+    start = first_round(prepared, spec_base) if spec_base.hyper.outer_iters else prepared
     nearest = _nearest_queries(validation.embeddings, spec_base.query)
     table: list[tuple[float, float]] = []
     best_gamma, best_acc, best = 0.0, -1.0, None
     for gamma in map(float, grid):
-        result = run(spec_base.with_hyper(support_weight=gamma), prepared=prepared)
+        result = run(spec_base.with_hyper(support_weight=gamma), prepared=start)
         acc = float(np.mean(hard_predict(result[0])[nearest] == validation.labels))
         table.append((gamma, acc))
         if acc > best_acc or (acc == best_acc and gamma < best_gamma):

@@ -106,24 +106,34 @@ row.
 
 ``init_state`` builds a task's initial ``SolverState``, once per task: the
 stacked support-then-query features, the kNN graph, the starting
-assignments and the initial mixture. None of these depend on the term
-weights, so ``run`` also starts from a given initial state, and the solves
-of a few-shot grid search share one graph. A ``SolverState`` is frozen:
-``run`` steps it with ``dataclasses.replace``, so every state of a task
-shares the initial state's arrays, and gives the final state its trace, a
-tuple of frozen rows. ``run`` owns what a solve reuses: each query row's
-reach, the base logits or candidates an outer iteration's sweeps share, the
-pairs and bound of a candidate round's base, which it hands the next
-screen, the pairs that hold the iterate's query rows, the moments its mean
-and variance steps share and, traced, the objective's log-densities and
-log prior.
+assignments, the initial mixture and the support rows' sums of the
+moments. None of these depend on the term weights, so ``run`` also starts
+from a given initial state, and the solves of a few-shot grid search share
+one graph. A ``SolverState`` is frozen: ``run`` steps it with
+``dataclasses.replace``, so every state of a task shares the initial
+state's arrays, and gives the final state its trace, a tuple of frozen
+rows. ``run`` owns what a solve reuses: each query row's reach, the base
+logits or candidates an outer iteration's sweeps share, the pairs and bound
+of a candidate round's base, which it hands the next screen, the pairs that
+hold the iterate's query rows, the moments its mean and variance steps
+share and, traced, the objective's log-densities and log prior.
+
+The support weight gamma enters an outer iteration only at its moments:
+the base logits, the sweeps and the query sums before them read the
+iterate, the mixture, the graph and the prior alone. So the first outer
+iteration of every support weight's solve is the same up to its mean step,
+from the same initial state. ``first_round`` runs that half once and keeps
+it as a ``FirstRound``; ``run`` given one goes on from it to the mean step
+of its own weight, so the candidates of a grid search pay for the first
+round's base logits and sweeps once in all. Each solve has the bits of a
+solve from the initial state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -243,6 +253,10 @@ class SolverState:
     was built from; ``run`` checks a spec against it. ``z`` is the only
     N x K array held: the soft labels are computed afresh on request.
     ``trace`` holds the rows of a traced solve, and is empty otherwise.
+    ``support_sums`` holds the support rows' terms of ``_group_moments``
+    before their weight: the one-hot rows' class counts, their sums of
+    feature rows and the sum of their squared features, or None without
+    support rows.
     """
 
     z: np.ndarray
@@ -251,6 +265,7 @@ class SolverState:
     features: np.ndarray
     n_support: int
     task: TaskSpec
+    support_sums: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     trace: tuple[TraceRow, ...] = ()
 
     @property
@@ -645,24 +660,19 @@ def _pair_first_moments(features: np.ndarray, values: np.ndarray,
     return out
 
 
-def _group_moments(state: SolverState, spec: TaskSpec, held: Optional[PairValues] = None):
-    """Support- and query-weighted first moments shared by the mean and
-    variance updates. Returns (weighted z-mass per class, weighted z'F,
-    weighted sum of z row-sums times f^2).
+def _query_moments(state: SolverState, held: Optional[PairValues] = None):
+    """The query rows' sums of ``_group_moments``, each over n_query: (z-mass
+    per class, z'F, sum of z row-sums times f^2).
 
     The query rows of z are ``held`` when given, and else those of the
-    dense ``state.z``; the support rows are those of ``state.z``. The query
-    sums run over the pairs of ``held`` where those are at most
-    1 / ``_PAIR_SHARE`` of the query entries, and else over the dense query
-    rows, of a z built for this pass alone when they are held.
+    dense ``state.z``. The sums run over the pairs of ``held`` where those
+    are at most 1 / ``_PAIR_SHARE`` of the query entries, and else over the
+    dense query rows, of a z built for this pass alone when they are held.
     """
-    gamma = spec.hyper.support_weight
     z = state.z
-    feats = state.features
-    n_s, n_q = state.n_support, state.n_query
-
-    fq = feats[n_s:]
-    if held is not None and held.pairs.rows.size * _PAIR_SHARE > n_q * z.shape[1]:
+    n_s, n_q, n_classes = state.n_support, state.n_query, z.shape[1]
+    fq = state.features[n_s:]
+    if held is not None and held.pairs.rows.size * _PAIR_SHARE > n_q * n_classes:
         z, held = _dense_z(state, held), None
     if held is None:
         zq = z[n_s:]
@@ -671,18 +681,36 @@ def _group_moments(state: SolverState, spec: TaskSpec, held: Optional[PairValues
         row_mass = zq.sum(axis=1)
     else:
         pairs, values = held.pairs, held.values
-        mass = np.bincount(pairs.cols, weights=values, minlength=z.shape[1]) / n_q
-        first = _pair_first_moments(fq, values, pairs, z.shape[1]) / n_q
+        mass = np.bincount(pairs.cols, weights=values, minlength=n_classes) / n_q
+        first = _pair_first_moments(fq, values, pairs, n_classes) / n_q
         row_mass = np.add.reduceat(values, pairs.starts)
-    # one einsum per set, so no rows x d square is made
+    # one einsum, so no rows x d square is made
     sq = np.einsum("n,nd,nd->d", row_mass, fq, fq) / n_q
-    if n_s and gamma > 0:
-        zs, fs = z[:n_s], feats[:n_s]
-        w = gamma / n_s
-        mass = mass + w * zs.sum(axis=0)
-        first = first + w * (zs.T @ fs)
-        sq = sq + w * np.einsum("n,nd,nd->d", zs.sum(axis=1), fs, fs)
     return mass, first, sq
+
+
+def _add_support(state: SolverState, spec: TaskSpec, query):
+    """``query``, the ``_query_moments`` of an iterate, plus the support rows'
+    ``state.support_sums`` at weight gamma / n_support."""
+    mass, first, sq = query
+    gamma = spec.hyper.support_weight
+    if state.n_support and gamma > 0:
+        counts, sums, squares = state.support_sums
+        w = gamma / state.n_support
+        mass = mass + w * counts
+        first = first + w * sums
+        sq = sq + w * squares
+    return mass, first, sq
+
+
+def _group_moments(state: SolverState, spec: TaskSpec, held: Optional[PairValues] = None):
+    """Support- and query-weighted first moments shared by the mean and
+    variance updates. Returns (weighted z-mass per class, weighted z'F,
+    weighted sum of z row-sums times f^2): the ``_query_moments`` of the
+    iterate whose query rows are ``held``, or those of the dense
+    ``state.z``, plus the support rows' terms.
+    """
+    return _add_support(state, spec, _query_moments(state, held))
 
 
 def mu_step(state: SolverState, spec: TaskSpec, moments) -> np.ndarray:
@@ -773,9 +801,9 @@ def init_state(spec: TaskSpec) -> SolverState:
     the graph spans support-then-query rows; means start from labeled
     class averages (few-shot) or each class's most confident queries
     (zero-shot), and every variance at 1/d; query assignments start at the
-    soft labels and support rows at their one-hot labels. None of these
-    depend on the term weights, so one initial state serves every
-    support-weight candidate.
+    soft labels and support rows at their one-hot labels, whose sums of the
+    moments are taken here once. None of these depend on the term weights,
+    so one initial state serves every support-weight candidate.
     """
     # The graph is built on the held rows: wrapping them in another
     # EmbeddingMatrix would copy them, as it copies any array it did not
@@ -797,9 +825,15 @@ def init_state(spec: TaskSpec) -> SolverState:
         one_hot = SimplexAssignments.one_hot(spec.support.labels, spec.n_classes)
         z0 = np.concatenate([one_hot.z, soft.z])
         z0.setflags(write=False)
+        # the support rows' terms of every moments pass of the task's solves
+        zs, fs = z0[: spec.n_support], rows.data[: spec.n_support]
+        support_sums = (zs.sum(axis=0), zs.T @ fs, np.einsum("n,nd,nd->d", zs.sum(axis=1), fs, fs))
+        for part in support_sums:
+            part.setflags(write=False)
     else:
         means = init_prototypes_topk(spec.query, soft, spec.hyper.init_top_m)
         z0 = soft.z  # already read-only
+        support_sums = None
     # the state holds no soft labels and no log prior: the sweeps take the
     # prior from the text rows, so z0 is the only N x K array held
     return SolverState(
@@ -809,13 +843,98 @@ def init_state(spec: TaskSpec) -> SolverState:
         features=rows.data,
         n_support=spec.n_support,
         task=spec,
+        support_sums=support_sums,
     )
+
+
+def _sweep_round(iterate: list, spec: TaskSpec, it: int, reach: np.ndarray,
+                 after: Optional[Callable] = None):
+    """Outer iteration ``it`` of a solve up to its moments: the half that no
+    support weight enters. ``iterate`` is [state, held, last]: the iterate
+    ``state``, whose query rows are ``held`` when given (see ``run``), and
+    the last round's base on its candidate pairs, when it took them. The
+    list is emptied on entry, so a caller that drops its own names holds
+    none of the arrays the round replaces. Computes the base logits of
+    ``state.gmm``, screened from ``last``, and runs up to ``inner_z_iters``
+    sweeps, ending at the first that settles. Returns the iterate after the
+    sweeps as (state, held), and the base's pairs and bound for the next
+    round's screen, or None. ``after(state, held, swept)`` is called after
+    each scheduled sweep, with ``swept`` False for one skipped."""
+    state, held, last = iterate
+    iterate.clear()
+    n_s = state.n_support
+    base = (_base_logits(state, spec, reach, it > 1 and last is None, last)
+            if spec.hyper.inner_z_iters else None)
+    # the next screen reads the base's pairs and bound alone; the last
+    # round's base is dead before its mean step
+    last = (replace(base, values=None)
+            if isinstance(base, PairValues) and it < spec.hyper.outer_iters else None)
+    settled = False
+    for _ in range(spec.hyper.inner_z_iters):
+        swept = not settled
+        if swept:
+            new = z_step(state, spec, base, held)
+            # the equal copy is dropped: holding it beside z through the
+            # mean step would raise the peak by one N x K array
+            settled = _same_query_rows(new, state.z if held is None else held, n_s)
+            if not settled:
+                if not isinstance(new, PairValues):
+                    state, held = replace(state, z=new), None
+                elif held is None:  # the dense z is dropped, but for its support rows
+                    support = state.z[:n_s].copy()
+                    support.setflags(write=False)
+                    state, held = replace(state, z=support), new
+                else:
+                    held = new
+            del new
+        if after is not None:
+            after(state, held, swept)
+    # the base, N x K when dense, is dead before the moments pass
+    return state, held, last
+
+
+@dataclass(frozen=True, eq=False)
+class FirstRound:
+    """Outer iteration 1 of a task's solves up to its mean step, made by
+    ``first_round`` from the initial state ``prepared`` under ``spec``:
+    the iterate after the round's sweeps as ``state`` and ``held``, as
+    ``run`` holds them, the base's pairs and bound for the next screen as
+    ``last``, and the ``_query_moments`` of the iterate, read-only, as
+    ``query_sums``. ``run`` goes on from it for a spec that differs from
+    ``spec`` in its support weight alone."""
+
+    prepared: SolverState
+    spec: TaskSpec
+    state: SolverState
+    held: Optional[PairValues]
+    last: Optional[PairValues]
+    query_sums: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def serves(self, spec: TaskSpec) -> bool:
+        """Whether ``spec``'s hyper-parameters are those of the record's
+        spec but for the support weight; ``run`` checks the task apart."""
+        mine = self.spec.hyper
+        return replace(spec.hyper, support_weight=mine.support_weight) == mine
+
+
+def first_round(prepared: SolverState, spec: TaskSpec) -> FirstRound:
+    """Run outer iteration 1 of ``spec``'s solve from the initial state
+    ``prepared`` up to its mean step, for ``run`` to go on from at any
+    support weight; raises ValueError when ``prepared`` was built from a
+    different task."""
+    if not prepared.matches(spec):
+        raise ValueError("prepared state was made from a different task")
+    state, held, last = _sweep_round([prepared, None, None], spec, 1, _reach(prepared))
+    sums = _query_moments(state, held)
+    for part in sums:
+        part.setflags(write=False)
+    return FirstRound(prepared, spec, state, held, last, sums)
 
 
 def run(
     spec: TaskSpec,
     record_trace: bool = False,
-    prepared: Optional[SolverState] = None,
+    prepared: Union[SolverState, FirstRound, None] = None,
 ) -> tuple[SimplexAssignments, SolverState]:
     """Full transduction pipeline; returns query assignments and final state.
 
@@ -843,11 +962,19 @@ def run(
     of the query rows of ``state.z``, not a copy. The solve starts from
     ``prepared``, an ``init_state`` of the same task, or else from a fresh
     ``init_state(spec)``; raises ValueError when ``prepared`` was built from
-    a different task. The BLAS may sum the solve's products in an order
-    that depends on its thread count; the CLI pins it to one thread around
-    this call, and a library caller that needs the same bits at any thread
-    count pins it likewise.
+    a different task. ``prepared`` may also be a ``FirstRound`` of the
+    task: an untraced solve whose spec differs from the record's in its
+    support weight alone goes on from the record's first round, with the
+    bits of a solve from its initial state, and any other solve starts
+    from that initial state. The BLAS may sum the solve's products in an
+    order that depends on its thread count; the CLI pins it to one thread
+    around this call, and a library caller that needs the same bits at any
+    thread count pins it likewise.
     """
+    shared = None  # the first round this solve goes on from
+    if isinstance(prepared, FirstRound):
+        shared = prepared if not record_trace and prepared.serves(spec) else None
+        prepared = prepared.prepared
     if prepared is None:
         state = init_state(spec)
     elif prepared.matches(spec):
@@ -862,62 +989,51 @@ def run(
     # dense; while they are held, state.z holds the support rows alone
     held = None
 
-    def record(iteration: int, block: str) -> None:
+    def record(iteration: int, block: str, state: SolverState,
+               held: Optional[PairValues]) -> None:
         nonlocal log_p
-        if record_trace:
-            if log_p is None:
-                log_p = gmm_log_probs(state.features, state.gmm)
-            current = state if held is None else replace(state, z=_dense_z(state, held))
-            flavors = _objective_terms(current, spec, log_p, log_prior)
-            trace.append(TraceRow(iteration, block, *flavors))
+        if log_p is None:
+            log_p = gmm_log_probs(state.features, state.gmm)
+        current = state if held is None else replace(state, z=_dense_z(state, held))
+        flavors = _objective_terms(current, spec, log_p, log_prior)
+        trace.append(TraceRow(iteration, block, *flavors))
 
-    record(0, "init")
+    def after_sweep(state: SolverState, held: Optional[PairValues], swept: bool) -> None:
+        if swept:
+            record(it, "z", state, held)
+        else:  # a skipped sweep leaves the state, so its row is the last one
+            trace.append(trace[-1])
+
+    if record_trace:
+        record(0, "init", state, held)
     n_s = state.n_support
     reach = _reach(state)
     last = None  # the last round's base, when it took the candidates
     for it in range(1, spec.hyper.outer_iters + 1):
-        base = (_base_logits(state, spec, reach, it > 1 and last is None, last)
-                if spec.hyper.inner_z_iters else None)
-        # the next screen reads the base's pairs and bound alone; the last
-        # round's base is dead before its mean step
-        last = (replace(base, values=None)
-                if isinstance(base, PairValues) and it < spec.hyper.outer_iters else None)
-        settled = False
-        for _ in range(spec.hyper.inner_z_iters):
-            if settled:
-                # a skipped sweep leaves the state, so its row is the last one
-                if record_trace:
-                    trace.append(trace[-1])
-                continue
-            new = z_step(state, spec, base, held)
-            # the equal copy is dropped: holding it beside z through the
-            # mean step would raise the peak by one N x K array
-            settled = _same_query_rows(new, state.z if held is None else held, n_s)
-            if not settled:
-                if not isinstance(new, PairValues):
-                    state, held = replace(state, z=new), None
-                elif held is None:  # the dense z is dropped, but for its support rows
-                    support = state.z[:n_s].copy()
-                    support.setflags(write=False)
-                    state, held = replace(state, z=support), new
-                else:
-                    held = new
-            del new
-            record(it, "z")
-        del base  # N x K when dense, dead before the mean step
-        moments = _group_moments(state, spec, held)
+        if it == 1 and shared is not None:
+            state, held, last = shared.state, shared.held, shared.last
+            moments = _add_support(state, spec, shared.query_sums)
+        else:
+            # handed over whole: the sweeps drop the z and the bound they replace
+            iterate = [state, held, last]
+            del state, held, last
+            state, held, last = _sweep_round(iterate, spec, it, reach,
+                                             after_sweep if record_trace else None)
+            moments = _group_moments(state, spec, held)
         # the last mean step, and any wrapper of it, sees the final dense z
         if held is not None and it == spec.hyper.outer_iters:
             state, held = replace(state, z=_dense_z(state, held)), None
         means = mu_step(state, spec, moments)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         log_p = None
-        record(it, "mu")
+        if record_trace:
+            record(it, "mu", state, held)
         variances = sigma_step(state, spec, moments)
         del moments  # K x d, as large as a quarter of N x K on wide tasks
         state = replace(state, gmm=GmmParams(means, variances))
         log_p = None
-        record(it, "sigma")
+        if record_trace:
+            record(it, "sigma", state, held)
 
     state = replace(state, trace=tuple(trace))
     return SimplexAssignments(state.z[n_s:]), state

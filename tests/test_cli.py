@@ -116,6 +116,36 @@ class TestRunFs:
         parsed = read_score_table(table)
         assert [g for g, _ in parsed] == [0.002, 0.01, 0.02, 0.2]
 
+    def test_search_writes_the_csv_of_its_chosen_weight(self, task_dir, tmp_path, capsys):
+        # the candidates go on from one shared first round; the winner's
+        # predictions are those of a solve at its weight alone
+        pool = ["--validation", str(task_dir / "validation.emb"),
+                "--validation-labels", str(task_dir / "validation.labels")]
+        assert main(_fs_args(task_dir, tmp_path / "search.csv", pool)) == 0
+        gamma = capsys.readouterr().out.split("support weight: ")[1].split()[0]
+        assert main(_fs_args(task_dir, tmp_path / "fixed.csv", ["--gamma", gamma])) == 0
+        assert (tmp_path / "search.csv").read_bytes() == (tmp_path / "fixed.csv").read_bytes()
+
+    @pytest.mark.parametrize("pool, imported", [(True, False), (False, True)])
+    def test_numpy_random_is_imported_only_to_draw(self, task_dir, tmp_path, pool, imported):
+        # the fixture's pool holds 4 rows of each class, the count drawn, so
+        # it is taken whole; carved shots are drawn from the seeded generator
+        extra = (["--validation", str(task_dir / "validation.emb"),
+                  "--validation-labels", str(task_dir / "validation.labels")] if pool else [])
+        code = (
+            "import json, sys\n"
+            "from transduct.cli import main\n"
+            "assert main(json.loads(sys.argv[1])) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(_fs_args(task_dir, tmp_path / "p.csv", extra))],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[-1] == str(imported)
+
     @pytest.mark.parametrize("traced", [False, True])
     def test_objective_is_evaluated_only_with_trace(self, task_dir, tmp_path, monkeypatch, traced):
         calls = []

@@ -10,7 +10,7 @@ from transduct.errors import InsufficientShots
 from transduct.fewshot import run_fewshot, search_gamma, split_shots
 from transduct.solver import init_state, run
 from transduct.synth import generate_task
-from transduct.types import EmbeddingMatrix, SupportSet
+from transduct.types import GAMMA_GRID, EmbeddingMatrix, SupportSet
 from transduct.zeroshot import compute_soft_labels, hard_predict
 from helpers import random_task, unit_rows
 
@@ -76,6 +76,56 @@ class TestSplitShots:
         val_rows = {row.tobytes() for row in val.embeddings.data}
         assert not (train_rows & val_rows)
         assert len(train_rows) + len(val_rows) == support.n_rows
+
+    # the draws below were read from the generator path before an exact
+    # pool skipped it: the seeded stream must keep them
+    def test_carved_draw_is_pinned(self):
+        support, _, _ = _pinned_sets()
+        train, val = split_shots(support, 3, seed=11)
+        assert _rows_of(val, support) == [0, 1, 2, 3, 5, 7, 13, 14, 15, 16, 17, 19]
+        assert _rows_of(train, support) == [4, 6, 8, 9, 10, 11, 12, 18]
+
+    def test_larger_pool_draw_is_pinned(self):
+        # class 0 holds 7 pool rows and class 2 holds 5: every class draws
+        # from the generator, class 1's exact pool included
+        _, support, pool = _pinned_sets()
+        train, val = split_shots(support, 3, seed=11, validation_pool=pool)
+        assert train is support
+        assert _rows_of(val, pool) == [0, 1, 2, 5, 6, 7, 8, 9, 10, 12, 13, 14]
+
+    @pytest.mark.parametrize("shots", [2, 4])
+    def test_exact_pool_is_taken_whole_without_a_generator(self, rng, monkeypatch, shots):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        labels = rng.permutation(np.repeat(np.arange(3), shots))
+        pool = SupportSet(EmbeddingMatrix(unit_rows(rng, labels.size, 5)), labels)
+        for seed in (0, 11):
+            _, val = split_shots(_support(rng, shots, 3, dim=5), 3, seed=seed,
+                                 validation_pool=pool)
+            assert _rows_of(val, pool) == list(range(pool.n_rows))
+            assert np.array_equal(val.labels, pool.labels)
+
+
+def _labelled(rng, counts):
+    """A labeled set of unit rows in 5 dimensions, ``counts[k]`` of class k,
+    the labels in a random order."""
+    labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    return SupportSet(EmbeddingMatrix(unit_rows(rng, labels.size, 5)), labels)
+
+
+def _pinned_sets():
+    """A support set of 6, 9 and 5 shots, one of 4 shots per class, and a
+    pool of 7, 4 and 5 rows, from one seeded stream."""
+    rng = np.random.default_rng(2024)
+    return _labelled(rng, [6, 9, 5]), _labelled(rng, [4, 4, 4]), _labelled(rng, [7, 4, 5])
+
+
+def _rows_of(subset, source):
+    """The row of ``source`` that each row of ``subset`` is."""
+    data = source.embeddings.data
+    return [int(np.flatnonzero((data == row).all(axis=1))[0]) for row in subset.embeddings.data]
 
 
 def _frozen_fewshot_task():
@@ -235,6 +285,24 @@ def _small_fewshot_task(rng, shots_per_class):
     return spec, _support(rng, 4, 3, dim=6)
 
 
+def _wide_fewshot_task():
+    """200 classes of 4 queries in 64 dimensions, 5 shots and a pool of 4 per
+    class, as ``transduct synth --classes 200 --dim 64 --per-class 4
+    --class-sep 12 --prototype-noise 0.15 --shots 5 --validation-per-class 4
+    --seed 6``: its first outer iteration sweeps candidate pairs and hands
+    their bound to the second."""
+    task = generate_task(n_classes=200, dim=64, n_query_per_class=4, class_sep=12.0,
+                         prototype_noise=0.15, shots_per_class=5, n_validation_per_class=4,
+                         seed=6)
+    return task.spec, task.validation
+
+
+_FEWSHOT_TASKS = {
+    "small": lambda rng: _small_fewshot_task(rng, shots_per_class=5),
+    "wide": lambda rng: _wide_fewshot_task(),
+}
+
+
 class TestSharedPreparation:
     @pytest.mark.parametrize("carve,record_trace,builds,solves", [
         (False, False, 1, 4),
@@ -294,8 +362,11 @@ class TestSharedPreparation:
     ])
     @pytest.mark.parametrize("carve", [False, True])
     @pytest.mark.parametrize("record_trace", [False, True])
-    def test_bit_equal_to_fresh_solves(self, rng, grid, carve, record_trace):
-        spec, pool = _small_fewshot_task(rng, shots_per_class=5)
+    @pytest.mark.parametrize("task", list(_FEWSHOT_TASKS))
+    def test_bit_equal_to_fresh_solves(self, rng, grid, carve, record_trace, task):
+        # the search's candidates go on from one first round; on the wide
+        # task that round sweeps candidate pairs and hands its bound on
+        spec, pool = _FEWSHOT_TASKS[task](rng)
         pool = None if carve else pool
         gamma, table, assignments, state = _reference_fewshot(spec, grid, pool, 3, record_trace)
         result = run_fewshot(spec, grid=grid, validation_pool=pool, seed=3,
@@ -309,6 +380,34 @@ class TestSharedPreparation:
         assert ([r.update_consistent for r in result.state.trace]
                 == [r.update_consistent for r in state.trace])
         assert bool(state.trace) == record_trace
+
+    def test_wide_first_round_hands_its_bound_on(self):
+        spec, _ = _wide_fewshot_task()
+        spec = spec.with_hyper(kl_weight=0.5)
+        record = solver.first_round(init_state(spec), spec)
+        assert record.held is not None and record.last.bound is not None
+
+    @pytest.mark.parametrize("task", list(_FEWSHOT_TASKS))
+    def test_first_round_sweeps_once_per_search(self, rng, monkeypatch, task):
+        # a candidate's solve makes the sweeps of a fresh solve but for
+        # those of its first round, which the search makes once
+        spec, pool = _FEWSHOT_TASKS[task](rng)
+        spec = spec.with_hyper(kl_weight=0.5)
+        prepared = init_state(spec)
+        calls = []
+        z_step = solver.z_step
+        monkeypatch.setattr(solver, "z_step", lambda *args: calls.append(1) or z_step(*args))
+        solver.first_round(prepared, spec)
+        once = len(calls)
+        fresh = []
+        for gamma in GAMMA_GRID:
+            calls.clear()
+            run(spec.with_hyper(support_weight=gamma), prepared=prepared)
+            fresh.append(len(calls))
+        calls.clear()
+        search_gamma(spec, pool, prepared=prepared)
+        assert once > 0
+        assert len(calls) == once + sum(made - once for made in fresh)
 
     def test_tiny_candidates_tie_to_the_smallest(self, rng):
         spec, pool = _small_fewshot_task(rng, shots_per_class=5)

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from fractions import Fraction
 
 import mpmath
@@ -631,7 +631,10 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert prepared.z.shape == (spec.n_support + spec.n_query, spec.n_classes)
-        assert held - base <= 1.25 * spec.n_query * spec.n_classes * 8
+        # beside z0, the support rows' sums of the moments: K x d and smaller
+        sums = sum(part.nbytes for part in prepared.support_sums)
+        assert sums == (spec.n_classes * (spec.query.dim + 1) + spec.query.dim) * 8
+        assert held - base <= 1.25 * spec.n_query * spec.n_classes * 8 + sums
 
     def test_zero_shot_run_peak_with_init_state(self, rng):
         # init_state included: z0 is the soft labels and is dropped after the
@@ -1451,3 +1454,82 @@ class TestDriftBound:
         assert base.values.tobytes() == logits[~cut].tobytes()
         want = np.where(cut, logits, -100.0).max(axis=1)
         np.testing.assert_allclose(upper, want, rtol=1e-12)
+
+
+def _same_solve(got, want):
+    """Whether two final states hold the same bits, trace rows included."""
+    parts = (lambda s: s.z, lambda s: s.gmm.means, lambda s: s.gmm.variances)
+    return (all(part(got).tobytes() == part(want).tobytes() for part in parts)
+            and [astuple(row) for row in got.trace] == [astuple(row) for row in want.trace])
+
+
+class TestFirstRound:
+    """A ``FirstRound`` holds outer iteration 1 of a task's solves up to its
+    mean step; an untraced solve whose spec differs from the record's in
+    its support weight alone goes on from it, with the bits of a solve from
+    the initial state, and any other solve starts from that state."""
+
+    @pytest.mark.parametrize("hyper, sweeps", [
+        ({}, None),
+        # no graph: the first round's second sweep returns the first
+        ({"k_nn": 0}, 2),
+        ({"inner_z_iters": 0}, 0),
+        ({"outer_iters": 0}, None),
+        ({"outer_iters": 1}, None),
+    ])
+    def test_solves_from_the_record_are_fresh_solves(self, monkeypatch, hyper, sweeps):
+        spec = _wide_task(prototype_noise=0.15, shots_per_class=1).spec.with_hyper(**hyper)
+        prepared = init_state(spec)
+        calls = _count_calls(monkeypatch, "z_step")
+        record = solver.first_round(prepared, spec)
+        assert sweeps is None or len(calls) == sweeps
+        # the round swept candidate pairs and, with a round after it, handed
+        # its bound on
+        assert (record.held is not None) == bool(spec.hyper.inner_z_iters)
+        assert (record.last is not None) == (bool(spec.hyper.inner_z_iters)
+                                             and spec.hyper.outer_iters > 1)
+        for gamma in (0.0, 0.01, 0.2):
+            other = spec.with_hyper(support_weight=gamma)
+            _, got = run(other, prepared=record)
+            _, want = run(other)
+            assert _same_solve(got, want)
+            assert got.graph is prepared.graph
+
+    @pytest.mark.parametrize("change, record_trace", [
+        (dict(kl_weight=0.5), False),
+        (dict(inner_z_iters=2), False),
+        (dict(outer_iters=3), False),
+        ({}, True),
+    ])
+    def test_record_is_ignored_for_other_solves(self, monkeypatch, change, record_trace):
+        # such a solve makes every sweep of a solve from the initial state,
+        # its first round's included, and has its bits
+        spec = _wide_task(prototype_noise=0.15, shots_per_class=1).spec
+        prepared = init_state(spec)
+        record = solver.first_round(prepared, spec)
+        other = spec.with_hyper(support_weight=0.2, **change)
+        calls = _count_calls(monkeypatch, "z_step")
+        _, got = run(other, record_trace=record_trace, prepared=record)
+        made = len(calls)
+        calls.clear()
+        _, want = run(other, record_trace=record_trace, prepared=prepared)
+        assert made == len(calls)
+        assert _same_solve(got, want) and bool(got.trace) == record_trace
+
+    def test_record_of_another_task_is_rejected(self, rng):
+        spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=2)
+        record = solver.first_round(init_state(spec), spec)
+        with pytest.raises(ValueError, match="different task"):
+            run(spec.with_hyper(k_nn=2), prepared=record)
+        with pytest.raises(ValueError, match="different task"):
+            solver.first_round(record.prepared, spec.with_hyper(k_nn=2))
+
+    def test_record_leaves_its_arrays(self):
+        # the candidates share the record: its iterate is frozen and its
+        # query sums are read-only
+        spec = _wide_task(prototype_noise=0.15, shots_per_class=1).spec
+        record = solver.first_round(init_state(spec), spec)
+        z, values = record.state.z.tobytes(), record.held.values.tobytes()
+        run(spec.with_hyper(support_weight=0.2), prepared=record)
+        assert record.state.z.tobytes() == z and record.held.values.tobytes() == values
+        assert not any(part.flags.writeable for part in record.query_sums)
