@@ -303,6 +303,32 @@ _FEWSHOT_TASKS = {
 }
 
 
+_BIT_EQUAL_GRIDS = [
+    (0.002, 0.01, 0.02, 0.2),
+    (0.2, 2e-12, 1e-12),
+    (2e-12, 3e-12, 1e-12),
+]
+
+
+def _assert_bit_equal_to_fresh_solves(task, grid, carve, record_trace):
+    """The search's candidates go on from one first round, yet its result is
+    bit-equal to that of a fresh solve per candidate."""
+    spec, pool = task
+    pool = None if carve else pool
+    gamma, table, assignments, state = _reference_fewshot(spec, grid, pool, 3, record_trace)
+    result = run_fewshot(spec, grid=grid, validation_pool=pool, seed=3,
+                         record_trace=record_trace)
+    assert result.gamma == gamma
+    assert result.score_table == table
+    assert result.assignments.z.tobytes() == assignments.z.tobytes()
+    assert result.state.z.tobytes() == state.z.tobytes()
+    assert result.state.gmm.means.tobytes() == state.gmm.means.tobytes()
+    assert result.state.gmm.variances.tobytes() == state.gmm.variances.tobytes()
+    assert ([r.update_consistent for r in result.state.trace]
+            == [r.update_consistent for r in state.trace])
+    assert bool(state.trace) == record_trace
+
+
 class TestSharedPreparation:
     @pytest.mark.parametrize("carve,record_trace,builds,solves", [
         (False, False, 1, 4),
@@ -355,31 +381,19 @@ class TestSharedPreparation:
         run_fewshot(spec, gamma=0.02)
         assert (counts["builds"], counts["solves"]) == (1, 1)
 
-    @pytest.mark.parametrize("grid", [
-        (0.002, 0.01, 0.02, 0.2),
-        (0.2, 2e-12, 1e-12),
-        (2e-12, 3e-12, 1e-12),
-    ])
+    @pytest.mark.parametrize("grid", _BIT_EQUAL_GRIDS)
     @pytest.mark.parametrize("carve", [False, True])
     @pytest.mark.parametrize("record_trace", [False, True])
-    @pytest.mark.parametrize("task", list(_FEWSHOT_TASKS))
-    def test_bit_equal_to_fresh_solves(self, rng, grid, carve, record_trace, task):
-        # the search's candidates go on from one first round; on the wide
-        # task that round sweeps candidate pairs and hands its bound on
-        spec, pool = _FEWSHOT_TASKS[task](rng)
-        pool = None if carve else pool
-        gamma, table, assignments, state = _reference_fewshot(spec, grid, pool, 3, record_trace)
-        result = run_fewshot(spec, grid=grid, validation_pool=pool, seed=3,
-                             record_trace=record_trace)
-        assert result.gamma == gamma
-        assert result.score_table == table
-        assert result.assignments.z.tobytes() == assignments.z.tobytes()
-        assert result.state.z.tobytes() == state.z.tobytes()
-        assert result.state.gmm.means.tobytes() == state.gmm.means.tobytes()
-        assert result.state.gmm.variances.tobytes() == state.gmm.variances.tobytes()
-        assert ([r.update_consistent for r in result.state.trace]
-                == [r.update_consistent for r in state.trace])
-        assert bool(state.trace) == record_trace
+    def test_bit_equal_to_fresh_solves(self, rng, grid, carve, record_trace):
+        _assert_bit_equal_to_fresh_solves(_FEWSHOT_TASKS["small"](rng), grid, carve, record_trace)
+
+    @pytest.mark.parametrize("grid", _BIT_EQUAL_GRIDS)
+    @pytest.mark.parametrize("carve", [False, True])
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_bit_equal_to_fresh_solves_on_wide_task(self, rng, grid, carve, record_trace):
+        # on the wide task the shared first round sweeps candidate pairs and
+        # hands its bound on
+        _assert_bit_equal_to_fresh_solves(_FEWSHOT_TASKS["wide"](rng), grid, carve, record_trace)
 
     def test_wide_first_round_hands_its_bound_on(self):
         spec, _ = _wide_fewshot_task()
