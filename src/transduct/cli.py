@@ -80,17 +80,20 @@ def _pinned_blas():
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that records its long flags for ``--config`` files:
-    ``switches`` maps each flag to whether it is a store_true switch."""
+    ``switches`` maps each flag that takes a value or is a store_true switch
+    to whether it is the switch. Flags such as --help, which take no value
+    and store none, are left out, so a config key naming them is unknown."""
 
     def __init__(self, *args, **kwargs):
-        self.switches: dict[str, bool] = {}  # filled by add_argument, also for --help
+        self.switches: dict[str, bool] = {}  # filled by add_argument
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
+        switch = kwargs.get("action") == "store_true"
         for opt in action.option_strings:
-            if opt.startswith("--"):
-                self.switches[opt] = kwargs.get("action") == "store_true"
+            if opt.startswith("--") and (switch or action.nargs != 0):
+                self.switches[opt] = switch
         return action
 
 

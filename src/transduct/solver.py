@@ -63,14 +63,14 @@ it was dense, it screens base logits computed in row blocks of about
 ``_BASE_BLOCK_BYTES`` and at most an eighth of the rows, and builds the
 dense ones only when the running count passes the limit. Its sweeps return
 the query rows of z as ``PairValues`` on the candidate pairs, and read a
-neighbor's entry from its pair, 0 where it has none. ``run`` holds the
+neighbor's entry from its pair, 0 where it has none. ``state.z`` holds the
 iterate in whichever form the last sweep that moved returned, and the
 functions that read it take either: the settle check compares any two
-iterates as dense rows, and a dense z is built only inside the readers
-that need one, for a moments pass over more than 1 / 64 of the entries or
-the first sweep of a dense round that follows, and by ``run`` for each row
-of a trace and, once, for the final state. Each holds the bits the dense
-loop would have held.
+iterates as dense rows, a support row is read as its one-hot label while
+the query rows are on pairs, and a dense z is built from the pairs only
+for a moments pass over more than 1 / 64 of the entries, for each row of a
+trace, once before the first sweep of a dense round that follows, and once
+for the final state. Each holds the bits the dense loop would have held.
 
 Drift-bounded screens (Elkan, ICML 2003; Hamerly, SDM 2010). A candidate
 round hands the next its ``LeftOut``: for each query row i an upper bound
@@ -112,11 +112,12 @@ from a given initial state, and the solves of a few-shot grid search share
 one graph. A ``SolverState`` is frozen: ``run`` steps it with
 ``dataclasses.replace``, so every state of a task shares the initial
 state's arrays, and gives the final state its trace, a tuple of frozen
-rows. ``run`` owns what a solve reuses: each query row's reach, the base
-logits or candidates an outer iteration's sweeps share, the pairs and bound
-of a candidate round's base, which it hands the next screen, the pairs that
-hold the iterate's query rows, the moments its mean and variance steps
-share and, traced, the objective's log-densities and log prior.
+rows. A state holds the whole iterate of a round: its ``z``, dense or on
+pairs, and the pairs and bound of the last candidate round's base, which
+the next screen reads. ``run`` owns the rest of what a solve reuses: each
+query row's reach, the base logits or candidates an outer iteration's
+sweeps share, the moments its mean and variance steps share and, traced,
+the objective's log-densities and log prior.
 
 The support weight gamma enters an outer iteration only at its moments:
 the base logits, the sweeps and the query sums before them read the
@@ -221,9 +222,9 @@ class PairValues:
     """Query rows of an N x K array on candidate pairs: ``values`` at the
     pairs of ``pairs``, in their order. As an outer iteration's base logits,
     the other classes are those the screen left out, and ``bound`` is the
-    round's ``LeftOut``; the next round's screen reads these two alone, and
-    ``run`` hands it the base without its ``values``. As the query rows of
-    an iterate, every other entry is 0."""
+    round's ``LeftOut``; the next round's screen reads these two alone, from
+    the base without its ``values`` in ``SolverState.screen``. As the query
+    rows of an iterate, ``SolverState.z``, every other entry is 0."""
 
     pairs: Candidates
     values: Optional[np.ndarray]
@@ -242,30 +243,36 @@ class TraceRow:
 class SolverState:
     """One iterate of a solve plus the task's arrays, all read-only.
 
-    ``z`` is a float64 array. Rows 0..n_support-1 are the one-hot support
-    labels and are never modified; the remaining rows are the query
-    assignments.
-    Mid-solve, while ``run`` holds the query rows on candidate pairs,
-    ``z`` is the support rows alone, and the wrappers of ``z_step`` and
-    ``mu_step`` see such states; the final state's ``z`` has every row.
-    ``features`` stacks support embeddings above query embeddings in the
-    same order as ``z`` and the graph nodes. ``task`` is the spec the state
-    was built from; ``run`` checks a spec against it. ``z`` is the only
-    N x K array held: the soft labels are computed afresh on request.
-    ``trace`` holds the rows of a traced solve, and is empty otherwise.
+    ``z`` is the iterate, in one of two forms. Dense, it is a float64
+    N x K array: rows 0..n_support-1 are the one-hot support labels and
+    are never modified; the remaining rows are the query assignments.
+    Mid-solve, after a candidate round's sweep, it is the query rows as
+    ``PairValues`` on the round's candidate pairs, 0 off them, and the
+    support rows are the one-hot rows of ``task.support.labels``; the
+    wrappers of ``z_step`` and ``mu_step`` see such states, and every state
+    that ``init_state`` or ``run`` returns is dense. ``screen`` is the last
+    candidate round's base, its pairs and ``LeftOut`` bound without values,
+    for the next round's screen; it is None after a dense round and after
+    the last round. ``features`` stacks support embeddings above query
+    embeddings in the same order as ``z`` and the graph nodes. ``task`` is
+    the spec the state was built from; ``run`` checks a spec against it.
+    ``z`` is the only N x K array held: the soft labels are computed afresh
+    on request. ``trace`` holds the rows of a traced solve, and is empty
+    otherwise.
     ``support_sums`` holds the support rows' terms of ``_group_moments``
     before their weight: the one-hot rows' class counts, their sums of
     feature rows and the sum of their squared features, or None without
     support rows.
     """
 
-    z: np.ndarray
+    z: Union[np.ndarray, PairValues]
     gmm: GmmParams
     graph: AffinityGraph
     features: np.ndarray
     n_support: int
     task: TaskSpec
     support_sums: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    screen: Optional[PairValues] = None
     trace: tuple[TraceRow, ...] = ()
 
     @property
@@ -448,8 +455,7 @@ def _cleared(rows, weights, bias, size, peak, reach, last: PairValues, spec: Tas
 
 
 def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray] = None,
-                 dense_first: bool = False,
-                 last: Optional[PairValues] = None) -> Union[np.ndarray, PairValues]:
+                 dense_first: bool = False) -> Union[np.ndarray, PairValues]:
     """The sweep-invariant part of the query logits, ``kl_weight * log prior
     + log-densities``, up to a constant per row: the query rows against
     mu_k / var + kl_weight * tau * t_k, plus the class bias, one GEMM per
@@ -472,10 +478,10 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray]
     eighth of the rows, so no N x K array is made unless the running count
     passes the limit; the dense array then comes from ``_gemm_rows``, as
     with ``dense_first``.
-    Given ``last``, the previous round's base on its candidate pairs, the
-    blocked screen keeps the previous pairs of the rows its ``LeftOut``
-    clears as their screen, and computes the others alone, in gathered row
-    blocks. ``reach`` is ``_reach(state)``.
+    Given ``state.screen``, the previous round's base on its candidate
+    pairs, the blocked screen keeps the previous pairs of the rows its
+    ``LeftOut`` clears as their screen, and computes the others alone, in
+    gathered row blocks. ``reach`` is ``_reach(state)``.
     """
     weights, bias = _base_terms(state.gmm, spec)
     rows = state.features[state.n_support :]
@@ -498,9 +504,9 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray]
     else:
         # an eighth of the rows at most, so a dense round shows after a few
         step = min(step, -(-n // _DENSE_SHARE))
-        if last is not None:
-            clear, delta, known = _cleared(rows, weights, bias, size,
-                                           float((norms + bias).max()), reach, last, spec)
+        if state.screen is not None:
+            clear, delta, known = _cleared(rows, weights, bias, size, float((norms + bias).max()),
+                                           reach, state.screen, spec)
             pick = np.flatnonzero(~clear)
             count = known[0].size
         # the screen reads the rows of pick, in order, as rows 0, 1, ...
@@ -521,23 +527,22 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray]
     base = _candidates(rows, weights, bias, reach, flat, raw, known)
     upper = raw + (err + eps * (np.abs(raw) + err))
     if clear is not None:
-        carried = last.bound.upper[clear]
+        carried = state.screen.bound.upper[clear]
         carried = carried + (delta + eps * (np.abs(carried) + delta))
         upper[clear] = np.maximum(upper[clear], carried)
     return replace(base, bound=LeftOut(upper, state.gmm, size))
 
 
-def _pair_sums(graph: AffinityGraph, z: np.ndarray, held: Optional[PairValues], n_s: int,
-               nodes: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _pair_sums(state: SolverState, nodes: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The neighbor sums sum_j w_ij z[j, k] of the (node i, class k) pairs,
     each node's neighbors added in stored order from 0, as
     ``AffinityGraph.propagate`` adds them; the pairs are taken in blocks of
     ``_ROW_BLOCK_BYTES`` of float64, which bounds the temporaries.
 
-    z[j, k] is read from ``z``, or, when the query rows are ``held``, from
-    the support rows of ``z`` and each query entry from its pair, 0 where it
-    has none.
+    z[j, k] is read from ``state.z`` when dense, and else from the one-hot
+    support labels and each query entry from its pair, 0 where it has none.
     """
+    graph, z, n_s = state.graph, state.z, state.n_support
     out = np.zeros(nodes.size)
     step = _ROW_BLOCK_BYTES // 8
     for lo in range(0, nodes.size, step):
@@ -549,22 +554,23 @@ def _pair_sums(graph: AffinityGraph, z: np.ndarray, held: Optional[PairValues], 
             live = live[degree[live] > j]
             pos = first[live] + j
             nb, k = graph.indices[pos], klass[live]
-            if held is None:
+            if not isinstance(z, PairValues):
                 entries = z[nb, k]
             else:
                 # a support row's key is negative and matches no pair
-                keys = (nb - n_s) * z.shape[1] + k
-                at = np.minimum(np.searchsorted(held.pairs.keys, keys), held.pairs.keys.size - 1)
-                entries = held.values[at]
-                entries[held.pairs.keys[at] != keys] = 0.0
-                support = np.flatnonzero(nb < n_s)
-                entries[support] = z[nb[support], k[support]]
+                keys = (nb - n_s) * state.task.n_classes + k
+                at = np.minimum(np.searchsorted(z.pairs.keys, keys), z.pairs.keys.size - 1)
+                entries = z.values[at]
+                entries[z.pairs.keys[at] != keys] = 0.0
+                if n_s:
+                    support = np.flatnonzero(nb < n_s)
+                    entries[support] = state.task.support.labels[nb[support]] == k[support]
             out[lo + live] += graph.weights[pos] * entries
     return out
 
 
-def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, PairValues],
-           held: Optional[PairValues] = None) -> Union[np.ndarray, PairValues]:
+def z_step(state: SolverState, spec: TaskSpec,
+           base: Union[np.ndarray, PairValues]) -> Union[np.ndarray, PairValues]:
     """One simultaneous sweep of the query assignments.
 
     Every query row i becomes the softmax over classes of
@@ -579,26 +585,25 @@ def z_step(state: SolverState, spec: TaskSpec, base: Union[np.ndarray, PairValue
     ``state.gmm``, up to a row constant; only the neighbor sum is computed
     afresh, for the query rows alone.
 
-    The sweep reads the previous iterate's query rows from ``held`` when
-    given, and its support rows, or the whole dense iterate, from
-    ``state.z``. From a dense ``base`` it reads a dense z, built from
-    ``held`` for the sweep alone, and its neighbor sums go straight into the
-    query rows of the new read-only ``z``, where the softmax then runs in
-    place. From base logits on candidate pairs the neighbor sums, the
-    softmax and its normalization run over those pairs alone, and the sweep
-    returns the new query rows as ``PairValues`` on them: every other query
-    entry is 0.
+    The sweep reads the previous iterate from ``state.z``. From a dense
+    ``base`` it reads a dense ``state.z``, and its neighbor sums go
+    straight into the query rows of the new read-only ``z``, where the
+    softmax then runs in place. From base logits on candidate pairs it
+    reads ``state.z`` in either form, the neighbor sums, the softmax and its
+    normalization run over those pairs alone, and the sweep returns the new
+    query rows as ``PairValues`` on them: every other query entry is 0.
     """
     n_s = state.n_support
     if isinstance(base, PairValues):
         pairs = base.pairs
-        logits = _pair_sums(state.graph, state.z, held, n_s, pairs.rows + n_s, pairs.cols)
+        logits = _pair_sums(state, pairs.rows + n_s, pairs.cols)
         logits += base.values
         logits -= np.maximum.reduceat(logits, pairs.starts)[pairs.rows]
         np.exp(logits, out=logits)
         logits /= np.add.reduceat(logits, pairs.starts)[pairs.rows]
+        logits.setflags(write=False)
         return PairValues(pairs, logits)
-    z = state.z if held is None else _dense_z(state, held)
+    z = state.z
     z_new = np.empty_like(z)
     z_new[:n_s] = z[:n_s]
     logits = state.graph.propagate(z, start=n_s, out=z_new[n_s:])
@@ -634,13 +639,16 @@ def _same_query_rows(new: Union[np.ndarray, PairValues], old: Union[np.ndarray, 
             and np.array_equal(bits[mine], other[theirs]))
 
 
-def _dense_z(state: SolverState, held: PairValues) -> np.ndarray:
-    """The read-only dense z of an iterate whose query rows are ``held``:
-    the support rows of ``state.z`` above them."""
-    n_s, pairs = state.n_support, held.pairs
-    z = np.zeros((n_s + state.n_query, state.z.shape[1]))
-    z[:n_s] = state.z[:n_s]
-    z[n_s + pairs.rows, pairs.cols] = held.values
+def _dense_z(state: SolverState) -> np.ndarray:
+    """The read-only dense z of ``state``: ``state.z`` when dense, and else
+    the one-hot support labels above the query rows on their pairs."""
+    if not isinstance(state.z, PairValues):
+        return state.z
+    n_s, pairs = state.n_support, state.z.pairs
+    z = np.zeros((n_s + state.n_query, state.task.n_classes))
+    if n_s:
+        z[np.arange(n_s), state.task.support.labels] = 1.0
+    z[n_s + pairs.rows, pairs.cols] = state.z.values
     z.setflags(write=False)
     return z
 
@@ -660,27 +668,27 @@ def _pair_first_moments(features: np.ndarray, values: np.ndarray,
     return out
 
 
-def _query_moments(state: SolverState, held: Optional[PairValues] = None):
+def _query_moments(state: SolverState):
     """The query rows' sums of ``_group_moments``, each over n_query: (z-mass
     per class, z'F, sum of z row-sums times f^2).
 
-    The query rows of z are ``held`` when given, and else those of the
-    dense ``state.z``. The sums run over the pairs of ``held`` where those
-    are at most 1 / ``_PAIR_SHARE`` of the query entries, and else over the
-    dense query rows, of a z built for this pass alone when they are held.
+    The sums run over the pairs of ``state.z`` where it is on pairs and
+    those are at most 1 / ``_PAIR_SHARE`` of the query entries, and else
+    over the dense query rows, of a z built for this pass alone when
+    ``state.z`` is on pairs.
     """
     z = state.z
-    n_s, n_q, n_classes = state.n_support, state.n_query, z.shape[1]
+    n_s, n_q, n_classes = state.n_support, state.n_query, state.task.n_classes
     fq = state.features[n_s:]
-    if held is not None and held.pairs.rows.size * _PAIR_SHARE > n_q * n_classes:
-        z, held = _dense_z(state, held), None
-    if held is None:
+    if isinstance(z, PairValues) and z.pairs.rows.size * _PAIR_SHARE > n_q * n_classes:
+        z = _dense_z(state)
+    if not isinstance(z, PairValues):
         zq = z[n_s:]
         mass = zq.sum(axis=0) / n_q
         first = (zq.T @ fq) / n_q
         row_mass = zq.sum(axis=1)
     else:
-        pairs, values = held.pairs, held.values
+        pairs, values = z.pairs, z.values
         mass = np.bincount(pairs.cols, weights=values, minlength=n_classes) / n_q
         first = _pair_first_moments(fq, values, pairs, n_classes) / n_q
         row_mass = np.add.reduceat(values, pairs.starts)
@@ -703,14 +711,13 @@ def _add_support(state: SolverState, spec: TaskSpec, query):
     return mass, first, sq
 
 
-def _group_moments(state: SolverState, spec: TaskSpec, held: Optional[PairValues] = None):
+def _group_moments(state: SolverState, spec: TaskSpec):
     """Support- and query-weighted first moments shared by the mean and
     variance updates. Returns (weighted z-mass per class, weighted z'F,
-    weighted sum of z row-sums times f^2): the ``_query_moments`` of the
-    iterate whose query rows are ``held``, or those of the dense
-    ``state.z``, plus the support rows' terms.
+    weighted sum of z row-sums times f^2): the ``_query_moments`` of
+    ``state.z`` plus the support rows' terms.
     """
-    return _add_support(state, spec, _query_moments(state, held))
+    return _add_support(state, spec, _query_moments(state))
 
 
 def mu_step(state: SolverState, spec: TaskSpec, moments) -> np.ndarray:
@@ -757,12 +764,12 @@ def _objective_terms(state: SolverState, spec: TaskSpec, log_p: np.ndarray,
                      log_prior: Optional[np.ndarray]) -> tuple[float, float]:
     """Both flavors of the objective, ``(normalized, update_consistent)``,
     given the ``gmm_log_probs`` of every row under ``state.gmm`` and the
-    task's ``log_soft_labels``. The graph term sums w_ij z_i . z_j over the
-    stored directed edges (each ordered pair once). At ``kl_weight`` 0 the
-    prior cross-term, whose sum overflows near the temperature bound, is 0
-    and ``log_prior`` is None."""
+    task's ``log_soft_labels``, at the dense z of ``state``. The graph term
+    sums w_ij z_i . z_j over the stored directed edges (each ordered pair
+    once). At ``kl_weight`` 0 the prior cross-term, whose sum overflows near
+    the temperature bound, is 0 and ``log_prior`` is None."""
     n_s, n_q = state.n_support, state.n_query
-    z = state.z
+    z = _dense_z(state)
     zq = z[n_s:]
     gamma = spec.hyper.support_weight
 
@@ -848,66 +855,56 @@ def init_state(spec: TaskSpec) -> SolverState:
 
 
 def _sweep_round(iterate: list, spec: TaskSpec, it: int, reach: np.ndarray,
-                 after: Optional[Callable] = None):
+                 after: Optional[Callable] = None) -> SolverState:
     """Outer iteration ``it`` of a solve up to its moments: the half that no
-    support weight enters. ``iterate`` is [state, held, last]: the iterate
-    ``state``, whose query rows are ``held`` when given (see ``run``), and
-    the last round's base on its candidate pairs, when it took them. The
-    list is emptied on entry, so a caller that drops its own names holds
-    none of the arrays the round replaces. Computes the base logits of
-    ``state.gmm``, screened from ``last``, and runs up to ``inner_z_iters``
-    sweeps, ending at the first that settles. Returns the iterate after the
-    sweeps as (state, held), and the base's pairs and bound for the next
-    round's screen, or None. ``after(state, held, swept)`` is called after
-    each scheduled sweep, with ``swept`` False for one skipped."""
-    state, held, last = iterate
-    iterate.clear()
-    n_s = state.n_support
-    base = (_base_logits(state, spec, reach, it > 1 and last is None, last)
+    support weight enters. ``iterate`` is [state], the iterate; the list is
+    emptied on entry, so a caller that drops its own name holds none of the
+    arrays the round replaces. Computes the base logits of ``state.gmm``,
+    screened from ``state.screen``, and runs up to ``inner_z_iters`` sweeps,
+    ending at the first that settles. A dense round makes ``state.z`` dense
+    before its first sweep. Returns the state after the sweeps, whose
+    ``screen`` is the base's pairs and bound for the next round's screen,
+    or None. ``after(state, swept)`` is called after each scheduled sweep,
+    with ``swept`` False for one skipped."""
+    state = iterate.pop()
+    base = (_base_logits(state, spec, reach, it > 1 and state.screen is None)
             if spec.hyper.inner_z_iters else None)
     # the next screen reads the base's pairs and bound alone; the last
     # round's base is dead before its mean step
-    last = (replace(base, values=None)
-            if isinstance(base, PairValues) and it < spec.hyper.outer_iters else None)
+    screen = (replace(base, values=None)
+              if isinstance(base, PairValues) and it < spec.hyper.outer_iters else None)
+    # a dense sweep reads a dense z: built here, the pairs are dropped with it
+    state = replace(state, z=_dense_z(state) if isinstance(base, np.ndarray) else state.z,
+                    screen=screen)
     settled = False
     for _ in range(spec.hyper.inner_z_iters):
         swept = not settled
         if swept:
-            new = z_step(state, spec, base, held)
+            new = z_step(state, spec, base)
             # the equal copy is dropped: holding it beside z through the
             # mean step would raise the peak by one N x K array
-            settled = _same_query_rows(new, state.z if held is None else held, n_s)
+            settled = _same_query_rows(new, state.z, state.n_support)
             if not settled:
-                if not isinstance(new, PairValues):
-                    state, held = replace(state, z=new), None
-                elif held is None:  # the dense z is dropped, but for its support rows
-                    support = state.z[:n_s].copy()
-                    support.setflags(write=False)
-                    state, held = replace(state, z=support), new
-                else:
-                    held = new
+                state = replace(state, z=new)
             del new
         if after is not None:
-            after(state, held, swept)
+            after(state, swept)
     # the base, N x K when dense, is dead before the moments pass
-    return state, held, last
+    return state
 
 
 @dataclass(frozen=True, eq=False)
 class FirstRound:
     """Outer iteration 1 of a task's solves up to its mean step, made by
     ``first_round`` from the initial state ``prepared`` under ``spec``:
-    the iterate after the round's sweeps as ``state`` and ``held``, as
-    ``run`` holds them, the base's pairs and bound for the next screen as
-    ``last``, and the ``_query_moments`` of the iterate, read-only, as
-    ``query_sums``. ``run`` goes on from it for a spec that differs from
-    ``spec`` in its support weight alone."""
+    the state after the round's sweeps as ``state``, its ``z`` and
+    ``screen`` as ``run`` holds them, and the ``_query_moments`` of its
+    iterate, read-only, as ``query_sums``. ``run`` goes on from it for a
+    spec that differs from ``spec`` in its support weight alone."""
 
     prepared: SolverState
     spec: TaskSpec
     state: SolverState
-    held: Optional[PairValues]
-    last: Optional[PairValues]
     query_sums: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def serves(self, spec: TaskSpec) -> bool:
@@ -924,11 +921,11 @@ def first_round(prepared: SolverState, spec: TaskSpec) -> FirstRound:
     different task."""
     if not prepared.matches(spec):
         raise ValueError("prepared state was made from a different task")
-    state, held, last = _sweep_round([prepared, None, None], spec, 1, _reach(prepared))
-    sums = _query_moments(state, held)
+    state = _sweep_round([prepared], spec, 1, _reach(prepared))
+    sums = _query_moments(state)
     for part in sums:
         part.setflags(write=False)
-    return FirstRound(prepared, spec, state, held, last, sums)
+    return FirstRound(prepared, spec, state, sums)
 
 
 def run(
@@ -947,16 +944,17 @@ def run(
     ``trace`` holds the rows; a skipped sweep leaves the state, so its row is
     the one before it. A round whose candidate classes are few (see the
     module docstring) sweeps them alone and sets the other query entries to
-    0: its sweeps return the query rows as values on those pairs, which
-    ``run`` holds, and ``state.z`` holds the support rows alone until a
-    dense sweep moves the iterate. The sweeps, the settle check and the
-    moments read the held pairs as they are, and the final state's dense z
-    is built once, after the last moments pass and before the last mean
-    step. Each candidate round hands its base's pairs and ``LeftOut`` bound
-    to the next round's screen, which then computes base logits only for
-    the rows the bound does not clear (see the module docstring), and a
-    round that follows a dense one screens the dense base logits first;
-    the last round drops its base before its mean step.
+    0: its sweeps return the query rows as values on those pairs, and
+    ``state.z`` holds them so until a dense round makes it dense again,
+    once, before its first sweep. The sweeps, the settle check and the
+    moments read the pairs as they are, and the final state's dense z is
+    built once, after the last moments pass and before the last mean step,
+    so every state ``run`` returns holds a dense ``z``. Each candidate
+    round hands its base's pairs and ``LeftOut`` bound to the next round's
+    screen in ``state.screen``, and that screen then computes base logits
+    only for the rows the bound does not clear (see the module docstring);
+    a round that follows a dense one screens the dense base logits first,
+    and the last round drops its base before its mean step.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
     of the query rows of ``state.z``, not a copy. The solve starts from
@@ -985,55 +983,48 @@ def run(
     log_prior = (log_soft_labels(spec.query, spec.text, spec.temperature)
                  if record_trace and spec.hyper.kl_weight else None)
     trace: list[TraceRow] = []
-    # the query rows of the iterate as PairValues, or None while state.z is
-    # dense; while they are held, state.z holds the support rows alone
-    held = None
 
-    def record(iteration: int, block: str, state: SolverState,
-               held: Optional[PairValues]) -> None:
+    def record(iteration: int, block: str, state: SolverState) -> None:
         nonlocal log_p
         if log_p is None:
             log_p = gmm_log_probs(state.features, state.gmm)
-        current = state if held is None else replace(state, z=_dense_z(state, held))
-        flavors = _objective_terms(current, spec, log_p, log_prior)
+        flavors = _objective_terms(state, spec, log_p, log_prior)
         trace.append(TraceRow(iteration, block, *flavors))
 
-    def after_sweep(state: SolverState, held: Optional[PairValues], swept: bool) -> None:
+    def after_sweep(state: SolverState, swept: bool) -> None:
         if swept:
-            record(it, "z", state, held)
+            record(it, "z", state)
         else:  # a skipped sweep leaves the state, so its row is the last one
             trace.append(trace[-1])
 
     if record_trace:
-        record(0, "init", state, held)
+        record(0, "init", state)
     n_s = state.n_support
     reach = _reach(state)
-    last = None  # the last round's base, when it took the candidates
     for it in range(1, spec.hyper.outer_iters + 1):
         if it == 1 and shared is not None:
-            state, held, last = shared.state, shared.held, shared.last
+            state = shared.state
             moments = _add_support(state, spec, shared.query_sums)
         else:
-            # handed over whole: the sweeps drop the z and the bound they replace
-            iterate = [state, held, last]
-            del state, held, last
-            state, held, last = _sweep_round(iterate, spec, it, reach,
-                                             after_sweep if record_trace else None)
-            moments = _group_moments(state, spec, held)
+            # handed over whole: the sweeps drop the z and the screen they replace
+            iterate = [state]
+            del state
+            state = _sweep_round(iterate, spec, it, reach, after_sweep if record_trace else None)
+            moments = _group_moments(state, spec)
         # the last mean step, and any wrapper of it, sees the final dense z
-        if held is not None and it == spec.hyper.outer_iters:
-            state, held = replace(state, z=_dense_z(state, held)), None
+        if it == spec.hyper.outer_iters:
+            state = replace(state, z=_dense_z(state))
         means = mu_step(state, spec, moments)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         log_p = None
         if record_trace:
-            record(it, "mu", state, held)
+            record(it, "mu", state)
         variances = sigma_step(state, spec, moments)
         del moments  # K x d, as large as a quarter of N x K on wide tasks
         state = replace(state, gmm=GmmParams(means, variances))
         log_p = None
         if record_trace:
-            record(it, "sigma", state, held)
+            record(it, "sigma", state)
 
     state = replace(state, trace=tuple(trace))
     return SimplexAssignments(state.z[n_s:]), state

@@ -92,13 +92,13 @@ def test_criterion_1_simplex_preserved_on_random_suite(random_suite, monkeypatch
     base_seen, position = None, 0
     start = time.perf_counter()
 
-    def checked_sweep(state, spec, base, held=None):
+    def checked_sweep(state, spec, base):
         nonlocal checked, skipped, base_seen, position
-        out = z_step(state, spec, base, held)
-        # a candidate sweep returns its pair values and reads held ones: both
-        # are checked as the dense arrays they stand for
-        z = solver._dense_z(state, out) if isinstance(out, solver.PairValues) else out
-        previous = state.z if held is None else solver._dense_z(state, held)
+        out = z_step(state, spec, base)
+        # a candidate sweep returns its pair values and may read an iterate
+        # on pairs: both are checked as the dense arrays they stand for
+        z = solver._dense_z(replace(state, z=out))
+        previous = solver._dense_z(state)
         assert np.all(z >= 0.0)
         assert np.abs(z.sum(axis=1) - 1.0).max() <= 1e-9
         checked += 1

@@ -264,7 +264,7 @@ class TestSynth:
                      "--per-class", "3", "--class-sep", "2.5", "--seed", "9"]) == 0
         config = fileio.read_config(d / "config.txt")
         flags = [flag[2:] for flag in cli._build()[1]["synth"].switches
-                 if flag not in ("--help", "--out-dir", "--config")]
+                 if flag not in ("--out-dir", "--config")]
         assert list(config) == flags
         assert flags == ["classes", "dim", "per-class", "shots", "validation-per-class",
                          "class-sep", "prototype-noise", "tau", "seed"]
@@ -384,6 +384,20 @@ class TestConfigFile:
         )
         assert rc == 1 and hyper is None
         assert "cannot nest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-zs", "run-fs", "synth"])
+    def test_help_key_rejected(self, task_dir, tmp_path, capsys, command):
+        # --help takes no value and stores none: as a config key it would
+        # print usage and exit 0 without writing anything
+        cfg = tmp_path / "run.cfg"
+        fileio.write_config({"help": 1}, cfg)
+        out = tmp_path / "out"
+        argv = {"run-zs": _zs_args, "run-fs": _fs_args}.get(
+            command, lambda _, d, extra: ["synth", "--out-dir", str(d), *extra])
+        assert main(argv(task_dir, out, ["--config", str(cfg)])) == 1
+        captured = capsys.readouterr()
+        assert "unknown flag --help" in captured.err and "usage" not in captured.out
+        assert not out.exists()
 
     def test_key_is_not_abbreviated(self, task_dir, tmp_path, monkeypatch, capsys):
         # argparse would take --outer for --outer-iters; config keys must match exactly

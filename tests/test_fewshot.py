@@ -399,7 +399,8 @@ class TestSharedPreparation:
         spec, _ = _wide_fewshot_task()
         spec = spec.with_hyper(kl_weight=0.5)
         record = solver.first_round(init_state(spec), spec)
-        assert record.held is not None and record.last.bound is not None
+        assert isinstance(record.state.z, solver.PairValues)
+        assert record.state.screen.bound is not None
 
     @pytest.mark.parametrize("task", list(_FEWSHOT_TASKS))
     def test_first_round_sweeps_once_per_search(self, rng, monkeypatch, task):

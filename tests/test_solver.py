@@ -390,8 +390,8 @@ class TestRun:
         spec = random_task(rng, n_query=10, n_classes=1, dim=4)
         seen = []
 
-        def recording(state, spec, base, held=None):
-            seen.append(z_step(state, spec, base, held))
+        def recording(state, spec, base):
+            seen.append(z_step(state, spec, base))
             return seen[-1]
 
         monkeypatch.setattr(solver, "z_step", recording)
@@ -902,10 +902,10 @@ class TestCachedBlocks:
         took_pairs = _count_calls(monkeypatch, "_pair_first_moments")
         original = solver._group_moments
 
-        def checked(state, spec, held=None):
-            got = original(state, spec, held)
-            z = state.z if held is None else solver._dense_z(state, held)
-            want = _old_moments(z, state.features, state.n_support, spec.hyper.support_weight)
+        def checked(state, spec):
+            got = original(state, spec)
+            want = _old_moments(solver._dense_z(state), state.features, state.n_support,
+                                spec.hyper.support_weight)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
             return got
@@ -1010,19 +1010,18 @@ def _dense_loop(spec, record_trace):
         settled = False
         for _ in range(spec.hyper.inner_z_iters):
             if not settled:
-                z = z_step(state, spec, base)
-                if isinstance(z, solver.PairValues):
-                    z = solver._dense_z(state, z)
+                z = solver._dense_z(replace(state, z=z_step(state, spec, base)))
                 settled = z[n_s:].tobytes() == state.z[n_s:].tobytes()
                 if not settled:
                     state = replace(state, z=z)
                     z_pairs = base.pairs if isinstance(base, solver.PairValues) else None
             record()
-        held = None
+        iterate = state
         if (z_pairs is not None
                 and z_pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes):
-            held = solver.PairValues(z_pairs, state.z[n_s:][z_pairs.rows, z_pairs.cols])
-        moments = solver._group_moments(state, spec, held)
+            values = state.z[n_s:][z_pairs.rows, z_pairs.cols]
+            iterate = replace(state, z=solver.PairValues(z_pairs, values))
+        moments = solver._group_moments(iterate, spec)
         means = mu_step(state, spec, moments)
         state = replace(state, gmm=GmmParams(means, state.gmm.variances))
         record()
@@ -1052,7 +1051,7 @@ class TestCandidates:
         assert isinstance(dense, np.ndarray)
 
         n_s = state.n_support
-        got = solver._dense_z(state, z_step(state, spec, candidates))[n_s:]
+        got = solver._dense_z(replace(state, z=z_step(state, spec, candidates)))[n_s:]
         want = z_step(state, spec, dense)[n_s:]
         zeroed = got == 0.0
         assert zeroed.any()
@@ -1067,9 +1066,9 @@ class TestCandidates:
         if block_rows is not None:
             monkeypatch.setattr(solver, "_PAIR_BYTES", block_rows * 8 * 64)
         spec = _wide_task(shots_per_class=shots).spec.with_hyper(support_weight=0.2, outer_iters=4)
-        # the states and pair values of the solve's moments passes, each
-        # holding only the support rows of z beside its pairs, and the states
-        # the mean steps see: the last is the final, dense one
+        # the states of the solve's moments passes, each holding the query
+        # rows of z on pairs, and the states the mean steps see: the last is
+        # the final, dense one
         passes, steps = [], []
         original, mean_step = solver._group_moments, solver.mu_step
         monkeypatch.setattr(solver, "_group_moments",
@@ -1077,17 +1076,17 @@ class TestCandidates:
         monkeypatch.setattr(solver, "mu_step",
                             lambda *args: steps.append(args[0]) or mean_step(*args))
         _, final = run(spec)
-        for state, _, held in passes[-2:]:
-            assert held is not None and state.z.shape[0] == spec.n_support
-            assert held.pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes
-            got = original(state, spec, held)
-            want = original(replace(state, z=solver._dense_z(state, held)), spec)
+        for state, _ in passes[-2:]:
+            assert isinstance(state.z, solver.PairValues)
+            assert state.z.pairs.rows.size * solver._PAIR_SHARE <= state.n_query * spec.n_classes
+            got = original(state, spec)
+            want = original(replace(state, z=solver._dense_z(state)), spec)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
         # the last moments pass read the pairs of the final z
-        state, _, held = passes[-1]
+        state, _ = passes[-1]
         assert steps[-1].z is final.z
-        assert solver._dense_z(state, held).tobytes() == final.z.tobytes()
+        assert solver._dense_z(state).tobytes() == final.z.tobytes()
 
     @pytest.mark.parametrize("shots", [0, 4])
     def test_dense_tasks_keep_their_bytes(self, monkeypatch, shots):
@@ -1144,23 +1143,35 @@ class TestCandidates:
         assert self._peak_above_prepared(_peak_task(30.0), kinds, dense=(0,)) <= 3.25
 
     def test_dense_rounds_after_candidate_rounds_keep_the_peak(self, monkeypatch):
-        # the same task with every even outer iteration made dense: from the
-        # third on, each follows a candidate round, and its first sweep holds
-        # the held pairs, the dense z it builds from them, the new z and the
-        # base logits, within the dense-first round's bound
-        kinds = _base_kinds(monkeypatch)
-        noting = solver._base_logits
+        # the same task with every even outer iteration made dense, and at
+        # tau 100 with every odd one: each dense round after the first follows
+        # a candidate round and makes the iterate's pairs a dense z once,
+        # before its first sweep, which holds that z, the new z and the base
+        # logits, within the dense-first round's bound. Every sweep handed
+        # dense base logits reads a dense z
+        sweep, dense_reads = solver.z_step, []
 
-        def alternating(*args):
-            if len(kinds) % 2:
-                return noting(*args)
+        def checked(state, spec, base):
+            if isinstance(base, np.ndarray):
+                dense_reads.append(isinstance(state.z, np.ndarray))
+            return sweep(state, spec, base)
+
+        monkeypatch.setattr(solver, "z_step", checked)
+        for tau, dense in ((30.0, range(0, 10, 2)), (100.0, range(1, 10, 2))):
             with monkeypatch.context() as m:
-                m.setattr(solver, "_DENSE_SHARE", 10**9)
-                return noting(*args)
+                kinds = _base_kinds(m)
+                noting = solver._base_logits
 
-        monkeypatch.setattr(solver, "_base_logits", alternating)
-        spec = _peak_task(30.0)
-        assert self._peak_above_prepared(spec, kinds, dense=range(0, 10, 2)) <= 3.25
+                def alternating(*args):
+                    if len(kinds) not in dense:
+                        return noting(*args)
+                    with monkeypatch.context() as forced:
+                        forced.setattr(solver, "_DENSE_SHARE", 10**9)
+                        return noting(*args)
+
+                m.setattr(solver, "_base_logits", alternating)
+                assert self._peak_above_prepared(_peak_task(tau), kinds, dense) <= 3.25
+        assert dense_reads and all(dense_reads)
 
     @staticmethod
     def _peak_above_prepared(spec, kinds, dense):
@@ -1260,10 +1271,10 @@ class TestCandidates:
         state = run(spec.with_hyper(outer_iters=1))[1]
         new = z_step(state, spec, solver._base_logits(state, spec))
         pairs = new.pairs
-        dense = solver._dense_z(state, new)
+        dense = solver._dense_z(replace(state, z=new))
         extra = next(k for k in range(spec.n_classes) if k not in pairs.cols[pairs.rows == 0])
         # pairs against a dense iterate, either way round: a dense sweep
-        # compares its new z with the held pairs it read
+        # compares its new z with the pairs it was built from
         for same in (lambda a, b: solver._same_query_rows(a, b, 0),
                      lambda a, b: solver._same_query_rows(b, a, 0)):
             assert same(new, dense)
@@ -1309,9 +1320,10 @@ def _bound_checks(monkeypatch):
         calls[-1][0] += rows.shape[0]
         return gemm(rows, weights, bias)
 
-    def checked(state, spec, reach=None, dense_first=False, last=None):
+    def checked(state, spec, reach=None, dense_first=False):
+        last = state.screen
         calls.append([0, last is not None, False])
-        got = original(state, spec, reach, dense_first, last)
+        got = original(state, spec, reach, dense_first)
         calls[-1][2] = isinstance(got, solver.PairValues)
         if calls[-1][2]:
             new = got.bound
@@ -1322,9 +1334,9 @@ def _bound_checks(monkeypatch):
         if last is not None:
             taken = calls[-1][0]
             bound = last.bound
-            full = original(state, spec, reach, dense_first,
-                            replace(last, bound=replace(bound, upper=np.full(bound.upper.shape,
-                                                                             np.inf))))
+            unbounded = replace(bound, upper=np.full(bound.upper.shape, np.inf))
+            full = original(replace(state, screen=replace(last, bound=unbounded)), spec, reach,
+                            dense_first)
             calls[-1][0] = taken
             assert type(got) is type(full)
             if isinstance(got, np.ndarray):
@@ -1485,9 +1497,10 @@ class TestFirstRound:
         assert sweeps is None or len(calls) == sweeps
         # the round swept candidate pairs and, with a round after it, handed
         # its bound on
-        assert (record.held is not None) == bool(spec.hyper.inner_z_iters)
-        assert (record.last is not None) == (bool(spec.hyper.inner_z_iters)
-                                             and spec.hyper.outer_iters > 1)
+        assert (isinstance(record.state.z, solver.PairValues)
+                == bool(spec.hyper.inner_z_iters))
+        assert (record.state.screen is not None) == (bool(spec.hyper.inner_z_iters)
+                                                     and spec.hyper.outer_iters > 1)
         for gamma in (0.0, 0.01, 0.2):
             other = spec.with_hyper(support_weight=gamma)
             _, got = run(other, prepared=record)
@@ -1529,7 +1542,9 @@ class TestFirstRound:
         # query sums are read-only
         spec = _wide_task(prototype_noise=0.15, shots_per_class=1).spec
         record = solver.first_round(init_state(spec), spec)
-        z, values = record.state.z.tobytes(), record.held.values.tobytes()
+        z = record.state.z
+        values = z.values.tobytes()
         run(spec.with_hyper(support_weight=0.2), prepared=record)
-        assert record.state.z.tobytes() == z and record.held.values.tobytes() == values
+        assert record.state.z is z and z.values.tobytes() == values
+        assert not z.values.flags.writeable
         assert not any(part.flags.writeable for part in record.query_sums)
