@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .errors import TransductError
 from .fewshot import FewShotResult, run_fewshot, search_gamma, split_shots
-from .solver import SolverState, objective, run
+from .solver import SolverState, run
 from .synth import SynthTask, generate_task
 from .types import (
     AffinityGraph,
@@ -41,7 +41,6 @@ __all__ = [
     "compute_soft_labels",
     "generate_task",
     "hard_predict",
-    "objective",
     "run",
     "run_fewshot",
     "search_gamma",

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientShots
+from .errors import DimensionMismatch, InsufficientShots
 from .solver import SolverState, first_round, init_state, run
 from .types import (
     FEWSHOT_KL_WEIGHT,
@@ -64,9 +64,13 @@ def split_shots(
     otherwise they are carved out of the support itself, shrinking the
     effective shot count. Raises InsufficientShots when a class cannot
     supply the requested counts (carving needs at least one leftover
-    training shot per class). With a validation pool nothing is carved and
-    the returned training set is ``support`` itself.
+    training shot per class), and DimensionMismatch when the pool's rows
+    are not of the support's dimension. With a validation pool nothing is
+    carved and the returned training set is ``support`` itself.
     """
+    if validation_pool is not None and validation_pool.embeddings.dim != support.embeddings.dim:
+        raise DimensionMismatch(f"validation pool dim {validation_pool.embeddings.dim} "
+                                f"!= support dim {support.embeddings.dim}")
     labels = support.labels
     # per class, the rows the validation samples are drawn from and their count
     draws: list[tuple[np.ndarray, int]] = []
@@ -143,10 +147,15 @@ def search_gamma(
     whatever the grid order), the full score table in grid order, and the
     best candidate's ``(assignments, state)``. The first outer iteration up
     to its mean step is run once, by ``first_round``, and every candidate's
-    solve goes on from it. Only the best run so far is kept alive.
+    solve goes on from it. Only the best run so far is kept alive. Raises
+    DimensionMismatch, before any graph or solve, when the validation rows
+    are not of the query's dimension.
     """
     if len(grid) == 0:
         raise ValueError("support-weight grid must be non-empty")
+    if validation.embeddings.dim != spec_base.query.dim:
+        raise DimensionMismatch(f"validation dim {validation.embeddings.dim} "
+                                f"!= query dim {spec_base.query.dim}")
     if prepared is None:
         prepared = init_state(spec_base)
     # the first outer iteration's half before its mean step, once for all

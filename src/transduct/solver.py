@@ -6,12 +6,14 @@ shared diagonal covariance. Each outer iteration runs up to
 ``inner_z_iters`` simultaneous (Jacobi) assignment sweeps, then refreshes
 the means and variances with their closed-form minimizers. A sweep is a
 pure function of the iterate and the outer iteration's base logits, so once
-one returns its query rows bit for bit unchanged, every later sweep of that
-outer iteration would too: ``run`` skips them, and the result, trace
-included, is that of running them all. Assignment rows belonging to
-labeled support samples stay frozen at their one-hot labels.
+one returns its query rows bit for bit unchanged, in the form it read them,
+every later sweep of that outer iteration would too: the round ends there,
+and a trace repeats the row before it for that sweep and the ones it skips,
+so the result, trace included, is that of running them all. Assignment
+rows belonging to labeled support samples stay frozen at their one-hot
+labels.
 
-Two flavors of the objective are exposed. ``normalized`` averages the GMM
+Two flavors of the objective are recorded in a trace. ``normalized`` averages the GMM
 term over the query set and weighs the support term by gamma / n_support.
 ``update_consistent`` weighs each query sample by 1 and the support term
 by gamma * n_query / n_support; it is the exact Lyapunov function of the
@@ -64,13 +66,14 @@ it was dense, it screens base logits computed in row blocks of about
 dense ones only when the running count passes the limit. Its sweeps return
 the query rows of z as ``PairValues`` on the candidate pairs, and read a
 neighbor's entry from its pair, 0 where it has none. ``state.z`` holds the
-iterate in whichever form the last sweep that moved returned, and the
-functions that read it take either: the settle check compares any two
-iterates as dense rows, a support row is read as its one-hot label while
-the query rows are on pairs, and a dense z is built from the pairs only
-for a moments pass over more than 1 / 64 of the entries, for each row of a
-trace, once before the first sweep of a dense round that follows, and once
-for the final state. Each holds the bits the dense loop would have held.
+iterate in whichever form the last sweep that moved returned. The settle
+check compares two iterates of one form only: iterates of different forms
+never settle against each other. The other functions that read ``state.z``
+take either form: a support row is read as its one-hot label while the
+query rows are on pairs, and a dense z is built from the pairs only for a
+moments pass over more than 1 / 64 of the entries, for each row of a trace,
+once before the first sweep of a dense round that follows, and once for
+the final state. Each holds the bits the dense loop would have held.
 
 Drift-bounded screens (Elkan, ICML 2003; Hamerly, SDM 2010). A candidate
 round hands the next its ``LeftOut``: for each query row i an upper bound
@@ -454,7 +457,7 @@ def _cleared(rows, weights, bias, size, peak, reach, last: PairValues, spec: Tas
     return clear, delta, (pairs.keys[at[mine]], logits[mine])
 
 
-def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray] = None,
+def _base_logits(state: SolverState, spec: TaskSpec, reach: np.ndarray,
                  dense_first: bool = False) -> Union[np.ndarray, PairValues]:
     """The sweep-invariant part of the query logits, ``kl_weight * log prior
     + log-densities``, up to a constant per row: the query rows against
@@ -485,8 +488,6 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: Optional[np.ndarray]
     """
     weights, bias = _base_terms(state.gmm, spec)
     rows = state.features[state.n_support :]
-    if reach is None:
-        reach = _reach(state)
     eps = float(np.finfo(np.float64).eps)
     norms = np.sqrt(np.einsum("kd,kd->k", weights, weights))
     size = float(norms.max() + np.abs(bias).max())
@@ -617,25 +618,17 @@ def z_step(state: SolverState, spec: TaskSpec,
 
 def _same_query_rows(new: Union[np.ndarray, PairValues], old: Union[np.ndarray, PairValues],
                      n_s: int) -> bool:
-    """Whether two iterates' query rows have the same bits as dense rows:
-    -0.0 and 0.0 differ, as in ``_same_bits``. Each is a dense z, whose
-    rows from ``n_s`` on are compared, or query rows on pairs, 0 off them.
-    Two pair sets are compared by their entries whose bits are not 0, dense
-    rows against pairs at the pairs and by their count of such entries."""
+    """Whether two iterates of one form have the same query rows: two dense
+    z compared from row ``n_s`` on by ``_same_bits``, or two sets of query
+    rows on pairs by their entries whose bits are not 0, so -0.0 and 0.0
+    differ in either form. Iterates of different forms are never the same."""
+    if isinstance(new, PairValues) != isinstance(old, PairValues):
+        return False
     if not isinstance(new, PairValues):
-        if not isinstance(old, PairValues):
-            return _same_bits(new[n_s:], old[n_s:])
-        new, old = old, new
-    bits = new.values.view(np.uint64)
-    pairs = new.pairs
-    if not isinstance(old, PairValues):
-        # the dense rows hold these bits at the pairs and only zero bits off them
-        zq = old[n_s:]
-        return (np.array_equal(zq[pairs.rows, pairs.cols].view(np.uint64), bits)
-                and np.count_nonzero(zq.view(np.uint64)) == np.count_nonzero(bits))
-    other = old.values.view(np.uint64)
+        return _same_bits(new[n_s:], old[n_s:])
+    bits, other = new.values.view(np.uint64), old.values.view(np.uint64)
     mine, theirs = bits != 0, other != 0
-    return (np.array_equal(pairs.keys[mine], old.pairs.keys[theirs])
+    return (np.array_equal(new.pairs.keys[mine], old.pairs.keys[theirs])
             and np.array_equal(bits[mine], other[theirs]))
 
 
@@ -784,23 +777,6 @@ def _objective_terms(state: SolverState, spec: TaskSpec, log_p: np.ndarray,
             nll_query + kl + laplacian + n_q * support)
 
 
-_FLAVORS = ("normalized", "update_consistent")
-
-
-def objective(state: SolverState, spec: TaskSpec, which: str = "update_consistent") -> float:
-    """Evaluate the full objective for the current state.
-
-    ``which`` selects between the two weightings described in the module
-    docstring.
-    """
-    if which not in _FLAVORS:
-        raise ValueError(f"unknown objective flavor {which!r}")
-    log_p = gmm_log_probs(state.features, state.gmm)
-    log_prior = (log_soft_labels(spec.query, spec.text, spec.temperature)
-                 if spec.hyper.kl_weight else None)
-    return _objective_terms(state, spec, log_p, log_prior)[_FLAVORS.index(which)]
-
-
 def init_state(spec: TaskSpec) -> SolverState:
     """Build the initial state of a task's solves, from a spec checked when built.
 
@@ -861,11 +837,13 @@ def _sweep_round(iterate: list, spec: TaskSpec, it: int, reach: np.ndarray,
     emptied on entry, so a caller that drops its own name holds none of the
     arrays the round replaces. Computes the base logits of ``state.gmm``,
     screened from ``state.screen``, and runs up to ``inner_z_iters`` sweeps,
-    ending at the first that settles. A dense round makes ``state.z`` dense
+    returning at the first whose query rows equal its input in the same
+    form (see ``_same_query_rows``): that sweep leaves the state as it was,
+    and so would every later one. A dense round makes ``state.z`` dense
     before its first sweep. Returns the state after the sweeps, whose
     ``screen`` is the base's pairs and bound for the next round's screen,
-    or None. ``after(state, swept)`` is called after each scheduled sweep,
-    with ``swept`` False for one skipped."""
+    or None. ``after(state)`` is called after each sweep that moved the
+    iterate."""
     state = iterate.pop()
     base = (_base_logits(state, spec, reach, it > 1 and state.screen is None)
             if spec.hyper.inner_z_iters else None)
@@ -876,19 +854,15 @@ def _sweep_round(iterate: list, spec: TaskSpec, it: int, reach: np.ndarray,
     # a dense sweep reads a dense z: built here, the pairs are dropped with it
     state = replace(state, z=_dense_z(state) if isinstance(base, np.ndarray) else state.z,
                     screen=screen)
-    settled = False
     for _ in range(spec.hyper.inner_z_iters):
-        swept = not settled
-        if swept:
-            new = z_step(state, spec, base)
-            # the equal copy is dropped: holding it beside z through the
-            # mean step would raise the peak by one N x K array
-            settled = _same_query_rows(new, state.z, state.n_support)
-            if not settled:
-                state = replace(state, z=new)
-            del new
+        new = z_step(state, spec, base)
+        # the equal copy lives until the round returns, not through the mean
+        # step, where it would raise the peak by one N x K array
+        if _same_query_rows(new, state.z, state.n_support):
+            break
+        state = replace(state, z=new)
         if after is not None:
-            after(state, swept)
+            after(state)
     # the base, N x K when dense, is dead before the moments pass
     return state
 
@@ -937,24 +911,25 @@ def run(
 
     Runs ``outer_iters`` rounds of at most ``inner_z_iters`` assignment
     sweeps followed by one mean and one variance refresh. A round's sweeps
-    end at the first whose query rows have the bits of its input; the state
-    keeps its own ``z`` and drops the equal copy, and the skipped sweeps
-    would have returned the same bits. With record_trace, both objective
-    flavors are recorded after every block update, and the final state's
-    ``trace`` holds the rows; a skipped sweep leaves the state, so its row is
-    the one before it. A round whose candidate classes are few (see the
-    module docstring) sweeps them alone and sets the other query entries to
-    0: its sweeps return the query rows as values on those pairs, and
-    ``state.z`` holds them so until a dense round makes it dense again,
-    once, before its first sweep. The sweeps, the settle check and the
-    moments read the pairs as they are, and the final state's dense z is
-    built once, after the last moments pass and before the last mean step,
-    so every state ``run`` returns holds a dense ``z``. Each candidate
-    round hands its base's pairs and ``LeftOut`` bound to the next round's
-    screen in ``state.screen``, and that screen then computes base logits
-    only for the rows the bound does not clear (see the module docstring);
-    a round that follows a dense one screens the dense base logits first,
-    and the last round drops its base before its mean step.
+    end at the first whose query rows have the bits of its input, in the
+    same form; the state keeps its own ``z``, and the skipped sweeps would
+    have returned the same bits. With record_trace, both objective flavors
+    are recorded after every block update, and the final state's ``trace``
+    holds the rows; the sweep that settles and the sweeps it skips leave the
+    state, so their rows are one row, labelled as the round's sweeps, that
+    repeats the flavors of the row before them. A round whose candidate
+    classes are few (see the module docstring) sweeps them alone and sets
+    the other query entries to 0: its sweeps return the query rows as values
+    on those pairs, and ``state.z`` holds them so until a dense round makes
+    it dense again, once, before its first sweep. The sweeps, the settle
+    check and the moments read the pairs as they are, and the final state's
+    dense z is built once, after the last moments pass and before the last
+    mean step, so every state ``run`` returns holds a dense ``z``. Each
+    candidate round hands its base's pairs and ``LeftOut`` bound to the next
+    round's screen in ``state.screen``, and that screen then computes base
+    logits only for the rows the bound does not clear (see the module
+    docstring); a round that follows a dense one screens the dense base
+    logits first, and the last round drops its base before its mean step.
     The final prediction for query row i is the argmax of its assignment
     row. The returned assignments are validated and hold a read-only view
     of the query rows of ``state.z``, not a copy. The solve starts from
@@ -991,11 +966,8 @@ def run(
         flavors = _objective_terms(state, spec, log_p, log_prior)
         trace.append(TraceRow(iteration, block, *flavors))
 
-    def after_sweep(state: SolverState, swept: bool) -> None:
-        if swept:
-            record(it, "z", state)
-        else:  # a skipped sweep leaves the state, so its row is the last one
-            trace.append(trace[-1])
+    def after_sweep(state: SolverState) -> None:
+        record(it, "z", state)
 
     if record_trace:
         record(0, "init", state)
@@ -1009,7 +981,13 @@ def run(
             # handed over whole: the sweeps drop the z and the screen they replace
             iterate = [state]
             del state
+            rows = len(trace)
             state = _sweep_round(iterate, spec, it, reach, after_sweep if record_trace else None)
+            if record_trace:
+                # a sweep that settles leaves the state, and so do the sweeps
+                # after it: their rows repeat the row before them
+                skipped = spec.hyper.inner_z_iters - (len(trace) - rows)
+                trace += [replace(trace[-1], iteration=it, block="z")] * skipped
             moments = _group_moments(state, spec)
         # the last mean step, and any wrapper of it, sees the final dense z
         if it == spec.hyper.outer_iters:

@@ -359,10 +359,6 @@ class TaskSpec:
         return self.text.n_rows
 
     @property
-    def n_query(self) -> int:
-        return self.query.n_rows
-
-    @property
     def n_support(self) -> int:
         return 0 if self.support is None else self.support.n_rows
 

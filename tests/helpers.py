@@ -1,7 +1,9 @@
 import numpy as np
 
 from transduct import fileio
+from transduct.solver import _objective_terms, gmm_log_probs
 from transduct.types import EmbeddingMatrix, Hyperparams, SupportSet, TaskSpec
+from transduct.zeroshot import log_soft_labels
 
 
 def unit_rows(rng, n, d):
@@ -58,3 +60,14 @@ def row_softmax(logits: np.ndarray) -> np.ndarray:
     out = np.exp(shifted)
     out /= out.sum(axis=1, keepdims=True)
     return out
+
+
+def objective(state, spec, which="update_consistent") -> float:
+    """One flavor of the objective at ``state``, ``normalized`` or
+    ``update_consistent``, from fresh log-densities and log prior, as a
+    traced solve records it."""
+    log_p = gmm_log_probs(state.features, state.gmm)
+    log_prior = (log_soft_labels(spec.query, spec.text, spec.temperature)
+                 if spec.hyper.kl_weight else None)
+    flavors = ("normalized", "update_consistent")
+    return _objective_terms(state, spec, log_p, log_prior)[flavors.index(which)]

@@ -20,7 +20,6 @@ from transduct.solver import (
     gmm_log_probs,
     init_state,
     mu_step,
-    objective,
     run,
     sigma_step,
     z_step,
@@ -29,7 +28,7 @@ from transduct.synth import generate_task
 from transduct.types import FEWSHOT_KL_WEIGHT, GmmParams
 from transduct.zeroshot import compute_soft_labels, hard_predict
 from transduct.fewshot import run_fewshot
-from helpers import random_task, read_score_table
+from helpers import objective, random_task, read_score_table
 import oracles
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ def random_suite():
         spec = task.spec
         if shots:
             spec = spec.with_hyper(support_weight=float(r.choice([0.01, 0.2])))
-        n_total = spec.n_query + spec.n_support
+        n_total = spec.query.n_rows + spec.n_support
         assert n_total <= 500 and k <= 20 and d <= 64
         tasks.append(spec)
     return tasks
@@ -183,7 +182,8 @@ def test_criterion_4_em_oracle_equivalence():
         mu0 = state.gmm.means.copy()
         var0 = state.gmm.variances.copy()
         for it in range(1, 11):
-            state = replace(state, z=z_step(state, spec, solver._base_logits(state, spec)))
+            base = solver._base_logits(state, spec, solver._reach(state))
+            state = replace(state, z=z_step(state, spec, base))
             means = mu_step(state, spec, solver._group_moments(state, spec))
             state = replace(state, gmm=GmmParams(means, state.gmm.variances))
             resp, em_means = oracles.em_reference(
@@ -234,7 +234,7 @@ def test_criterion_5_assignment_update_kkt_certification():
         )
         assert a.max() - a.min() < 8.0, "fixture left the oracle's stable range"
         coeff_rows.append(np.concatenate([a, np.full(k_max - k, a.max() + 50.0)]))
-        base = solver._base_logits(state, spec)
+        base = solver._base_logits(state, spec, solver._reach(state))
         sweep_rows.append((k, z_step(state, spec, base)[qnode]))
 
     pg = oracles.simplex_pg_minimize(np.array(coeff_rows))
@@ -272,7 +272,7 @@ def test_criterion_6_closed_form_stationarity():
             support_weight=0.2 if shots else 0.0,
         )
         state = init_state(spec)
-        base = solver._base_logits(state, spec)
+        base = solver._base_logits(state, spec, solver._reach(state))
         for _ in range(3):
             state = replace(state, z=z_step(state, spec, base))
         moments = solver._group_moments(state, spec)

@@ -196,9 +196,10 @@ class TestRunFs:
 
 
 class TestNonFiniteSettings:
-    """A NaN or infinite weight or temperature, or a temperature or prior
-    weight that would overflow the solver's logits, fails before the graph
-    build, with an error naming the setting and no numpy warning."""
+    """A NaN or infinite weight or temperature, a temperature or prior
+    weight that would overflow the solver's logits, or a grid entry that is
+    not a number fails before the graph build, with an error naming the
+    setting and no numpy warning."""
 
     @pytest.mark.parametrize("command, extra, name", [
         ("run-zs", ["--tau", "inf"], "temperature"),
@@ -211,6 +212,7 @@ class TestNonFiniteSettings:
         ("run-fs", ["--lambda", "1e308"], "kl_weight"),
         ("run-zs", ["--tau", "1.79e308", "--lambda", "0"], "temperature"),
         ("run-fs", ["--tau", "1.79e308", "--lambda", "0"], "temperature"),
+        ("run-fs", ["--gamma-grid", "0.1,x"], "bad --gamma-grid"),
     ])
     def test_exits_one_before_the_graph(self, task_dir, tmp_path, monkeypatch, capsys,
                                         recwarn, command, extra, name):

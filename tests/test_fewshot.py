@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from transduct import fewshot, solver
-from transduct.errors import InsufficientShots
+from transduct.errors import DimensionMismatch, InsufficientShots
 from transduct.fewshot import run_fewshot, search_gamma, split_shots
 from transduct.solver import init_state, run
 from transduct.synth import generate_task
@@ -61,6 +61,13 @@ class TestSplitShots:
         )
         with pytest.raises(InsufficientShots):
             split_shots(support, 2, seed=0)
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_class_without_shots(self, rng, pool):
+        # class 0 can give its validation samples, class 1 has no shot
+        support = SupportSet(EmbeddingMatrix(unit_rows(rng, 5, 6)), np.zeros(5, int))
+        with pytest.raises(InsufficientShots, match="class 1 has no shots"):
+            split_shots(support, 2, seed=0, validation_pool=_support(rng, 4, 2) if pool else None)
 
     def test_seed_determinism(self, rng):
         support = _support(rng, 10, 4)
@@ -193,6 +200,19 @@ class TestRunFewshot:
         spec = random_task(rng, n_query=8, n_classes=2, dim=4, shots_per_class=6)
         with pytest.raises(ValueError):
             run_fewshot(spec, grid=[])
+
+    @pytest.mark.parametrize("entry", ["run_fewshot", "search_gamma"])
+    def test_pool_of_another_dimension_fails_before_the_graph(self, rng, monkeypatch, entry):
+        builds = []
+        monkeypatch.setattr(solver, "build_knn", lambda *a, **k: builds.append(1))
+        spec = random_task(rng, n_query=10, n_classes=3, dim=6, shots_per_class=2)
+        pool = _support(rng, 4, 3, dim=4)
+        with pytest.raises(DimensionMismatch, match=r"^validation .*dim 4 != \w+ dim 6$"):
+            if entry == "run_fewshot":
+                run_fewshot(spec, validation_pool=pool)
+            else:
+                search_gamma(spec, pool)
+        assert builds == []
 
     def test_explicit_gamma_skips_search(self, rng):
         spec = random_task(rng, n_query=8, n_classes=2, dim=4, shots_per_class=2)

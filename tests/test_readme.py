@@ -25,4 +25,4 @@ def test_library_examples_run():
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["gamma"] in dict(namespace["table"])
-    assert namespace["other"].n_rows == spec.n_query
+    assert namespace["other"].n_rows == spec.query.n_rows

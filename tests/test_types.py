@@ -15,7 +15,7 @@ from transduct.errors import (
     NormTooFarFromUnit,
 )
 from transduct import types
-from transduct.solver import objective, run
+from transduct.solver import run
 from transduct.types import (
     KL_LOGIT_MAX,
     AffinityGraph,
@@ -27,7 +27,7 @@ from transduct.types import (
     TaskSpec,
     validate_task,
 )
-from helpers import unit_rows
+from helpers import objective, unit_rows
 
 
 class TestEmbeddingMatrix:
@@ -56,6 +56,10 @@ class TestEmbeddingMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(DimensionMismatch):
             EmbeddingMatrix(np.ones(4))
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(DimensionMismatch, match="degenerate shape"):
+            EmbeddingMatrix(np.empty((0, 4)))
 
     def test_construction_is_bitwise_idempotent(self, rng):
         first = EmbeddingMatrix(unit_rows(rng, 6, 10) * (1 + 5e-3))
@@ -184,6 +188,11 @@ class TestSimplexAssignments:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SimplexAssignments(np.array([[0.5, 0.5], row]))
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+    def test_rejects_wrong_rank(self, shape):
+        with pytest.raises(DimensionMismatch, match="2-d"):
+            SimplexAssignments(np.full(shape, 0.5))
+
     def test_one_hot(self):
         a = SimplexAssignments.one_hot(np.array([2, 0]), 3)
         np.testing.assert_array_equal(a.z, [[0, 0, 1], [1, 0, 0]])
@@ -223,6 +232,11 @@ class TestGmmParams:
     def test_rejects_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             GmmParams(rng.standard_normal((2, 3)), np.ones(4))
+
+    @pytest.mark.parametrize("means, variances", [((3,), (3,)), ((2, 3), (1, 3))])
+    def test_rejects_wrong_rank(self, means, variances):
+        with pytest.raises(DimensionMismatch, match="K x d"):
+            GmmParams(np.zeros(means), np.ones(variances))
 
     def test_writable_input_is_copied(self, rng):
         means, variances = rng.standard_normal((2, 3)), np.ones(3)
@@ -387,6 +401,10 @@ class TestValidateTask:
                 text=EmbeddingMatrix(unit_rows(rng, 2, 8)),
                 support=SupportSet(EmbeddingMatrix(unit_rows(rng, 2, 4)), np.array([0, 1])),
             )
+
+    def test_support_label_count_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch, match="one entry per support row"):
+            SupportSet(EmbeddingMatrix(unit_rows(rng, 3, 8)), np.array([0, 1]))
 
     def test_rejects_non_positive_temperature(self, rng):
         with pytest.raises(ValueError):
