@@ -42,21 +42,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import AffinityGraph, EmbeddingMatrix
+from .types import AffinityGraph, EmbeddingMatrix, _block_rows
 
+# rows and bytes of float64 similarities per row block of the screen's
+# sgemm; the two set its rate (large blocks run it near the full sgemm rate)
 _MAX_BLOCK_ROWS = 512
-# bytes of float64 similarities per row block
 _BLOCK_BYTES = 32 * 2**20
 # columns per chunk whose row maxima bound the k-th largest value
 _CHUNK = 128
 # a row block with more candidates than 1 / _DENSE_SHARE of its entries is
 # ranked from its dense float64 product
 _DENSE_SHARE = 8
-# bytes of gathered row pairs per einsum call of the rerank
-_RERANK_BYTES = 512 * 2**10
-# bytes of a slice of a dense float64 product; small slices keep the
-# selection passes over it in cache
-_DENSE_BYTES = 2**20
 
 
 def _gamma(m: int, dtype) -> float:
@@ -139,9 +135,9 @@ def top_k(values: np.ndarray, k: int):
 def _pair_dots(left: np.ndarray, right: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> np.ndarray:
     """Float64 dots of the row pairs (left[rows[i]], right[cols[i]]), in
-    slices that keep the gathered rows near ``_RERANK_BYTES``."""
+    slices of ``types._block_rows`` gathered pairs, which keep them in cache."""
     out = np.empty(rows.size)
-    step = max(1, _RERANK_BYTES // (16 * left.shape[1]))
+    step = _block_rows(16 * left.shape[1])
     for lo in range(0, rows.size, step):
         sl = slice(lo, lo + step)
         out[sl] = np.einsum("ij,ij->i", left[rows[sl]], right[cols[sl]])
@@ -150,9 +146,10 @@ def _pair_dots(left: np.ndarray, right: np.ndarray, rows: np.ndarray,
 
 def _dense_rows(data, lo, hi, k, neighbor_idx, neighbor_w) -> None:
     """Rank rows lo:hi from their dense float64 einsum product, whose bits
-    equal ``_pair_dots``, in slices of about ``_DENSE_BYTES``."""
+    equal ``_pair_dots``, in slices of ``types._block_rows`` rows, which keep
+    the selection passes over each in cache."""
     n = data.shape[0]
-    step = max(1, _DENSE_BYTES // (8 * n))
+    step = _block_rows(8 * n)
     for a in range(lo, hi, step):
         b = min(a + step, hi)
         sims = np.einsum("ik,jk->ij", data[a:b], data)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientShots
+from .errors import DimensionMismatch, InsufficientShots, LabelOutOfRange
 from .solver import SolverState, first_round, init_state, run
 from .types import (
     FEWSHOT_KL_WEIGHT,
@@ -64,13 +64,18 @@ def split_shots(
     otherwise they are carved out of the support itself, shrinking the
     effective shot count. Raises InsufficientShots when a class cannot
     supply the requested counts (carving needs at least one leftover
-    training shot per class), and DimensionMismatch when the pool's rows
-    are not of the support's dimension. With a validation pool nothing is
-    carved and the returned training set is ``support`` itself.
+    training shot per class), DimensionMismatch when the pool's rows are
+    not of the support's dimension, and LabelOutOfRange when a pool label
+    is not a class of the task. With a validation pool nothing is carved
+    and the returned training set is ``support`` itself.
     """
-    if validation_pool is not None and validation_pool.embeddings.dim != support.embeddings.dim:
-        raise DimensionMismatch(f"validation pool dim {validation_pool.embeddings.dim} "
-                                f"!= support dim {support.embeddings.dim}")
+    if validation_pool is not None:
+        if validation_pool.embeddings.dim != support.embeddings.dim:
+            raise DimensionMismatch(f"validation pool dim {validation_pool.embeddings.dim} "
+                                    f"!= support dim {support.embeddings.dim}")
+        pool_labels = validation_pool.labels
+        if pool_labels.min() < 0 or pool_labels.max() >= n_classes:
+            raise LabelOutOfRange(f"validation pool labels must lie in [0, {n_classes})")
     labels = support.labels
     # per class, the rows the validation samples are drawn from and their count
     draws: list[tuple[np.ndarray, int]] = []

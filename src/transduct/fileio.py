@@ -62,7 +62,9 @@ _MAX_BYTES = 1 << 30
 # float32 maximum plus half its last step.
 _F32_OVERFLOW = 2.0**128 - 2.0**103
 # Values formatted per write_predictions block: bounds the slots, masks and
-# float temporaries alive at once (about 110 bytes per value).
+# float temporaries alive at once (about 110 bytes per value). Measured: set
+# with the solver's screen blocks to types._ROW_BLOCK_BYTES (about 4.7K
+# values), zs-wide ran slower.
 _WRITE_BLOCK_VALUES = 1 << 14
 
 

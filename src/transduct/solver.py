@@ -150,6 +150,7 @@ from .types import (
     GmmParams,
     SimplexAssignments,
     TaskSpec,
+    _block_rows,
 )
 from .zeroshot import (
     compute_soft_labels,
@@ -159,12 +160,9 @@ from .zeroshot import (
 )
 
 # gmm_log_probs and the base logits work through the rows in blocks of this
-# many, one GEMM each. Changing it can change the last bits of the output for
-# tasks with more rows than this.
+# many, one GEMM each. It reaches the output bits: changing it can change the
+# last bits for tasks with more rows than this.
 _CHUNK_ROWS = 8192
-
-# _same_bits compares rows in blocks of about this many bytes.
-_ROW_BLOCK_BYTES = 256 * 1024
 
 # Classes whose mean-update denominator falls below this keep their
 # previous prototype instead of dividing by ~0.
@@ -184,10 +182,12 @@ _DENSE_SHARE = 8
 # the pair sums overtake the dense product between 1/42 and 1/25 of the
 # entries, and take about 0.6 of its time at 1/64
 _PAIR_SHARE = 64
-# the pair moments gather about this many bytes of feature rows per einsum
+# the pair moments gather about this many bytes of feature rows per einsum;
+# it reaches the output bits, since each block's sum is added to its class total
 _PAIR_BYTES = 4 * 2**20
 # a screen that does not start from a dense base computes the base logits in
-# row blocks of about this many bytes, one GEMM each
+# row blocks of about this many bytes, one GEMM each; measured: at the row
+# budget's 512 KiB the zs-wide runs were slower
 _BASE_BLOCK_BYTES = 2**20
 
 
@@ -307,12 +307,12 @@ class SolverState:
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two float64 arrays of one shape hold the same bits.
 
-    The rows are compared as uint64 in blocks of about ``_ROW_BLOCK_BYTES``,
+    The rows are compared as uint64 in blocks of ``types._block_rows`` rows,
     up to the first block that differs, so arrays that differ early cost one
     block; -0.0 and 0.0 differ, and a NaN equals its own bits.
     """
     a, b = a.view(np.uint64), b.view(np.uint64)
-    step = max(1, _ROW_BLOCK_BYTES // (8 * a.shape[1]))
+    step = _block_rows(8 * a.shape[1])
     return all(
         np.array_equal(a[lo : lo + step], b[lo : lo + step])
         for lo in range(0, a.shape[0], step)
@@ -500,7 +500,7 @@ def _base_logits(state: SolverState, spec: TaskSpec, reach: np.ndarray,
     if dense_first or step >= n:
         dense = _gemm_rows(rows, weights, bias)
         # the screen marks the blocks it reads, so it reads copies
-        step = max(1, _ROW_BLOCK_BYTES // (8 * k))
+        step = _block_rows(8 * k)
         blocks = ((lo, dense[lo : lo + step].copy()) for lo in range(0, n, step))
     else:
         # an eighth of the rows at most, so a dense round shows after a few
@@ -538,14 +538,14 @@ def _pair_sums(state: SolverState, nodes: np.ndarray, cols: np.ndarray) -> np.nd
     """The neighbor sums sum_j w_ij z[j, k] of the (node i, class k) pairs,
     each node's neighbors added in stored order from 0, as
     ``AffinityGraph.propagate`` adds them; the pairs are taken in blocks of
-    ``_ROW_BLOCK_BYTES`` of float64, which bounds the temporaries.
+    ``types._block_rows(8)``, which bounds the temporaries.
 
     z[j, k] is read from ``state.z`` when dense, and else from the one-hot
     support labels and each query entry from its pair, 0 where it has none.
     """
     graph, z, n_s = state.graph, state.z, state.n_support
     out = np.zeros(nodes.size)
-    step = _ROW_BLOCK_BYTES // 8
+    step = _block_rows(8)
     for lo in range(0, nodes.size, step):
         block, klass = nodes[lo : lo + step], cols[lo : lo + step]
         first = graph.indptr[block]

@@ -47,15 +47,18 @@ PRIOR_LOG_FLOOR = 1e-300
 KL_LOGIT_MAX = float(np.finfo(np.float64).max) / 4
 
 
-# normalize_rows checks and measures rows in blocks of about this many
-# bytes, which bounds its temporaries; a row's norm does not depend on the
-# block it is in.
-_NORM_BLOCK_BYTES = 256 * 1024
+# The row passes whose block size reaches no output bit (normalize_rows,
+# AffinityGraph.propagate, the solver's bit compares and pair sums, the
+# graph's rerank and dense ranking, init_prototypes_topk) take blocks of
+# about this many bytes, small enough to stay in cache; _block_rows reads it
+# at each call, so one setting reaches every such pass.
+_ROW_BLOCK_BYTES = 512 * 1024
 
-# AffinityGraph.propagate gathers neighbor rows in row blocks of about this
-# many bytes, small enough to stay in cache; the block does not change the
-# result.
-_PROPAGATE_BYTES = 512 * 1024
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each in one block of about
+    ``_ROW_BLOCK_BYTES``, at least one; empty rows count as one byte."""
+    return max(1, _ROW_BLOCK_BYTES // max(1, row_bytes))
 
 
 def _freeze(arr: np.ndarray, source=None) -> np.ndarray:
@@ -86,7 +89,7 @@ def normalize_rows(data: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {arr.shape}")
     norms = np.empty(arr.shape[0])
-    block = max(1, _NORM_BLOCK_BYTES // (8 * max(1, arr.shape[1])))
+    block = _block_rows(8 * arr.shape[1])
     for lo in range(0, arr.shape[0], block):
         rows = arr[lo : lo + block]
         if not np.all(np.isfinite(rows)):
@@ -265,7 +268,7 @@ class AffinityGraph:
             out[...] = 0.0
         else:
             slots = np.arange(c)[:, None]
-            n_blocks = max(1, min(m // 2, m * c * values.shape[1] * 8 // _PROPAGATE_BYTES))
+            n_blocks = max(1, min(m // 2, m // _block_rows(8 * c * values.shape[1])))
             bounds = np.arange(n_blocks + 1) * m // n_blocks
             for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
                 pos = ptr[a:b] + slots

@@ -10,11 +10,7 @@ import numpy as np
 
 from .affinity import top_k
 from .errors import DimensionMismatch, EmptyClass
-from .types import EmbeddingMatrix, SimplexAssignments
-
-# init_prototypes_topk ranks the classes in blocks of about this many bytes
-# of transposed soft labels
-_RANK_BYTES = 2**20
+from .types import EmbeddingMatrix, SimplexAssignments, _block_rows
 
 
 def _shifted_logits(query: EmbeddingMatrix, text: EmbeddingMatrix, temperature: float):
@@ -66,8 +62,8 @@ def init_prototypes_topk(
 
     Samples are ranked per class by their soft-label column, descending,
     with index as tiebreaker; a sample may be picked by several classes.
-    The columns are ranked in blocks of about ``_RANK_BYTES``, so no
-    transposed copy of the whole N x K array is made. Returns a K x d array
+    The columns are ranked in blocks of ``types._block_rows`` transposed
+    rows, so no transposed copy of the whole N x K array is made. Returns a K x d array
     (not renormalized).
     """
     if top_m < 1:
@@ -75,7 +71,7 @@ def init_prototypes_topk(
     n, k = soft_labels.n_rows, soft_labels.n_classes
     take = min(top_m, n)
     means = np.empty((k, query.dim))
-    step = max(1, _RANK_BYTES // (8 * n))
+    step = _block_rows(8 * n)
     for lo in range(0, k, step):
         # row c of the transpose ranks class lo + c's samples, lower indices
         # first among equal labels; top_k selects exactly, whatever the block

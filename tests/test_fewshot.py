@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from transduct import fewshot, solver
-from transduct.errors import DimensionMismatch, InsufficientShots
+from transduct.errors import DimensionMismatch, InsufficientShots, LabelOutOfRange
 from transduct.fewshot import run_fewshot, search_gamma, split_shots
 from transduct.solver import init_state, run
 from transduct.synth import generate_task
@@ -212,6 +212,20 @@ class TestRunFewshot:
                 run_fewshot(spec, validation_pool=pool)
             else:
                 search_gamma(spec, pool)
+        assert builds == []
+
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_pool_label_outside_the_classes_fails_before_the_graph(self, rng, monkeypatch, label):
+        # a spare pool row per class, so every class could still give its 4
+        # validation rows if the relabelled row were dropped
+        builds = []
+        monkeypatch.setattr(solver, "build_knn", lambda *a, **k: builds.append(1))
+        spec = random_task(rng, n_query=10, n_classes=3, dim=6, shots_per_class=4)
+        pool = _support(rng, 5, 3)
+        labels = pool.labels.copy()
+        labels[0] = label
+        with pytest.raises(LabelOutOfRange, match=r"^validation pool labels must lie in \[0, 3\)$"):
+            run_fewshot(spec, validation_pool=SupportSet(pool.embeddings, labels))
         assert builds == []
 
     def test_explicit_gamma_skips_search(self, rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from transduct import solver
+from transduct import solver, types
 from transduct.solver import (
     gmm_log_probs,
     init_state,
@@ -26,9 +26,15 @@ from transduct.types import (
     SupportSet,
     TaskSpec,
 )
+from transduct.affinity import build_knn
 from transduct.fewshot import search_gamma
 from transduct.synth import generate_task
-from transduct.zeroshot import compute_soft_labels, hard_predict, log_soft_labels
+from transduct.zeroshot import (
+    compute_soft_labels,
+    hard_predict,
+    init_prototypes_topk,
+    log_soft_labels,
+)
 from helpers import objective, random_task, row_softmax, unit_rows
 import oracles
 
@@ -824,7 +830,7 @@ class TestSameBits:
     @pytest.mark.parametrize("rows", [9, 10])
     def test_difference_in_the_last_block_is_found(self, rng, monkeypatch, rows):
         # blocks of 2 rows; a last block of one row or of two
-        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 2 * 8 * 3)
+        monkeypatch.setattr(types, "_ROW_BLOCK_BYTES", 2 * 8 * 3)
         a = rng.standard_normal((rows, 3))
         b = a.copy()
         b[-1, 1] = np.nextafter(b[-1, 1], np.inf)
@@ -1437,7 +1443,7 @@ class TestDriftBound:
         spec = generate_task(n_classes=10, dim=32, n_query_per_class=200, class_sep=3.0,
                              prototype_noise=0.6, temperature=30.0, seed=7).spec
         state = init_state(spec)
-        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 8 * spec.n_classes)
+        monkeypatch.setattr(types, "_ROW_BLOCK_BYTES", 8 * spec.n_classes)
         reach = solver._reach(state)
         got = solver._base_logits(state, spec, reach, True)
         assert isinstance(got, np.ndarray)
@@ -1545,3 +1551,37 @@ class TestFirstRound:
         assert record.state.z is z and z.values.tobytes() == values
         assert not z.values.flags.writeable
         assert not any(part.flags.writeable for part in record.query_sums)
+
+
+class TestOneRowBlockBudget:
+    @pytest.mark.parametrize("case", ["wide-few-shot", "seed-7-symmetrized"])
+    def test_small_budget_gives_the_same_bits(self, monkeypatch, case):
+        # 1 KiB blocks: every pass that sizes its blocks by types._block_rows
+        # takes several on these tasks (the normalization, propagate, the
+        # bit compares, the pair sums on the wide task's candidate rounds,
+        # the dense-first screen's copies on seed 7, the rerank, the dense
+        # ranking of a graph with k above N / 8, and the top-m ranking), and
+        # no output bit moves
+        if case == "wide-few-shot":
+            spec = _wide_task(shots_per_class=2).spec.with_hyper(support_weight=0.2)
+        else:
+            spec = generate_task(n_classes=10, dim=32, n_query_per_class=40, class_sep=3.0,
+                                 prototype_noise=0.6, seed=7).spec
+            spec = spec.with_hyper(symmetrize_graph=True)
+        query = spec.query
+        off_unit = query.data * (1.0 + 1e-3 * np.random.default_rng(0).standard_normal((query.n_rows, 1)))
+
+        def outputs():
+            arrays = [run(spec)[0].z, EmbeddingMatrix(off_unit).data]
+            for k in (spec.hyper.k_nn, query.n_rows // 4):
+                graph = build_knn(query, k, symmetrize=spec.hyper.symmetrize_graph)
+                arrays += [graph.indptr, graph.indices, graph.weights]
+            soft = compute_soft_labels(query, spec.text, spec.temperature)
+            return arrays + [init_prototypes_topk(query, soft, spec.hyper.init_top_m)]
+
+        kinds = _base_kinds(monkeypatch)
+        want = outputs()
+        assert any(kinds) == (case == "wide-few-shot")
+        monkeypatch.setattr(types, "_ROW_BLOCK_BYTES", 1024)
+        got = outputs()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

@@ -113,7 +113,7 @@ class TestEmbeddingCopies:
     ])
     def test_bits_match_whole_matrix_normalization(self, rng, monkeypatch, dtype, n, d, block_bytes):
         if block_bytes is not None:  # 48 bytes: two rows of three per block
-            monkeypatch.setattr(types, "_NORM_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(types, "_ROW_BLOCK_BYTES", block_bytes)
         rows = _near_unit_rows(rng, n, d, dtype)
         expected = _normalize_by_whole_matrix(rows)
         assert EmbeddingMatrix(rows).data.tobytes() == expected.tobytes()
@@ -308,17 +308,17 @@ class TestAffinityGraph:
         weights[r.random(weights.size) < 0.2] = 0.0
         values = r.standard_normal((n, n_cols))
         start = data.draw(st.one_of(st.integers(0, n), st.just(n - 1)), label="start")
-        budget = data.draw(st.sampled_from([1, 4096, types._PROPAGATE_BYTES]), label="budget")
+        budget = data.draw(st.sampled_from([1, 4096, types._ROW_BLOCK_BYTES]), label="budget")
         expected = (csr_matrix((weights, indices, indptr), shape=(n, n)) @ values)[start:]
         g = AffinityGraph(indptr, indices, weights)
-        saved = types._PROPAGATE_BYTES
-        types._PROPAGATE_BYTES = budget
+        saved = types._ROW_BLOCK_BYTES
+        types._ROW_BLOCK_BYTES = budget
         try:
             got = g.propagate(values, start=start)
             into = np.full((n - start, n_cols), np.nan)
             returned = g.propagate(values, start=start, out=into)
         finally:
-            types._PROPAGATE_BYTES = saved
+            types._ROW_BLOCK_BYTES = saved
         assert returned is into
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes() == into.tobytes()

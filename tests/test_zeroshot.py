@@ -6,7 +6,7 @@ import pytest
 
 from transduct.affinity import top_k
 from transduct.errors import DimensionMismatch, EmptyClass
-from transduct import zeroshot
+from transduct import types
 from transduct.types import EmbeddingMatrix, SimplexAssignments
 from transduct.zeroshot import (
     compute_soft_labels,
@@ -196,12 +196,12 @@ class TestTopkSelection:
             data = EmbeddingMatrix(query)
             order, _ = top_k(np.ascontiguousarray(soft.z.T), take)
             expected = np.stack([data.data[idx].mean(axis=0) for idx in order])
-            monkeypatch.setattr(zeroshot, "_RANK_BYTES", block_classes * 8 * n)
+            monkeypatch.setattr(types, "_ROW_BLOCK_BYTES", block_classes * 8 * n)
             means = init_prototypes_topk(data, soft, top_m=take)
             assert means.tobytes() == expected.tobytes(), name
 
     def test_ranking_makes_no_transposed_copy(self, rng):
-        # blocks of about _RANK_BYTES: the peak is far below one N x K array
+        # blocks of about types._ROW_BLOCK_BYTES: the peak is far below one N x K array
         n, k = 4000, 300
         soft = SimplexAssignments(row_softmax(rng.standard_normal((n, k))))
         data = EmbeddingMatrix(unit_rows(rng, n, 4))
