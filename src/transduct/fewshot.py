@@ -62,69 +62,60 @@ def split_shots(
     validation pool the whole support set stays for training and the
     validation samples are drawn from the pool without replacement;
     otherwise they are carved out of the support itself, shrinking the
-    effective shot count. Raises InsufficientShots when a class cannot
-    supply the requested counts (carving needs at least one leftover
-    training shot per class), DimensionMismatch when the pool's rows are
-    not of the support's dimension, and LabelOutOfRange when a pool label
-    is not a class of the task. With a validation pool nothing is carved
-    and the returned training set is ``support`` itself.
+    effective shot count, and the training shots are every support row
+    not drawn, in support order. Each class is drawn from the seeded
+    generator in class order; a pool that holds exactly each class's count
+    is taken whole and no generator is made. Raises InsufficientShots when
+    a class cannot supply the requested counts (carving needs at least one
+    leftover training shot per class), DimensionMismatch when the pool's
+    rows are not of the support's dimension, and LabelOutOfRange when a
+    support or pool label is not a class of the task. With a validation
+    pool nothing is carved and the returned training set is ``support``
+    itself.
     """
-    if validation_pool is not None:
-        if validation_pool.embeddings.dim != support.embeddings.dim:
-            raise DimensionMismatch(f"validation pool dim {validation_pool.embeddings.dim} "
-                                    f"!= support dim {support.embeddings.dim}")
-        pool_labels = validation_pool.labels
-        if pool_labels.min() < 0 or pool_labels.max() >= n_classes:
-            raise LabelOutOfRange(f"validation pool labels must lie in [0, {n_classes})")
-    labels = support.labels
-    # per class, the rows the validation samples are drawn from and their count
+    pool = validation_pool
+    if pool is not None and pool.embeddings.dim != support.embeddings.dim:
+        raise DimensionMismatch(f"validation pool dim {pool.embeddings.dim} "
+                                f"!= support dim {support.embeddings.dim}")
+    for name, labeled in (("support", support), ("validation pool", pool)):
+        if labeled is not None and (labeled.labels.min() < 0 or labeled.labels.max() >= n_classes):
+            raise LabelOutOfRange(f"{name} labels must lie in [0, {n_classes})")
+    source = support if pool is None else pool
+    # per class, the source rows the validation samples are drawn from and their count
     draws: list[tuple[np.ndarray, int]] = []
     for cls in range(n_classes):
-        rows = np.flatnonzero(labels == cls)
-        if rows.size == 0:
+        n_shots = np.count_nonzero(support.labels == cls)
+        if n_shots == 0:
             raise InsufficientShots(f"class {cls} has no shots")
-        n_val = min(_MAX_VALIDATION_PER_CLASS, rows.size)
-        if validation_pool is not None:
-            rows = np.flatnonzero(validation_pool.labels == cls)
-            if rows.size < n_val:
-                raise InsufficientShots(
-                    f"validation pool has {rows.size} samples for class {cls}, "
-                    f"need {n_val}"
-                )
-        elif rows.size - n_val < 1:
+        n_val = min(_MAX_VALIDATION_PER_CLASS, n_shots)
+        rows = np.flatnonzero(source.labels == cls)
+        if pool is None and n_shots == n_val:
             raise InsufficientShots(
-                f"class {cls} has {rows.size} shots; carving {n_val} validation "
+                f"class {cls} has {n_shots} shots; carving {n_val} validation "
                 "samples would leave no training shot (provide a validation pool)"
             )
+        if rows.size < n_val:  # only a pool can hold fewer rows than the count
+            raise InsufficientShots(
+                f"validation pool has {rows.size} samples for class {cls}, need {n_val}"
+            )
         draws.append((rows, n_val))
-    # a pool that holds exactly each class's count is drawn whole whatever
-    # the seed, and the rows are sorted below: no generator is made, and so
-    # numpy.random is not imported
-    whole = validation_pool is not None and all(rows.size == n for rows, n in draws)
+    # an exact pool is drawn whole whatever the seed: no generator is made,
+    # and so numpy.random is not imported
+    whole = all(rows.size == n for rows, n in draws)
     rng = None if whole else np.random.default_rng(seed)
-    train_idx: list[np.ndarray] = []
-    val_idx: list[np.ndarray] = []
-    for rows, n_val in draws:
-        picked = rows if whole else rng.choice(rows, size=n_val, replace=False)
-        val_idx.append(picked)
-        if validation_pool is None:
-            train_idx.append(np.setdiff1d(rows, picked))
+    val_rows = np.sort(np.concatenate(
+        [rows if whole else rng.choice(rows, size=n, replace=False) for rows, n in draws]
+    ))
+    validation = _subset(source, val_rows)
+    if pool is not None:
+        return support, validation
+    return _subset(support, np.setdiff1d(np.arange(support.n_rows), val_rows)), validation
 
-    if validation_pool is not None:
-        train, source = support, validation_pool
-    else:
-        train_rows = np.sort(np.concatenate(train_idx))
-        train = SupportSet(
-            embeddings=type(support.embeddings)(support.embeddings.data[train_rows]),
-            labels=labels[train_rows],
-        )
-        source = support
-    val_rows = np.sort(np.concatenate(val_idx))
-    validation = SupportSet(
-        embeddings=type(source.embeddings)(source.embeddings.data[val_rows]),
-        labels=source.labels[val_rows],
-    )
-    return train, validation
+
+def _subset(labeled: SupportSet, rows: np.ndarray) -> SupportSet:
+    """The given rows of a labeled set, in the order given."""
+    data = labeled.embeddings.data[rows]
+    return SupportSet(type(labeled.embeddings)(data), labeled.labels[rows])
 
 
 def _nearest_queries(validation: EmbeddingMatrix, query: EmbeddingMatrix) -> np.ndarray:
@@ -180,12 +171,14 @@ def search_gamma(
 
 @dataclass
 class FewShotResult:
+    """A few-shot run's final solve, the support weight it used, and the
+    search's score table: ``[(gamma, validation accuracy)]`` in grid order,
+    empty when the weight was given."""
+
     assignments: SimplexAssignments
     state: SolverState
     gamma: float
-    score_table: list  # [(gamma, validation accuracy)] in grid order; empty if no search
-    train_support: SupportSet
-    validation: Optional[SupportSet]
+    score_table: list
 
 
 def run_fewshot(
@@ -201,11 +194,12 @@ def run_fewshot(
     support set.
 
     An explicit ``gamma`` skips the search. Otherwise shots are split per
-    ``split_shots`` and the weight is selected on the held-out samples. The
-    final solve uses every provided support shot and records the objective
-    trace only when ``record_trace`` is set. When the search already ran on
-    the full support set (a validation pool) and no trace is requested, the
-    winning search run is the final result.
+    ``split_shots`` with ``seed`` and ``validation_pool``, and the weight is
+    selected on the held-out samples. The final solve uses every provided
+    support shot and records the objective trace only when ``record_trace``
+    is set. When the search already ran on the full support set (a
+    validation pool) and no trace is requested, the winning search run is
+    the final result.
     """
     spec = spec.with_hyper(kl_weight=kl_weight)  # raises on a weight out of the task's bounds
     if spec.support is None:
@@ -218,35 +212,23 @@ def run_fewshot(
     for value in candidates:
         spec.with_hyper(support_weight=float(value))
 
-    validation = None
     table: list[tuple[float, float]] = []
-    train_support = spec.support
     prepared = final = None
     if gamma is None:
-        train_support, validation = split_shots(
+        train, validation = split_shots(
             spec.support, spec.n_classes, seed=seed, validation_pool=validation_pool
         )
-        search_spec = replace(spec, support=train_support)
+        search_spec = replace(spec, support=train)
         prepared = init_state(search_spec)
         gamma, table, best = search_gamma(search_spec, validation, grid=grid, prepared=prepared)
-        if train_support is not spec.support:
+        if train is not spec.support:
             prepared = None  # the final task gets the carved shots back
         elif not record_trace:
             final = best  # the winning search run solved the final task
         del best  # a re-solve starts with no search run alive
-    else:
-        gamma = float(gamma)
-
+    gamma = float(gamma)
     if final is None:
         final = run(
             spec.with_hyper(support_weight=gamma), record_trace=record_trace, prepared=prepared
         )
-    assignments, state = final
-    return FewShotResult(
-        assignments=assignments,
-        state=state,
-        gamma=gamma,
-        score_table=table,
-        train_support=train_support,
-        validation=validation,
-    )
+    return FewShotResult(*final, gamma, table)

@@ -13,15 +13,16 @@ A regular EMB1 file must hold the payload its header declares, which is
 checked against the file size before anything is allocated; a file of
 unknown size (a pipe) may declare at most 1 GiB.
 
-Labels: one non-negative integer per line; a trailing final newline is
-optional, interior blank lines are errors.
+Labels: one non-negative integer below 2**63 per line; a trailing final
+newline is optional, interior blank lines are errors.
 
 Predictions: CSV rows of index, argmax class, its probability and the
 probability row, every probability byte-identical to CPython's
 ``'%.9g' % p`` whatever the numpy and libm. A numpy digit-table formatter
 writes them (see ``write_predictions``); it proves each digit string with an
 error bound and hands the values it cannot prove to ``'%.9g'``.
-``read_predictions`` reads back only the ``pred`` column.
+``read_predictions`` reads back only the ``pred`` column, of at least one
+row and int64 values.
 
 Graph edges: one ``i j w`` line per stored edge of an AffinityGraph, in
 storage order, with the weight as ``'%.9g'``.
@@ -61,6 +62,8 @@ _MAX_BYTES = 1 << 30
 # CSV values of this magnitude and above round to inf in float32: the
 # float32 maximum plus half its last step.
 _F32_OVERFLOW = 2.0**128 - 2.0**103
+# Labels and pred values are held as int64.
+_INT64_BOUND = 2**63
 # Values formatted per write_predictions block: bounds the slots, masks and
 # float temporaries alive at once (about 110 bytes per value). Measured: set
 # with the solver's screen blocks to types._ROW_BLOCK_BYTES (about 4.7K
@@ -175,8 +178,15 @@ def _read_csv(path) -> np.ndarray:
     return data.astype(np.float32)
 
 
+def _check_int64(value: int, path, lineno: int) -> int:
+    """value, or ParseError naming path:lineno when int64 cannot hold it."""
+    if not -_INT64_BOUND <= value < _INT64_BOUND:
+        raise ParseError(f"{path}:{lineno}: {value} does not fit in int64")
+    return value
+
+
 def read_labels(path) -> np.ndarray:
-    """Read newline-separated non-negative integer class labels."""
+    """Read newline-separated non-negative integer class labels below 2**63."""
     labels = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         try:
@@ -185,6 +195,7 @@ def read_labels(path) -> np.ndarray:
             raise ParseError(f"{path}:{lineno}: not an integer: {line!r}") from exc
         if value < 0:
             raise NegativeLabel(f"{path}:{lineno}: negative label {value}")
+        _check_int64(value, path, lineno)
         labels.append(value)
     return np.asarray(labels, dtype=np.int64)
 
@@ -400,8 +411,9 @@ def write_predictions(assignments: SimplexAssignments, path) -> None:
 def read_predictions(path) -> np.ndarray:
     """The argmax classes (the ``pred`` column) of a predictions CSV.
 
-    The header, the column count and ``pred`` are checked; the
-    probability columns are not parsed. The file is read one line at a
+    The header, the column count and ``pred`` (an int64 integer) are
+    checked, and a file of no rows is a ParseError; the probability
+    columns are not parsed. The file is read one line at a
     time, so memory does not grow with its size.
     """
     preds = []
@@ -414,9 +426,11 @@ def read_predictions(path) -> np.ndarray:
             if len(cells) < 4:
                 raise ParseError(f"{path}:{lineno}: too few columns")
             try:
-                preds.append(int(cells[1]))
+                preds.append(_check_int64(int(cells[1]), path, lineno))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    if not preds:
+        raise ParseError(f"{path}: no prediction rows")
     return np.asarray(preds, dtype=np.int64)
 
 

@@ -76,7 +76,8 @@ def _freeze(arr: np.ndarray, source=None) -> np.ndarray:
 
 
 def normalize_rows(data: np.ndarray) -> np.ndarray:
-    """Return `data` with unit-norm rows, rejecting rows too far from unit.
+    """Return the 2-d matrix `data` with unit-norm rows, rejecting rows too
+    far from unit.
 
     Rows whose norm deviates from 1 by more than NORM_GATE raise
     NormTooFarFromUnit; rows within _NORM_SKIP are returned unchanged so
@@ -86,8 +87,6 @@ def normalize_rows(data: np.ndarray) -> np.ndarray:
     conversion, and in a copy otherwise.
     """
     arr = np.asarray(data, dtype=np.float64, order="C")
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got shape {arr.shape}")
     norms = np.empty(arr.shape[0])
     block = _block_rows(8 * arr.shape[1])
     for lo in range(0, arr.shape[0], block):
@@ -117,9 +116,12 @@ class EmbeddingMatrix:
     data: np.ndarray
 
     def __post_init__(self):
+        # checked before normalizing, which allocates per row: a header of
+        # many rows and no columns holds no payload
+        shape = np.shape(self.data)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+            raise DimensionMismatch(f"degenerate shape {shape}")
         object.__setattr__(self, "data", _freeze(normalize_rows(self.data), self.data))
-        if self.data.shape[0] < 1 or self.data.shape[1] < 1:
-            raise DimensionMismatch(f"degenerate shape {self.data.shape}")
 
     @property
     def n_rows(self) -> int:

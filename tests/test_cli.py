@@ -187,6 +187,15 @@ class TestRunFs:
         assert main(args) == 1
         assert "support-labels" in capsys.readouterr().err
 
+    def test_support_label_beyond_int64_exits_one(self, task_dir, tmp_path, capsys):
+        labels = task_dir / "support.labels"
+        labels.write_text("99999999999999999999\n")
+        out = tmp_path / "pred.csv"
+        assert main(_fs_args(task_dir, out)) == 1
+        assert capsys.readouterr().err == (f"error: {labels}:1: 99999999999999999999 "
+                                           "does not fit in int64\n")
+        assert not out.exists()
+
     def test_lonely_validation_flag_rejected(self, task_dir, tmp_path, capsys):
         out = tmp_path / "pred.csv"
         rc = main(_fs_args(task_dir, out, [
@@ -311,6 +320,24 @@ class TestEval:
         labels = tmp_path / "more.labels"
         fileio.write_labels([0, 1], labels)
         assert main(["eval", "--pred", str(pred), "--truth", str(labels)]) == 1
+
+    def test_label_beyond_int64_exits_one(self, tmp_path, capsys):
+        pred, labels = self._write(tmp_path, [[0.9, 0.1]], [0])
+        labels.write_text("99999999999999999999\n")
+        assert main(["eval", "--pred", str(pred), "--truth", str(labels)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {labels}:1: 99999999999999999999 "
+                                "does not fit in int64\n")
+
+    def test_header_only_predictions_exit_one(self, tmp_path, capsys):
+        pred, labels = self._write(tmp_path, [[0.9, 0.1]], [0])
+        pred.write_text("index,pred,conf,p_0,p_1\n")
+        labels.write_text("")
+        assert main(["eval", "--pred", str(pred), "--truth", str(labels)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {pred}: no prediction rows\n"
 
 
 class TestConfigFile:

@@ -84,6 +84,18 @@ class TestSplitShots:
         assert not (train_rows & val_rows)
         assert len(train_rows) + len(val_rows) == support.n_rows
 
+    @pytest.mark.parametrize("pool", [False, True])
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_support_label_outside_the_classes(self, rng, pool, label):
+        # 6 shots per class: every class could still give its validation
+        # rows and keep a training shot if the relabelled row were dropped
+        support = _support(rng, 6, 3)
+        labels = support.labels.copy()
+        labels[0] = label
+        with pytest.raises(LabelOutOfRange, match=r"^support labels must lie in \[0, 3\)$"):
+            split_shots(SupportSet(support.embeddings, labels), 3, seed=0,
+                        validation_pool=_support(rng, 4, 3) if pool else None)
+
     # the draws below were read from the generator path before an exact
     # pool skipped it: the seeded stream must keep them
     def test_carved_draw_is_pinned(self):
@@ -228,12 +240,13 @@ class TestRunFewshot:
             run_fewshot(spec, validation_pool=SupportSet(pool.embeddings, labels))
         assert builds == []
 
-    def test_explicit_gamma_skips_search(self, rng):
+    def test_explicit_gamma_skips_search(self, rng, monkeypatch):
+        splits = _spy_splits(monkeypatch)
         spec = random_task(rng, n_query=8, n_classes=2, dim=4, shots_per_class=2)
         result = run_fewshot(spec, gamma=0.02)
         assert result.gamma == 0.02
         assert result.score_table == []
-        assert result.validation is None
+        assert splits == []  # no validation set was drawn
 
     def test_deterministic_given_seed(self):
         task = _frozen_fewshot_task()
@@ -252,11 +265,13 @@ class TestRunFewshot:
         manual, _ = run(spec.with_hyper(kl_weight=0.5, support_weight=0.01))
         assert result.assignments.z.tobytes() == manual.z.tobytes()
 
-    def test_search_runs_never_see_validation_samples(self):
+    def test_search_runs_never_see_validation_samples(self, monkeypatch):
+        splits = _spy_splits(monkeypatch)
         task = _frozen_fewshot_task()
-        result = run_fewshot(task.spec, validation_pool=task.validation, seed=0)
-        val_rows = {row.tobytes() for row in result.validation.embeddings.data}
-        train_rows = {row.tobytes() for row in result.train_support.embeddings.data}
+        run_fewshot(task.spec, validation_pool=task.validation, seed=0)
+        [(train, validation)] = splits
+        val_rows = {row.tobytes() for row in validation.embeddings.data}
+        train_rows = {row.tobytes() for row in train.embeddings.data}
         query_rows = {row.tobytes() for row in task.spec.query.data}
         assert not (val_rows & train_rows)
         assert not (val_rows & query_rows)
@@ -268,6 +283,20 @@ class TestRunFewshot:
         soft = compute_soft_labels(task.spec.query, task.spec.text, 30.0)
         zs_acc = np.mean(hard_predict(soft) == task.query_labels)
         assert fs_acc >= zs_acc
+
+
+def _spy_splits(monkeypatch):
+    """The (training, validation) sets of every ``split_shots`` call that
+    ``run_fewshot`` makes, as it makes them."""
+    splits = []
+    real = fewshot.split_shots
+
+    def split(*args, **kwargs):
+        splits.append(real(*args, **kwargs))
+        return splits[-1]
+
+    monkeypatch.setattr(fewshot, "split_shots", split)
+    return splits
 
 
 def _reference_fewshot(spec, grid, pool, seed, record_trace):

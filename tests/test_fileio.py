@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from transduct import fileio
 from transduct.errors import (
     BadMagic,
+    DimensionMismatch,
     IoFailure,
     NegativeLabel,
     NonFiniteValue,
@@ -29,6 +30,19 @@ class TestEmb1:
         out = fileio.read_matrix(path)
         assert out.shape == (2, 3)
         np.testing.assert_array_equal(out, 0.0)
+
+    def test_zero_column_header_fails_before_any_row_is_read(self, tmp_path):
+        # a 12-byte file: the header declares 10**6 rows of no payload
+        path = tmp_path / "m.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<II", 10**6, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="degenerate shape"):
+                fileio.read_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m.emb"
@@ -182,6 +196,12 @@ class TestLabels:
         with pytest.raises(ParseError):
             fileio.read_labels(path)
 
+    def test_label_beyond_int64(self, tmp_path):
+        path = tmp_path / "l.labels"
+        path.write_text(f"0\n{2**63 - 1}\n{2**63}\n")
+        with pytest.raises(ParseError, match=r"l\.labels:3: 9223372036854775808 does not fit in int64$"):
+            fileio.read_labels(path)
+
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "l.labels"
         fileio.write_labels([3, 1, 4, 1, 5], path)
@@ -227,6 +247,20 @@ class TestPredictions:
         path = tmp_path / "p.csv"
         path.write_text(f"index,pred,conf,p_0\n{row}\n")
         with pytest.raises(ParseError, match=re.escape(message)):
+            fileio.read_predictions(path)
+
+    @pytest.mark.parametrize("pred", [2**63, -(2**63) - 1])
+    def test_pred_beyond_int64(self, tmp_path, pred):
+        path = tmp_path / "p.csv"
+        path.write_text(f"index,pred,conf,p_0\n0,0,1,1\n1,{pred},1,1\n")
+        with pytest.raises(ParseError, match=rf"p\.csv:3: {pred} does not fit in int64$"):
+            fileio.read_predictions(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        # write_predictions always writes at least one row
+        path = tmp_path / "p.csv"
+        path.write_text("index,pred,conf,p_0\n")
+        with pytest.raises(ParseError, match=r"p\.csv: no prediction rows$"):
             fileio.read_predictions(path)
 
     def test_reads_only_the_pred_column(self, tmp_path):

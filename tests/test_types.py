@@ -61,6 +61,18 @@ class TestEmbeddingMatrix:
         with pytest.raises(DimensionMismatch, match="degenerate shape"):
             EmbeddingMatrix(np.empty((0, 4)))
 
+    def test_zero_columns_fail_before_any_row_is_read(self):
+        # normalizing first would hold N-length norms and masks (8 MB here)
+        data = np.empty((10**6, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match=r"^degenerate shape \(1000000, 0\)$"):
+                EmbeddingMatrix(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_construction_is_bitwise_idempotent(self, rng):
         first = EmbeddingMatrix(unit_rows(rng, 6, 10) * (1 + 5e-3))
         second = EmbeddingMatrix(first.data)
