@@ -33,9 +33,10 @@ product has the same bits as the per-pair dots, so the two paths agree.
 
 The sgemm only chooses candidates and the margin covers its rounding, so
 the graph does not depend on the BLAS or its thread count. The einsum dots
-do not call the BLAS and are bitwise symmetric, so w(i, j) == w(j, i). The
-graph holds the rows in CSR form, as three read-only numpy arrays (row
-pointers, neighbor indices, weights) that keep each row in this order.
+do not call the BLAS and are bitwise symmetric, so w(i, j) == w(j, i)
+wherever both edges exist. The graph is directed and every node has exactly
+min(k, N - 1) out-edges, held as two read-only N x k numpy arrays (neighbor
+indices, weights) that keep each row in this order.
 """
 
 from __future__ import annotations
@@ -158,25 +159,24 @@ def _dense_rows(data, lo, hi, k, neighbor_idx, neighbor_w) -> None:
         np.maximum(w, 0.0, out=neighbor_w[a:b])
 
 
-def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> AffinityGraph:
+def build_knn(embeddings: EmbeddingMatrix, k: int) -> AffinityGraph:
     """Directed graph linking each row to its k most cosine-similar others.
 
     Neighbors are selected by raw float64 cosine (ties to the lower index)
-    and stored by descending weight max(0, cosine). Self-edges are excluded;
-    k >= N-1 degrades to the full graph. With symmetrize=True the edge set
-    is the union of both directions: a node keeps its k out-edges plus
-    every in-edge, so a hub's list may hold up to N-1 entries.
+    and stored by descending weight max(0, cosine). Self-edges are excluded,
+    and every node has exactly min(k, N - 1) out-edges: k >= N-1 degrades
+    to the full graph, and k = 0 gives a graph of no edges.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     data = embeddings.data
     n, d = data.shape
     k_eff = min(k, n - 1)
-    if k_eff == 0:
-        return AffinityGraph(np.zeros(n + 1, np.int64), np.zeros(0, np.int64), np.zeros(0))
-
     neighbor_idx = np.empty((n, k_eff), dtype=np.int64)
     neighbor_w = np.empty((n, k_eff))
+    if k_eff == 0:
+        return AffinityGraph(neighbor_idx, neighbor_w)
+
     block = max(1, min(_MAX_BLOCK_ROWS, _BLOCK_BYTES // (8 * n)))
     margin = 2 * (_gamma(d + 3, np.float32) + _gamma(d + 1, np.float64))
     data32 = data.astype(np.float32)
@@ -194,25 +194,4 @@ def build_knn(embeddings: EmbeddingMatrix, k: int, symmetrize: bool = False) -> 
         neighbor_idx[lo:hi] = idx
         np.maximum(w, 0.0, out=neighbor_w[lo:hi])
         del flat, rows, cols, idx, w
-    del data32  # before the symmetrized union allocates its edge arrays
-
-    if not symmetrize:
-        return AffinityGraph(
-            np.arange(n + 1) * k_eff, neighbor_idx.reshape(-1), neighbor_w.reshape(-1)
-        )
-
-    src = np.repeat(np.arange(n, dtype=np.int64), k_eff)
-    dst = neighbor_idx.reshape(-1)
-    w = neighbor_w.reshape(-1)
-    # union with the reversed edges; the weight of (j, i) equals that of
-    # (i, j) because the clipped einsum cosine is bitwise symmetric
-    src2 = np.concatenate([src, dst])
-    dst2 = np.concatenate([dst, src])
-    w2 = np.concatenate([w, w])
-    keys, first = np.unique(src2 * n + dst2, return_index=True)
-    src2, dst2, w2 = src2[first], dst2[first], w2[first]
-    order = np.lexsort((dst2, -w2, src2))
-    src2, dst2, w2 = src2[order], dst2[order], w2[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src2, minlength=n), out=indptr[1:])
-    return AffinityGraph(indptr, dst2, w2)
+    return AffinityGraph(neighbor_idx, neighbor_w)

@@ -79,21 +79,19 @@ def _pinned_blas():
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that records its long flags for ``--config`` files:
-    ``switches`` maps each flag that takes a value or is a store_true switch
-    to whether it is the switch. Flags such as --help, which take no value
-    and store none, are left out, so a config key naming them is unknown."""
+    """ArgumentParser that records, in ``flags``, its long flags that take a
+    value, in the order they were added: the keys a ``--config`` file may
+    set. Flags such as --help, which take no value, are left out, so a
+    config key naming them is unknown."""
 
     def __init__(self, *args, **kwargs):
-        self.switches: dict[str, bool] = {}  # filled by add_argument
+        self.flags: list[str] = []  # filled by add_argument
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        switch = kwargs.get("action") == "store_true"
-        for opt in action.option_strings:
-            if opt.startswith("--") and (switch or action.nargs != 0):
-                self.switches[opt] = switch
+        if action.nargs != 0:
+            self.flags += [opt for opt in action.option_strings if opt.startswith("--")]
         return action
 
 
@@ -113,8 +111,6 @@ def _add_common_solver_flags(p: argparse.ArgumentParser, kl_default: float) -> N
                    help="at most N sweeps per outer iteration")
     p.add_argument("--top-m", type=int, default=_DEFAULTS.init_top_m,
                    help="confident samples averaged per class at initialization")
-    p.add_argument("--symmetrize-graph", action="store_true",
-                   help="use the union of both edge directions in the graph")
     p.add_argument("--trace", help="write objective trace CSV here")
     p.add_argument("--dump-graph", help="write graph edges as 'i j w' lines here")
     p.add_argument("--config", help="key=value file of defaults for these flags")
@@ -176,7 +172,6 @@ def _hyper_from_args(args) -> Hyperparams:
         inner_z_iters=args.inner_iters,
         k_nn=args.knn,
         init_top_m=args.top_m,
-        symmetrize_graph=args.symmetrize_graph,
     )
 
 
@@ -297,16 +292,9 @@ def _config_to_argv(path, parser: _Parser) -> list:
         flag = "--" + key.strip("-").replace("_", "-")
         if flag == "--config":
             raise ParseError(f"{path}: config files cannot nest")
-        switch = parser.switches.get(flag)
-        if switch is None:
+        if flag not in parser.flags:
             raise ParseError(f"{path}: unknown flag {flag}")
-        if switch:
-            if value.lower() in ("1", "true", "yes", "on"):
-                argv.append(flag)
-            elif value.lower() not in ("0", "false", "no", "off"):
-                raise ParseError(f"{path}: {key} must be a boolean")
-        else:
-            argv.extend([flag, value])
+        argv.extend([flag, value])
     return argv
 
 

@@ -467,6 +467,6 @@ def write_score_table(table: Sequence[tuple[float, float]], path) -> None:
 
 def dump_edges(graph: AffinityGraph, path) -> None:
     """Write one 'i j w' line per stored edge, in storage order."""
-    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    edges = zip(src.tolist(), graph.indices.tolist(), graph.weights.tolist())
+    src = np.repeat(np.arange(graph.n_nodes), graph.indices.shape[1])
+    edges = zip(src.tolist(), graph.indices.ravel().tolist(), graph.weights.ravel().tolist())
     _write_lines(path, map("%d %d %.9g\n".__mod__, edges))

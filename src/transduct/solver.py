@@ -16,12 +16,15 @@ labels.
 Two flavors of the objective are recorded in a trace. ``normalized`` averages the GMM
 term over the query set and weighs the support term by gamma / n_support.
 ``update_consistent`` weighs each query sample by 1 and the support term
-by gamma * n_query / n_support; it is the exact Lyapunov function of the
-implemented updates (the sweep minimizes its per-sample convex surrogate,
-and the mean/variance formulas are its stationary points), and descent
-diagnostics use it. The two differ by a positive rescaling of the
-likelihood terms, so they share the mean/variance stationary points but
-weigh the assignment trade-off differently.
+by gamma * n_query / n_support, and descent diagnostics use it. The two
+differ by a positive rescaling of the likelihood terms, so they share the
+mean/variance stationary points but weigh the assignment trade-off
+differently. What holds for descent: each sweep exactly minimizes its
+rows' convex surrogate, and the mean and variance steps, the objective's
+exact minimizers in their blocks, never raise it. A simultaneous sweep
+over the directed graph can raise it: a row's update reads only its
+out-neighbours, while the objective's graph term in z_i also holds its
+in-neighbours. Without the graph no step raises it beyond rounding.
 
 The solver works on plain float64 arrays. Assignments are validated as
 ``SimplexAssignments`` where they enter (the soft labels and the support
@@ -299,7 +302,6 @@ class SolverState:
             and spec.support is task.support
             and spec.temperature == task.temperature
             and spec.hyper.k_nn == task.hyper.k_nn
-            and spec.hyper.symmetrize_graph == task.hyper.symmetrize_graph
             and spec.hyper.init_top_m == task.hyper.init_top_m
         )
 
@@ -364,9 +366,10 @@ def _reach(state: SolverState) -> np.ndarray:
     """D_i + ln(1 / _CANDIDATE_EPS) for each query row i, where D_i, the
     sum of the row's graph weights in stored order, bounds its neighbor sums:
     the rows of z lie on the simplex and the weights are non-negative."""
-    ptr = state.graph.indptr[state.n_support :]
-    rows = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-    sums = np.bincount(rows, weights=state.graph.weights[ptr[0] : ptr[-1]], minlength=ptr.size - 1)
+    weights = state.graph.weights[state.n_support :]
+    sums = np.zeros(weights.shape[0])
+    for slot in weights.T:
+        sums += slot
     return sums + _LOG_INV_EPS
 
 
@@ -547,14 +550,9 @@ def _pair_sums(state: SolverState, nodes: np.ndarray, cols: np.ndarray) -> np.nd
     out = np.zeros(nodes.size)
     step = _block_rows(8)
     for lo in range(0, nodes.size, step):
-        block, klass = nodes[lo : lo + step], cols[lo : lo + step]
-        first = graph.indptr[block]
-        degree = graph.indptr[block + 1] - first
-        live = np.arange(block.size)
-        for j in range(int(degree.max(initial=0))):
-            live = live[degree[live] > j]
-            pos = first[live] + j
-            nb, k = graph.indices[pos], klass[live]
+        block, k = nodes[lo : lo + step], cols[lo : lo + step]
+        for j in range(graph.indices.shape[1]):
+            nb = graph.indices[block, j]
             if not isinstance(z, PairValues):
                 entries = z[nb, k]
             else:
@@ -566,7 +564,7 @@ def _pair_sums(state: SolverState, nodes: np.ndarray, cols: np.ndarray) -> np.nd
                 if n_s:
                     support = np.flatnonzero(nb < n_s)
                     entries[support] = state.task.support.labels[nb[support]] == k[support]
-            out[lo + live] += graph.weights[pos] * entries
+            out[lo : lo + step] += graph.weights[block, j] * entries
     return out
 
 
@@ -799,7 +797,7 @@ def init_state(spec: TaskSpec) -> SolverState:
     # solve, and the arrays made after it reuse the heap space they free.
     # Built last, that space stays resident beside them: with glibc malloc
     # the zero-shot peak RSS at 5000 x 100 x 128 rose by about 4 MiB.
-    graph = build_knn(rows, spec.hyper.k_nn, symmetrize=spec.hyper.symmetrize_graph)
+    graph = build_knn(rows, spec.hyper.k_nn)
     soft = compute_soft_labels(spec.query, spec.text, spec.temperature)
     if spec.support is not None:
         means = init_prototypes_support(

@@ -211,28 +211,32 @@ class GmmParams:
 
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """Sparse directed nearest-neighbor graph in compressed sparse row form.
+    """Sparse directed nearest-neighbor graph of fixed degree.
 
-    Node i's neighbors are ``indices[indptr[i]:indptr[i + 1]]`` with the
-    non-negative ``weights`` at the same positions, by descending weight,
-    without self-edges. ``affinity.build_knn`` makes this hold; nothing
-    re-checks it. Row order is part of ``propagate``'s bits. The three
-    arrays are read-only views of the ones given, never copies.
+    Every node has the same number k of out-edges: node i's neighbors are
+    ``indices[i]``, with the non-negative ``weights[i]`` at the same
+    positions, by descending weight, without self-edges. The two arrays are
+    N x k; k is min(k_nn, N - 1), and 0 when the graph is off.
+    ``affinity.build_knn`` makes this hold; nothing re-checks it. Slot order
+    is part of ``propagate``'s bits. The arrays are read-only views of the
+    ones given, never copies.
     """
 
-    indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("indptr", np.int64), ("indices", np.int64), ("weights", np.float64)):
+        for name, dtype in (("indices", np.int64), ("weights", np.float64)):
             view = np.asarray(getattr(self, name), dtype=dtype).view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
+        if self.indices.ndim != 2 or self.indices.shape != self.weights.shape:
+            raise DimensionMismatch(f"indices {self.indices.shape} and weights "
+                                    f"{self.weights.shape} must be one N x k shape")
 
     @property
     def n_nodes(self) -> int:
-        return self.indptr.size - 1
+        return self.indices.shape[0]
 
     @property
     def n_edges(self) -> int:
@@ -240,8 +244,7 @@ class AffinityGraph:
 
     def neighbors(self, i: int):
         """(indices, weights) views for node i."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
+        return self.indices[i], self.weights[i]
 
     def propagate(self, values: np.ndarray, start: int = 0, out: Optional[np.ndarray] = None):
         """Weighted neighbor sums of nodes start..N-1: row r of the result is
@@ -250,46 +253,30 @@ class AffinityGraph:
 
         Each node's neighbors are added left to right in stored order,
         starting from 0, as a sequential CSR matrix product adds them; the
-        bits do not depend on the row blocks.
-        The c slots that every row has are summed by one slot-major einsum
-        per row block; each further slot j is added to the rows whose
-        degree exceeds j.
+        bits do not depend on the row blocks. The k slots are summed by one
+        slot-major einsum per row block.
         """
         values = np.asarray(values, dtype=np.float64)
-        ptr = self.indptr[start:]
-        degree = np.diff(ptr)
-        m = degree.size
+        # slot-major (k, rows) operands: einsum's summation order follows their
+        # layout, so the weights are copied into it; the gather below makes
+        # the values' in it
+        indices, weights = self.indices[start:].T, np.ascontiguousarray(self.weights[start:].T)
+        k, m = indices.shape
         if out is None:
             out = np.empty((m, values.shape[1]))
+        if m > 1:
+            n_blocks = max(1, min(m // 2, m // _block_rows(8 * k * values.shape[1])))
+            bounds = np.arange(n_blocks + 1) * m // n_blocks
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                np.einsum("kn,knc->nc", weights[:, a:b], values[indices[:, a:b]], out=out[a:b])
+            return out
         # einsum adds in slot order while the slots are its outer loop, as they
         # are in slot-major blocks of two rows or more; for one row of one
         # column they would be its inner loop, summed out of order, so a lone
-        # row takes the slot loop below
-        c = int(degree.min()) if m > 1 else 0
-        if c == 0:
-            out[...] = 0.0
-        else:
-            slots = np.arange(c)[:, None]
-            n_blocks = max(1, min(m // 2, m // _block_rows(8 * c * values.shape[1])))
-            bounds = np.arange(n_blocks + 1) * m // n_blocks
-            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                pos = ptr[a:b] + slots
-                np.einsum("kn,knc->nc", self.weights[pos], values[self.indices[pos]], out=out[a:b])
-        heavy = np.flatnonzero(degree > c)
-        if heavy.size:
-            # the rows with a slot j, by descending degree, are a prefix of
-            # these; their sums are carried in one compact copy
-            heavy = heavy[np.argsort(-degree[heavy], kind="stable")]
-            neg_degree = -degree[heavy]
-            first = ptr[heavy]
-            acc = out[heavy]
-            for j in range(c, -int(neg_degree[0])):
-                rows = np.searchsorted(neg_degree, -j)
-                pos = first[:rows] + j
-                term = values[self.indices[pos]]
-                term *= self.weights[pos, None]
-                acc[:rows] += term
-            out[heavy] = acc
+        # row adds its slots one by one
+        out[...] = 0.0
+        for j in range(k):
+            out += weights[j, :, None] * values[indices[j]]
         return out
 
 
@@ -323,7 +310,6 @@ class Hyperparams:
     inner_z_iters: int = 5
     k_nn: int = 3
     init_top_m: int = 8           # confident samples averaged per class at init
-    symmetrize_graph: bool = False
 
     def __post_init__(self):
         for name in ("kl_weight", "support_weight"):

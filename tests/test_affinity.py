@@ -64,13 +64,13 @@ def test_deterministic(rng):
     data = EmbeddingMatrix(unit_rows(rng, 30, 6))
     a = build_knn(data, k=3)
     b = build_knn(data, k=3)
-    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.weights, b.weights)):
+    for x, y in ((a.indices, b.indices), (a.weights, b.weights)):
         assert x.tobytes() == y.tobytes()
 
 
 def test_k_zero_gives_empty_graph(rng):
     g = build_knn(EmbeddingMatrix(unit_rows(rng, 4, 3)), k=0)
-    assert g.n_edges == 0
+    assert g.n_edges == 0 and g.indices.shape == g.weights.shape == (4, 0)
     np.testing.assert_array_equal(g.propagate(np.ones((4, 2))), 0.0)
 
 
@@ -80,32 +80,6 @@ def test_tie_break_prefers_lower_index():
     g = build_knn(EmbeddingMatrix(base), k=1)
     idx, _ = g.neighbors(0)
     assert list(idx) == [1]
-
-
-def test_symmetrize_gives_union_of_directions(rng):
-    # the 200-node input has hubs, whose lists grow past 2k
-    longest = {}
-    for n, d, k in ((12, 3, 2), (200, 16, 3)):
-        data = EmbeddingMatrix(unit_rows(rng, n, d))
-        directed = build_knn(data, k=k)
-        sym = build_knn(data, k=k, symmetrize=True)
-        out_edges = {i: {int(j) for j in directed.neighbors(i)[0]} for i in range(n)}
-        in_edges = {i: set() for i in range(n)}
-        for i, targets in out_edges.items():
-            for j in targets:
-                in_edges[j].add(i)
-        lookup = {}
-        for i in range(n):
-            idx, w = sym.neighbors(i)
-            # k out-edges plus the in-edges that are not already out-edges
-            assert len(idx) == k + len(in_edges[i] - out_edges[i])
-            assert set(idx.tolist()) == out_edges[i] | in_edges[i]
-            lookup.update(((i, int(j)), float(wt)) for j, wt in zip(idx, w))
-        longest[n] = max(len(sym.neighbors(i)[0]) for i in range(n))
-        # weights agree in both directions
-        for (i, j), wt in lookup.items():
-            assert lookup[(j, i)] == wt
-    assert longest[200] > 2 * 3
 
 
 def test_dump_edges_format(rng, tmp_path):
@@ -139,73 +113,59 @@ def _tied_rows(r, n, d=16, pool=60):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(0, 10_000), st.integers(1, 60), st.booleans(), st.booleans())
-def test_csr_invariants(data, seed, n, tied, symmetrize):
+@given(st.data(), st.integers(0, 10_000), st.integers(1, 60), st.booleans())
+def test_csr_invariants(data, seed, n, tied):
+    """The graph's arrays, which are also a CSR matrix's with row pointers
+    0, k, 2k, ...: N x min(k, N - 1), no self-edge or repeated edge,
+    non-negative weights by descending weight, read-only."""
     r = np.random.default_rng(seed)
     # tie-heavy rows: few distinct quantized rows, so duplicates and equal
     # cosines appear at every rank
     rows = _tied_rows(r, n, pool=8) if tied else unit_rows(r, n, 5)
     k = data.draw(st.integers(0, n + 2), label="k")
-    g = build_knn(EmbeddingMatrix(rows), k=k, symmetrize=symmetrize)
-    indptr, indices, w = g.indptr, g.indices, g.weights
-    assert g.n_nodes == n and indptr.shape == (n + 1,)
-    assert indptr[0] == 0 and indptr[-1] == g.n_edges == indices.size == w.size
-    degree = np.diff(indptr)
-    assert np.all(degree >= 0)
-    src = np.repeat(np.arange(n), degree)
+    g = build_knn(EmbeddingMatrix(rows), k=k)
+    indices, w = g.indices, g.weights
+    assert g.n_nodes == n and indices.shape == w.shape == (n, min(k, n - 1))
+    assert g.n_edges == indices.size
+    src = np.arange(n)[:, None]
     assert np.all((indices >= 0) & (indices < n))
     assert not np.any(indices == src)
     assert np.unique(src * n + indices).size == indices.size
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
-    same_row = src[1:] == src[:-1]
-    assert not np.any(same_row & (np.diff(w) > 0))
-    if symmetrize:
-        tie = same_row & (np.diff(w) == 0)
-        assert np.all(np.diff(indices.astype(np.int64))[tie] > 0)
-    else:
-        assert np.all(degree == min(k, n - 1))
-    for arr in (indptr, indices, w):
+    assert not np.any(np.diff(w, axis=1) > 0)
+    for arr in (indices, w):
         assert not arr.flags.writeable
 
 
-def _stable_reference(data, k, symmetrize):
+def _stable_reference(data, k):
     """Per-row (indices, weights) from a stable argsort of every full row."""
     n = data.shape[0]
     sims = data @ data.T
     np.fill_diagonal(sims, -np.inf)
     order = np.argsort(-sims, axis=1, kind="stable")[:, : min(k, n - 1)]
-    if not symmetrize:
-        return [(row, np.maximum(0.0, sims[i, row])) for i, row in enumerate(order)]
-    linked = np.zeros((n, n), dtype=bool)
-    linked[np.repeat(np.arange(n), order.shape[1]), order.reshape(-1)] = True
-    linked |= linked.T
-    out = []
-    for i in range(n):
-        cols = np.flatnonzero(linked[i])
-        w = np.maximum(0.0, sims[i, cols])
-        keep = np.lexsort((cols, -w))
-        out.append((cols[keep], w[keep]))
-    return out
+    return [(row, np.maximum(0.0, sims[i, row])) for i, row in enumerate(order)]
 
 
-def _assert_matches_reference(g, data, k, symmetrize):
-    for i, (exp_idx, exp_w) in enumerate(_stable_reference(data, k, symmetrize)):
+def _assert_matches_reference(g, data, k):
+    for i, (exp_idx, exp_w) in enumerate(_stable_reference(data, k)):
         idx, w = g.neighbors(i)
         np.testing.assert_array_equal(idx, exp_idx)
         np.testing.assert_allclose(w, exp_w, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("symmetrize", [False, True])
+@pytest.mark.parametrize("one_row_blocks", [False, True])
 @pytest.mark.parametrize("k_from_n", [lambda n: 1, lambda n: 3, lambda n: n - 2,
                                       lambda n: n - 1, lambda n: n + 2],
                          ids=["1", "3", "n-2", "n-1", "n+2"])
 @pytest.mark.parametrize("n", [700, 1300])
-def test_ties_across_row_blocks_match_stable_sort(n, k_from_n, symmetrize):
+def test_ties_across_row_blocks_match_stable_sort(monkeypatch, n, k_from_n, one_row_blocks):
     r = np.random.default_rng(n)
     data = EmbeddingMatrix(_tied_rows(r, n))
     k = k_from_n(n)
-    g = build_knn(data, k=k, symmetrize=symmetrize)
-    _assert_matches_reference(g, data.data, k, symmetrize)
+    if one_row_blocks:
+        monkeypatch.setattr(affinity, "_BLOCK_BYTES", 1)
+    g = build_knn(data, k=k)
+    _assert_matches_reference(g, data.data, k)
 
 
 def test_one_row_blocks_give_the_same_graph(monkeypatch):
@@ -214,7 +174,7 @@ def test_one_row_blocks_give_the_same_graph(monkeypatch):
     monkeypatch.setattr(affinity, "_BLOCK_BYTES", 1)
     for k in (1, 3, 598):
         g = build_knn(data, k=k)
-        _assert_matches_reference(g, data.data, k, symmetrize=False)
+        _assert_matches_reference(g, data.data, k)
 
 
 def test_dump_edges_matches_per_edge_format(rng, tmp_path):
@@ -223,7 +183,7 @@ def test_dump_edges_matches_per_edge_format(rng, tmp_path):
     ortho = rows[1] - (rows[1] @ rows[0]) * rows[0]
     rows[1] = ortho / np.linalg.norm(ortho) + 1e-6 * rows[0]
     # k = 25 of 39 reaches negative cosines, so zero weights appear too
-    g = build_knn(EmbeddingMatrix(rows), k=25, symmetrize=True)
+    g = build_knn(EmbeddingMatrix(rows), k=25)
     expected = "".join(
         f"{i} {j} {weight:.9g}\n"
         for i in range(g.n_nodes)
@@ -268,33 +228,40 @@ def test_near_ties_match_einsum_reference_bitwise(draws, seed, n, d, k):
     rows = EmbeddingMatrix(_near_tie_rows(r, n, d, n_close)).data
     g = build_knn(EmbeddingMatrix(rows), k=k)
     exp_idx, exp_w = _einsum_reference(rows, k)
-    np.testing.assert_array_equal(g.indices.reshape(n, k), exp_idx)
+    np.testing.assert_array_equal(g.indices, exp_idx)
     assert g.weights.tobytes() == exp_w.tobytes()
 
 
 @pytest.mark.parametrize("near_ties", [False, True])
 def test_symmetrized_weights_are_bitwise_symmetric(near_ties):
+    # w(i, j) == w(j, i) bit for bit wherever both edges exist, whichever
+    # row block ranked each of them
     r = np.random.default_rng(5)
     rows = _near_tie_rows(r, 600, 32, 40) if near_ties else unit_rows(r, 600, 32)
-    g = build_knn(EmbeddingMatrix(rows), k=5, symmetrize=True)
-    src = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
-    w = {(i, j): x for i, j, x in zip(src.tolist(), g.indices.tolist(), g.weights.tolist())}
-    assert all(w[(j, i)] == x for (i, j), x in w.items())
+    g = build_knn(EmbeddingMatrix(rows), k=5)
+    src = np.repeat(np.arange(g.n_nodes), 5)
+    w = {(i, j): x for i, j, x in zip(src.tolist(), g.indices.ravel().tolist(),
+                                      g.weights.ravel().tolist())}
+    mutual = [(i, j) for i, j in w if (j, i) in w]
+    assert len(mutual) > 600
+    assert all(w[(j, i)] == w[(i, j)] for i, j in mutual)
 
 
-@pytest.mark.parametrize("symmetrize", [False, True])
-def test_both_sides_of_the_dense_switch_agree_bitwise(monkeypatch, symmetrize):
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_both_sides_of_the_dense_switch_agree_bitwise(monkeypatch, one_row_blocks):
     # _DENSE_SHARE = 0 keeps every block on the screened path, a huge value
     # sends every block to its dense einsum product
     r = np.random.default_rng(9)
+    if one_row_blocks:
+        monkeypatch.setattr(affinity, "_BLOCK_BYTES", 1)
     for rows in (unit_rows(r, 700, 16), _near_tie_rows(r, 700, 16, 120), _tied_rows(r, 700)):
         data = EmbeddingMatrix(rows)
         graphs = []
         for share in (0, 10**9):
             monkeypatch.setattr(affinity, "_DENSE_SHARE", share)
-            graphs.append(build_knn(data, k=4, symmetrize=symmetrize))
+            graphs.append(build_knn(data, k=4))
         a, b = graphs
-        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.weights, b.weights)):
+        for x, y in ((a.indices, b.indices), (a.weights, b.weights)):
             assert x.tobytes() == y.tobytes()
 
 
@@ -319,7 +286,7 @@ def test_identical_rows_stay_bounded(k, seconds, peak_mib):
         tracemalloc.stop()
     # ties go to the lower index: the k lowest indices other than the row's own
     others = np.arange(3000)[None, :] + (np.arange(3000)[None, :] >= np.arange(3000)[:, None])
-    np.testing.assert_array_equal(g.indices.reshape(3000, k), others[:, :k])
+    np.testing.assert_array_equal(g.indices, others[:, :k])
     assert np.unique(g.weights).size == 1
     assert elapsed <= seconds, f"build took {elapsed:.2f} s"
     assert peak <= peak_mib * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"

@@ -56,6 +56,12 @@ class TestRunZs:
         assert main(args) == 1
         assert "dim" in capsys.readouterr().err
 
+    def test_removed_symmetrize_flag_exits_one(self, task_dir, tmp_path, capsys):
+        out = tmp_path / "pred.csv"
+        assert main(_zs_args(task_dir, out, ["--symmetrize-graph"])) == 1
+        assert "unrecognized arguments: --symmetrize-graph" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_outer_iters_keeps_prior_accuracy(self, task_dir, tmp_path, capsys):
         out = tmp_path / "pred.csv"
         rc = main(_zs_args(task_dir, out, [
@@ -274,7 +280,7 @@ class TestSynth:
         assert main(["synth", "--out-dir", str(d), "--classes", "2", "--dim", "4",
                      "--per-class", "3", "--class-sep", "2.5", "--seed", "9"]) == 0
         config = fileio.read_config(d / "config.txt")
-        flags = [flag[2:] for flag in cli._build()[1]["synth"].switches
+        flags = [flag[2:] for flag in cli._build()[1]["synth"].flags
                  if flag not in ("--out-dir", "--config")]
         assert list(config) == flags
         assert flags == ["classes", "dim", "per-class", "shots", "validation-per-class",
@@ -390,22 +396,14 @@ class TestConfigFile:
         rc, hyper = self._hyper_from_config(task_dir, tmp_path, monkeypatch, {"lambda": 0.25})
         assert rc == 0 and hyper.kl_weight == 0.25
 
-    @pytest.mark.parametrize("value,expected", [
-        *((v, True) for v in ("1", "true", "Yes", "ON")),
-        *((v, False) for v in ("0", "false", "No", "OFF")),
-    ])
-    def test_boolean_spellings(self, task_dir, tmp_path, monkeypatch, value, expected):
+    def test_removed_symmetrize_key_rejected(self, task_dir, tmp_path, monkeypatch, capsys):
+        # a config file that sets --symmetrize-graph, a flag the CLI does not have
         rc, hyper = self._hyper_from_config(
-            task_dir, tmp_path, monkeypatch, {"symmetrize-graph": value}
-        )
-        assert rc == 0 and hyper.symmetrize_graph is expected
-
-    def test_bad_boolean_rejected(self, task_dir, tmp_path, monkeypatch, capsys):
-        rc, hyper = self._hyper_from_config(
-            task_dir, tmp_path, monkeypatch, {"symmetrize-graph": "maybe"}
+            task_dir, tmp_path, monkeypatch, {"symmetrize-graph": "true"}
         )
         assert rc == 1 and hyper is None
-        assert "must be a boolean" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'run.cfg'}: unknown flag --symmetrize-graph\n"
 
     def test_config_cannot_nest(self, task_dir, tmp_path, monkeypatch, capsys):
         rc, hyper = self._hyper_from_config(
@@ -458,7 +456,7 @@ def test_cli_runs_with_scipy_unimportable(task_dir, tmp_path):
         ["synth", "--out-dir", str(tmp_path / "synth"), "--classes", "3", "--dim", "4",
          "--per-class", "5", "--seed", "1"],
         _zs_args(task_dir, tmp_path / "zs.csv", [
-            "--dump-graph", str(tmp_path / "edges.txt"), "--symmetrize-graph",
+            "--dump-graph", str(tmp_path / "edges.txt"),
         ]),
         _fs_args(task_dir, tmp_path / "fs.csv", [
             "--validation", str(task_dir / "validation.emb"),

@@ -512,7 +512,6 @@ class TestSharedPreparation:
         lambda s: replace(s, support=None),
         lambda s: replace(s, temperature=s.temperature * 2),
         lambda s: s.with_hyper(k_nn=s.hyper.k_nn + 1),
-        lambda s: s.with_hyper(symmetrize_graph=not s.hyper.symmetrize_graph),
         lambda s: s.with_hyper(init_top_m=s.hyper.init_top_m + 1),
     ])
     def test_record_of_another_task_is_rejected(self, rng, change):

@@ -506,7 +506,7 @@ class TestIoFailure:
             (fileio.write_config, {"knn": 3}),
             (fileio.write_trace, []),
             (fileio.write_score_table, [(0.01, 0.5)]),
-            (fileio.dump_edges, AffinityGraph(np.array([0, 1, 1]), np.array([1]), np.array([0.5]))),
+            (fileio.dump_edges, AffinityGraph(np.array([[1], [0]]), np.array([[0.5], [0.5]]))),
         ],
     )
 

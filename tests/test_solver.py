@@ -372,7 +372,7 @@ class TestObjective:
         g1 = state.graph
 
         def scaled(c):
-            return AffinityGraph(g1.indptr, g1.indices, c * g1.weights)
+            return AffinityGraph(g1.indices, c * g1.weights)
 
         vals = {}
         for name, g in (("w", g1), ("2w", scaled(2.0)), ("0", scaled(0.0))):
@@ -663,9 +663,9 @@ class TestMemory:
         seen = []
         build = solver.build_knn
 
-        def spy(embeddings, k, symmetrize=False):
+        def spy(embeddings, k):
             seen.append(embeddings.data)
-            return build(embeddings, k, symmetrize=symmetrize)
+            return build(embeddings, k)
 
         monkeypatch.setattr(solver, "build_knn", spy)
         spec = random_task(rng, n_query=20, n_classes=3, dim=5, shots_per_class=shots)
@@ -1221,8 +1221,7 @@ class TestCandidates:
         assert peak - base <= 2.25 * one
         assert held - base <= 1.1 * one
 
-    @pytest.mark.parametrize("kind", ["zero-shot", "few-shot", "no graph", "symmetrized",
-                                      "alternating"])
+    @pytest.mark.parametrize("kind", ["zero-shot", "few-shot", "no graph", "alternating"])
     @pytest.mark.parametrize("record_trace", [False, True])
     def test_held_pairs_give_the_dense_loop_bytes(self, monkeypatch, kind, record_trace):
         # run holds a candidate round's iterate on its pairs; the loop below
@@ -1230,8 +1229,8 @@ class TestCandidates:
         # reads the moments' pairs from the dense z, and its bytes, trace
         # included, must be run's
         spec = _wide_task(shots_per_class=1 if kind == "few-shot" else 0).spec
-        spec = spec.with_hyper(**{"few-shot": {"support_weight": 0.2}, "no graph": {"k_nn": 0},
-                                  "symmetrized": {"symmetrize_graph": True}}.get(kind, {}))
+        spec = spec.with_hyper(**{"few-shot": {"support_weight": 0.2},
+                                  "no graph": {"k_nn": 0}}.get(kind, {}))
         kinds = _base_kinds(monkeypatch)
         if kind == "alternating":
             # every second outer iteration takes the dense path: its first
@@ -1360,12 +1359,11 @@ class TestDriftBound:
     stays below the row's cut. The candidates are then those of a full
     screen, bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["zero-shot", "few-shot", "symmetrized", "no graph",
-                                      "alternating"])
+    @pytest.mark.parametrize("kind", ["zero-shot", "few-shot", "no graph", "alternating"])
     def test_bound_screen_gives_the_full_screen(self, monkeypatch, kind):
         spec = _wide_task(shots_per_class=1 if kind == "few-shot" else 0).spec
-        spec = spec.with_hyper(**{"few-shot": {"support_weight": 0.2}, "no graph": {"k_nn": 0},
-                                  "symmetrized": {"symmetrize_graph": True}}.get(kind, {}))
+        spec = spec.with_hyper(**{"few-shot": {"support_weight": 0.2},
+                                  "no graph": {"k_nn": 0}}.get(kind, {}))
         calls = _bound_checks(monkeypatch)
         if kind == "alternating":
             # every second outer iteration is made dense, one given a bound
@@ -1554,7 +1552,7 @@ class TestFirstRound:
 
 
 class TestOneRowBlockBudget:
-    @pytest.mark.parametrize("case", ["wide-few-shot", "seed-7-symmetrized"])
+    @pytest.mark.parametrize("case", ["wide-few-shot", "seed-7"])
     def test_small_budget_gives_the_same_bits(self, monkeypatch, case):
         # 1 KiB blocks: every pass that sizes its blocks by types._block_rows
         # takes several on these tasks (the normalization, propagate, the
@@ -1567,15 +1565,14 @@ class TestOneRowBlockBudget:
         else:
             spec = generate_task(n_classes=10, dim=32, n_query_per_class=40, class_sep=3.0,
                                  prototype_noise=0.6, seed=7).spec
-            spec = spec.with_hyper(symmetrize_graph=True)
         query = spec.query
         off_unit = query.data * (1.0 + 1e-3 * np.random.default_rng(0).standard_normal((query.n_rows, 1)))
 
         def outputs():
             arrays = [run(spec)[0].z, EmbeddingMatrix(off_unit).data]
             for k in (spec.hyper.k_nn, query.n_rows // 4):
-                graph = build_knn(query, k, symmetrize=spec.hyper.symmetrize_graph)
-                arrays += [graph.indptr, graph.indices, graph.weights]
+                graph = build_knn(query, k)
+                arrays += [graph.indices, graph.weights]
             soft = compute_soft_labels(query, spec.text, spec.temperature)
             return arrays + [init_prototypes_topk(query, soft, spec.hyper.init_top_m)]
 

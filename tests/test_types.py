@@ -276,15 +276,23 @@ class TestGmmParams:
 
 class TestAffinityGraph:
     def test_valid_graph(self):
-        g = AffinityGraph([0, 2, 3, 4], [1, 2, 0, 0], [0.9, 0.1, 0.5, 0.2])
+        g = AffinityGraph([[1, 2], [0, 2], [0, 1]], [[0.9, 0.1], [0.5, 0.2], [0.3, 0.0]])
         idx, w = g.neighbors(0)
         np.testing.assert_array_equal(idx, [1, 2])
         np.testing.assert_allclose(w, [0.9, 0.1])
         assert g.n_nodes == 3
-        assert g.n_edges == 4
+        assert g.n_edges == 6
+
+    @pytest.mark.parametrize("indices, weights", [
+        ([1, 0], [0.5, 0.5]),
+        ([[1], [0]], [[0.5, 0.5], [0.5, 0.5]]),
+    ], ids=["one-dimensional", "shapes-differ"])
+    def test_rejects_arrays_of_no_common_n_by_k_shape(self, indices, weights):
+        with pytest.raises(DimensionMismatch):
+            AffinityGraph(indices, weights)
 
     def test_propagate_matches_manual_sum(self, rng):
-        g = AffinityGraph([0, 2, 3, 3], [1, 2, 0], [0.5, 0.25, 1.0])
+        g = AffinityGraph([[1, 2], [0, 0], [1, 0]], [[0.5, 0.25], [1.0, 0.0], [0.0, 0.0]])
         values = rng.standard_normal((3, 4))
         out = g.propagate(values)
         np.testing.assert_allclose(out[0], 0.5 * values[1] + 0.25 * values[2])
@@ -292,9 +300,9 @@ class TestAffinityGraph:
         np.testing.assert_allclose(out[2], 0.0)
 
     def test_arrays_are_read_only_views_of_the_inputs(self):
-        arrays = np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, 0.5])
+        arrays = np.array([[1], [0]]), np.array([[0.5], [0.5]])
         g = AffinityGraph(*arrays)
-        for given_arr, held in zip(arrays, (g.indptr, g.indices, g.weights)):
+        for given_arr, held in zip(arrays, (g.indices, g.weights)):
             assert np.shares_memory(given_arr, held)
             assert not held.flags.writeable and given_arr.flags.writeable
 
@@ -303,26 +311,22 @@ class TestAffinityGraph:
     def test_propagate_is_bitwise_the_csr_product(self, data):
         # oracle: scipy's CSR product, which adds each row's entries left to
         # right from +0.0, so a lone zero weight times a negative value,
-        # -0.0, must come out as +0.0
-        n = data.draw(st.integers(1, 40), label="n")
+        # -0.0, must come out as +0.0; a lone row (n = 1, or start = n - 1)
+        # takes propagate's slot loop, and no slot (k = 0) gives zeros
+        n = data.draw(st.one_of(st.just(1), st.integers(2, 40)), label="n")
         n_cols = data.draw(st.sampled_from([1, 2, 3, 100]), label="K")
         r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        # every row has `common` slots; some rows may have up to n - 1
-        common = data.draw(st.integers(0, n - 1), label="common degree")
-        degree = np.full(n, common)
-        if data.draw(st.booleans(), label="variable degree"):
-            degree += r.integers(0, n - common, size=n)
-        if data.draw(st.booleans(), label="empty rows"):
-            degree[r.random(n) < 0.2] = 0
-        indptr = np.concatenate([[0], np.cumsum(degree)])
-        indices = r.integers(0, n, size=indptr[-1])  # repeats allowed
-        weights = r.random(indptr[-1])
-        weights[r.random(weights.size) < 0.2] = 0.0
+        k = data.draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)), label="k")
+        indices = r.integers(0, n, size=(n, k))  # repeats allowed
+        weights = r.random((n, k))
+        weights[r.random(weights.shape) < 0.2] = 0.0
         values = r.standard_normal((n, n_cols))
         start = data.draw(st.one_of(st.integers(0, n), st.just(n - 1)), label="start")
         budget = data.draw(st.sampled_from([1, 4096, types._ROW_BLOCK_BYTES]), label="budget")
-        expected = (csr_matrix((weights, indices, indptr), shape=(n, n)) @ values)[start:]
-        g = AffinityGraph(indptr, indices, weights)
+        indptr = np.arange(n + 1) * k
+        csr = csr_matrix((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+        expected = (csr @ values)[start:]
+        g = AffinityGraph(indices, weights)
         saved = types._ROW_BLOCK_BYTES
         types._ROW_BLOCK_BYTES = budget
         try:
@@ -343,7 +347,6 @@ class TestHyperparams:
         assert h.support_weight == 0.0
         assert (h.outer_iters, h.inner_z_iters) == (10, 5)
         assert (h.k_nn, h.init_top_m) == (3, 8)
-        assert h.symmetrize_graph is False
 
     @pytest.mark.parametrize(
         "kwargs",
